@@ -44,7 +44,6 @@ from .protocol import (
 )
 from .analytics import (
     ClassicalThreshold,
-    FidelityFunctionPoint,
     InformationMinimum,
     MinimaxResult,
     average_fidelity_numeric,
@@ -94,7 +93,6 @@ __all__ = [
     "correction_unitary",
     "run_protocol",
     "ClassicalThreshold",
-    "FidelityFunctionPoint",
     "InformationMinimum",
     "MinimaxResult",
     "average_fidelity_numeric",

@@ -33,7 +33,6 @@ from .states import _require_range
 
 __all__ = [
     "REFINE_TOL",
-    "FidelityFunctionPoint",
     "InformationMinimum",
     "MinimaxResult",
     "ClassicalThreshold",
@@ -52,26 +51,6 @@ __all__ = [
 REFINE_TOL = 1e-9
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class FidelityFunctionPoint:
-    """One evaluation of the fidelity surface with its coordinates."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    epsilon: float
-    theta: float
-    phi: float
-    psi: float
-    value: float
-
-    @classmethod
-    def evaluate(cls, alpha: float, beta: float, gamma: float, epsilon: float,
-                 theta: float, phi: float, psi: float) -> "FidelityFunctionPoint":
-        value = fidelity_closed_form(alpha, beta, gamma, epsilon, theta, phi, psi)
-        return cls(alpha, beta, gamma, epsilon, theta, phi, psi, value)
 
 
 class InformationMinimum(NamedTuple):
@@ -248,6 +227,15 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float,
     return best_x, best_f, iterations, hi - lo
 
 
+# Basin candidates of the alpha profile are plateaus: maximal runs of grid
+# neighbours whose values differ by at most _PLATEAU_TOL, i.e. by round-off
+# only (fidelities are O(1), so an absolute tolerance of a few machine
+# epsilons). A plateau no higher than both of its outside neighbours is one
+# candidate: seeded at its first lowest point, bracketed by the run plus one
+# grid step on each side, and ordered among the others by (value, alpha).
+# Without round-off ties every run is a single grid point.
+_PLATEAU_TOL = 8.0 * np.finfo(float).eps
+
 # Pruning margin for basin candidates: a global minimum can sit at most
 # max|g''|/2 * (half grid step)^2 below its best grid sample, which for a
 # 33-point mesh and the O(1) curvature of the reduced profile is well
@@ -308,11 +296,16 @@ def _best_beta(alpha: float, gamma: float, epsilon: float, theta: float,
     return min(candidates)
 
 
-def _profile_local_minima(values: np.ndarray) -> list[int]:
-    # 1-D local minima with hard edges (alpha is not periodic).
-    padded = np.pad(values, 1, constant_values=np.inf)
-    mask = (values <= padded[:-2]) & (values <= padded[2:])
-    return np.nonzero(mask)[0].tolist()
+def _profile_local_minima(values: np.ndarray) -> list[tuple[int, int, int]]:
+    # 1-D local minimum plateaus with hard edges (alpha is not periodic), as
+    # (seed, first, last) grid indices in grid order.
+    breaks = np.abs(values[1:] - values[:-1]) > _PLATEAU_TOL
+    firsts = np.flatnonzero(np.concatenate(([True], breaks)))
+    lasts = np.concatenate((firsts[1:], [values.size])) - 1
+    padded = np.concatenate(([np.inf], values, [np.inf]))
+    mask = (values[firsts] <= padded[firsts]) & (values[lasts] <= padded[lasts + 2])
+    return [(first + int(np.argmin(values[first:last + 1])), first, last)
+            for first, last in zip(firsts[mask].tolist(), lasts[mask].tolist())]
 
 
 def min_over_information(gamma: float, epsilon: float, angles: UnitaryAngles,
@@ -323,9 +316,16 @@ def min_over_information(gamma: float, epsilon: float, angles: UnitaryAngles,
     dependence is a quadratic in sin(beta+psi)), leaving a one-dimensional
     profile in alpha. That profile is scanned on a ``grid``-point mesh and
     every grid-local basin is polished by golden section inside its
-    bracketing cells until the bracket is below 1e-9. On flat landscapes
-    the first grid point is reported; ties resolve to the candidate whose
-    seed sorts first by (value, alpha).
+    bracketing cells until the bracket is below 1e-9.
+
+    A basin is a plateau: a maximal run of grid neighbours whose values
+    differ only by round-off (a few machine epsilons), no higher than the
+    grid values just outside it. Each plateau is polished once, from its
+    first lowest grid point, over the run plus one grid step on each side;
+    without ties every plateau is a single grid point. On flat landscapes
+    the whole grid is one plateau and its first grid point is reported;
+    ties between basins resolve to the candidate whose seed sorts first by
+    (value, alpha).
     """
     gamma = _require_range(gamma, 0.0, 1.0, "gamma")
     epsilon = _require_range(epsilon, 0.0, 1.0, "epsilon")
@@ -337,20 +337,20 @@ def min_over_information(gamma: float, epsilon: float, angles: UnitaryAngles,
     alphas = np.linspace(0.0, math.pi, grid)
     profile = _information_profile(alphas, gamma, epsilon, theta, phi)
     candidates = _profile_local_minima(profile)
-    candidates.sort(key=lambda i: (profile[i], i))
+    candidates.sort(key=lambda c: (profile[c[0]], c[0]))
     step = math.pi / (grid - 1)
 
     def at(a: float) -> float:
         return float(_information_profile(a, gamma, epsilon, theta, phi))
 
     best_a = best_v = None
-    for idx in candidates:
+    for idx, first, last in candidates:
         seed_v = float(profile[idx])
         if best_v is not None and seed_v > best_v + _BASIN_MARGIN:
             break
         seed_a = float(alphas[idx])
-        x, fx, _, _ = _golden_min(at, max(0.0, seed_a - step),
-                                  min(math.pi, seed_a + step), REFINE_TOL)
+        x, fx, _, _ = _golden_min(at, max(0.0, float(alphas[first]) - step),
+                                  min(math.pi, float(alphas[last]) + step), REFINE_TOL)
         if fx >= seed_v:
             x, fx = seed_a, seed_v
         if best_v is None or fx < best_v:

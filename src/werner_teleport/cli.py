@@ -47,7 +47,6 @@ class SweepConfig:
     quantity: str
     output_path: str | None
     fmt: str = "csv"
-    seed: int = 0
 
 
 class _RangeError(Exception):

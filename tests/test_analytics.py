@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from werner_teleport import analytics
 from werner_teleport.analytics import (
-    FidelityFunctionPoint,
     average_fidelity_numeric,
     classical_threshold,
     f_av_max,
@@ -72,12 +72,6 @@ def test_closed_form_rejects_out_of_range(bad):
 def test_closed_form_within_epsilon_band(alpha, beta, gamma, epsilon, theta, phi, psi):
     value = fidelity_closed_form(alpha, beta, gamma, epsilon, theta, phi, psi)
     assert (1 - epsilon) / 2 - 1e-12 <= value <= (1 + epsilon) / 2 + 1e-12
-
-
-def test_fidelity_function_point_evaluate():
-    point = FidelityFunctionPoint.evaluate(0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-    assert point.value == fidelity_closed_form(0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-    assert point.epsilon == 0.6
 
 
 # --------------------------------------------------- analytic extremes
@@ -262,6 +256,77 @@ def test_min_over_information_psi_independent():
         assert abs(result.value - baseline.value) < 1e-12
 
 
+@pytest.fixture
+def golden_brackets(monkeypatch):
+    """Record the (lo, hi) bracket of every golden-section search."""
+    brackets = []
+    search = analytics._golden_min
+
+    def counting(f, lo, hi, tol):
+        brackets.append((lo, hi))
+        return search(f, lo, hi, tol)
+
+    monkeypatch.setattr(analytics, "_golden_min", counting)
+    return brackets
+
+
+def test_min_over_information_exact_plateau_polished_once(golden_brackets):
+    # epsilon = 0 makes the profile exactly constant: one plateau, not 33
+    result = min_over_information(0.3, 0.0, UnitaryAngles(0, 1, 2, 3))
+    assert golden_brackets == [(0.0, math.pi)]
+    assert (result.value, result.alpha) == (0.5, 0.0)
+
+
+def test_min_over_information_roundoff_plateau_polished_once(golden_brackets):
+    # gamma = 1 near the identity: flat up to round-off, not 16 basins
+    result = min_over_information(1.0, 0.7, UnitaryAngles(0, 1e-9, 1e-9, 0))
+    assert len(golden_brackets) == 1
+    assert abs(result.value - 0.85) < 1e-15
+
+
+def test_min_over_information_tied_dip_bracket_covers_both_cells(golden_brackets):
+    # on an even grid the equator minimum falls between two grid points
+    result = min_over_information(0.5, 0.8, UnitaryAngles(), grid=34)
+    step = math.pi / 33
+    (lo, hi), = golden_brackets
+    assert lo <= 15 * step + 1e-12 and hi >= 18 * step - 1e-12
+    assert abs(result.value - 0.6) < 1e-12
+    # a quadratic minimum pins its argument only to about sqrt(eps)
+    assert abs(result.alpha - math.pi / 2) < 1e-7
+
+
+def test_profile_local_minima_constant_is_one_plateau():
+    assert analytics._profile_local_minima(np.full(33, 0.5)) == [(0, 0, 32)]
+
+
+def test_profile_local_minima_ulp_alternation_is_one_plateau():
+    values = np.where(np.arange(33) % 2, np.nextafter(0.5, 1.0), 0.5)
+    assert analytics._profile_local_minima(values) == [(0, 0, 32)]
+    assert analytics._profile_local_minima(values[1:]) == [(1, 0, 31)]
+
+
+def test_profile_local_minima_without_ties_matches_neighbour_mask():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        values = rng.uniform(0, 1, 33)
+        padded = np.pad(values, 1, constant_values=np.inf)
+        mask = (values <= padded[:-2]) & (values <= padded[2:])
+        expected = [(i, i, i) for i in np.flatnonzero(mask).tolist()]
+        assert analytics._profile_local_minima(values) == expected
+
+
+def test_profile_local_minima_keeps_hard_edges():
+    x = np.linspace(0, 1, 33)
+    assert analytics._profile_local_minima(-(x - 0.5) ** 2) == [(0, 0, 0), (32, 32, 32)]
+    assert analytics._profile_local_minima(x) == [(0, 0, 0)]
+    assert analytics._profile_local_minima(-x) == [(32, 32, 32)]
+
+
+def test_profile_local_minima_symmetric_dip_is_one_candidate():
+    values = (np.arange(8) - 3.5) ** 2
+    assert analytics._profile_local_minima(values) == [(3, 3, 4)]
+
+
 # ------------------------------------------------------ minimax search
 
 def test_minimax_perfect_resources():
@@ -326,3 +391,13 @@ def test_minimax_rejects_bad_grids():
         minimax_search(0.5, 0.5, outer_grid=1)
     with pytest.raises(ValueError):
         minimax_search(0.5, 0.5, inner_grid=8)
+
+
+@pytest.mark.parametrize("gamma, epsilon", [(0.3, 0.0), (1.0, 0.4), (0.7, 0.9)])
+def test_minimax_golden_call_budget(golden_brackets, gamma, epsilon):
+    # flat points (epsilon = 0, gamma = 1) once cost 4326 and 2339 golden
+    # searches against 134 at a general point; each inner call now polishes
+    # at most one basin on these points
+    result = minimax_search(gamma, epsilon)
+    assert result.iterations == 131
+    assert len(golden_brackets) <= 134
