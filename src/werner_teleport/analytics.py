@@ -17,7 +17,10 @@ route (nested grid/golden-section search, Gauss-Legendre quadrature) so
 they can be cross-validated.
 
 The global phase chi of Bob's unitary cancels from every conjugation, so
-it does not appear in F and is excluded from all searches.
+it does not appear in F and is excluded from all searches. F depends on
+beta and psi only through beta + psi, so the worst case over a full period
+of beta does not depend on psi either: the correction search runs over
+(theta, phi) alone and reports psi = 0.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ class InformationMinimum(NamedTuple):
 class MinimaxResult:
     """Outcome of the nested worst-case/best-correction search.
 
+    ``argmax`` is (theta, phi, psi) with psi = 0: the worst case over the
+    input cannot depend on psi, so it is not searched.
     ``iterations`` counts evaluations of the outer objective (each one a
     full inner minimization); ``tolerance_achieved`` is the widest final
     golden-section bracket among the outer refinements.
@@ -93,15 +98,8 @@ class ClassicalThreshold:
 
 def _fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi):
     # Unchecked, broadcasts over numpy arrays; hot path for every grid.
-    sin_a = np.sin(alpha)
-    ge = gamma * epsilon
-    return 0.5 * (
-        1.0
-        + epsilon * np.cos(theta) * np.cos(alpha) ** 2
-        + ge * np.sin(theta) * np.sin(2.0 * alpha) * np.sin(phi) * np.sin(beta + psi)
-        + gamma * ge * np.cos(0.5 * theta) ** 2 * np.cos(2.0 * phi) * sin_a ** 2
-        - gamma * ge * np.sin(0.5 * theta) ** 2 * sin_a ** 2 * np.cos(2.0 * (beta + psi))
-    )
+    a_term, b_term, c_term = _beta_reduced_terms(alpha, gamma, epsilon, theta, phi)
+    return a_term + b_term * np.sin(beta + psi) + c_term * np.cos(2.0 * (beta + psi))
 
 
 def fidelity_closed_form(alpha: float, beta: float, gamma: float, epsilon: float,
@@ -255,22 +253,29 @@ def _beta_reduced_terms(alpha, gamma, epsilon, theta, phi):
     return a_term, b_term, c_term
 
 
+def _worst_sin(b_term, c_term):
+    # The s = sin(beta+psi) in [-1, 1] minimizing B s + C (1 - 2 s^2),
+    # elementwise. C is never positive, so the quadratic is convex (C < 0),
+    # with its minimum at the clamped vertex, or linear (C == 0), with its
+    # minimum at the edge opposite the sign of B. The vertex is written over
+    # the edge in place; an np.where costs ~15% on scalar profile calls.
+    s = np.array(-np.copysign(1.0, b_term))
+    np.divide(b_term, 4.0 * c_term, out=s, where=c_term < 0.0)
+    return np.clip(s, -1.0, 1.0, out=s)
+
+
 def _information_profile(alpha, gamma, epsilon, theta, phi):
     """min over beta of F, elementwise in alpha.
 
     With s = sin(beta+psi), the beta part B s + C cos(2(beta+psi)) equals
-    the quadratic B s + C (1 - 2 s^2) on s in [-1, 1], whose minimum is the
-    clamped vertex when the quadratic is convex (C < 0) and -|B| - C
-    otherwise. The result does not involve psi at all.
+    the quadratic B s + C (1 - 2 s^2) on s in [-1, 1], evaluated at its
+    minimizer from :func:`_worst_sin`. The result does not involve psi at
+    all.
     """
     a_term, b_term, c_term = _beta_reduced_terms(alpha, gamma, epsilon, theta, phi)
-    convex = c_term < 0.0
-    s = np.clip(np.divide(b_term, 4.0 * c_term,
-                          out=np.zeros_like(np.asarray(b_term, dtype=float)),
-                          where=convex), -1.0, 1.0)
-    vertex_value = b_term * s + c_term * (1.0 - 2.0 * s * s)
-    edge_value = -np.abs(b_term) - c_term
-    return a_term + np.where(convex, vertex_value, edge_value)
+    s = _worst_sin(b_term, c_term)
+    # Summed in this order: near-flat profiles break alpha ties on round-off.
+    return a_term + (b_term * s + c_term * (1.0 - 2.0 * s * s))
 
 
 def _best_beta(alpha: float, gamma: float, epsilon: float, theta: float,
@@ -282,18 +287,8 @@ def _best_beta(alpha: float, gamma: float, epsilon: float, theta: float,
     two_pi = 2.0 * math.pi
     if b_term == 0.0 and c_term == 0.0:
         return 0.0
-    if c_term < 0.0:
-        s_values = (min(1.0, max(-1.0, b_term / (4.0 * c_term))),)
-    elif b_term == 0.0:
-        s_values = (1.0, -1.0)  # both edges attain -C
-    else:
-        s_values = (-math.copysign(1.0, b_term),)
-    candidates = set()
-    for s in s_values:
-        u = math.asin(s)
-        candidates.add((u - psi) % two_pi)
-        candidates.add((math.pi - u - psi) % two_pi)
-    return min(candidates)
+    u = math.asin(float(_worst_sin(b_term, c_term)))
+    return min((u - psi) % two_pi, (math.pi - u - psi) % two_pi)
 
 
 def _profile_local_minima(values: np.ndarray) -> list[tuple[int, int, int]]:
@@ -365,11 +360,11 @@ def minimax_search(gamma: float, epsilon: float, *, outer_grid: int = 33,
 
     Nested search in the order the problem is posed: the inner level
     minimizes F over the input state (alpha, beta), the outer level
-    maximizes that minimum over (theta, phi, psi). A coarse
-    ``outer_grid``^3 scan (inner minima taken on the raw alpha mesh of the
-    beta-reduced profile) seeds a coordinate-wise golden-section ascent
-    whose outer evaluations use the fully refined
-    :func:`min_over_information`. The result must agree with :func:`masfi`
+    maximizes that minimum over (theta, phi); psi, on which the worst case
+    cannot depend, is reported as 0. A coarse ``outer_grid``^2 scan (inner
+    minima taken on the raw alpha mesh of the beta-reduced profile) seeds a
+    coordinate-wise golden-section ascent whose outer evaluations use the
+    fully refined :func:`min_over_information`. The result must agree with :func:`masfi`
     to much better than 1e-6.
     """
     gamma = _require_range(gamma, 0.0, 1.0, "gamma")
@@ -383,26 +378,21 @@ def minimax_search(gamma: float, epsilon: float, *, outer_grid: int = 33,
 
     thetas = np.linspace(0.0, math.pi, outer_grid)
     phis = np.linspace(0.0, math.pi, outer_grid)
-    psis = np.linspace(0.0, math.pi, outer_grid)
     alphas = np.linspace(0.0, math.pi, inner_grid)
 
-    # Coarse stage: inner grid minima of the beta-reduced profile. The
-    # profile is psi-independent, so the scores repeat along the psi axis
-    # and the lexicographic argmax lands on psi = 0.
+    # Coarse stage: inner grid minima of the beta-reduced profile.
     profile = _information_profile(alphas[None, None, :], gamma, epsilon,
                                    thetas[:, None, None], phis[None, :, None])
-    scores = np.broadcast_to(profile.min(axis=2)[:, :, None],
-                             (outer_grid, outer_grid, outer_grid))
-    it, ip, ips = np.unravel_index(int(np.argmax(scores)), scores.shape)
-    current = [float(thetas[it]), float(phis[ip]), float(psis[ips])]
+    it, ip = divmod(int(np.argmax(profile.min(axis=2))), outer_grid)
+    current = [float(thetas[it]), float(phis[ip])]
 
     evaluations = 0
 
-    def outer_value(th: float, ph: float, ps: float) -> InformationMinimum:
+    def outer_value(th: float, ph: float) -> InformationMinimum:
         nonlocal evaluations
         evaluations += 1
         return min_over_information(
-            gamma, epsilon, UnitaryAngles(0.0, th, ph, ps), grid=inner_grid)
+            gamma, epsilon, UnitaryAngles(0.0, th, ph, 0.0), grid=inner_grid)
 
     incumbent = outer_value(*current)
     best_v = incumbent.value
@@ -411,7 +401,7 @@ def minimax_search(gamma: float, epsilon: float, *, outer_grid: int = 33,
 
     for _ in range(6):
         improved = False
-        for ci in range(3):
+        for ci in range(2):
             def negated(x: float, _ci: int = ci) -> float:
                 args = list(current)
                 args[_ci] = x
@@ -432,7 +422,7 @@ def minimax_search(gamma: float, epsilon: float, *, outer_grid: int = 33,
     return MinimaxResult(
         value=final.value,
         argmin=(final.alpha, final.beta),
-        argmax=tuple(current),
+        argmax=(current[0], current[1], 0.0),
         iterations=evaluations,
         tolerance_achieved=widest_bracket,
     )

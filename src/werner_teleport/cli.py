@@ -49,31 +49,44 @@ class SweepConfig:
     fmt: str = "csv"
 
 
-class _RangeError(Exception):
-    """Out-of-range command-line value; message names the flag."""
+# Bounds of the `run` flags: (upper bound, half-open, given in units of pi).
+# Every lower bound is 0. Flags are checked, and unpacked by cmd_run, in order.
+_RUN_FLAGS = {
+    "alpha": (1.0, False, True),
+    "beta": (2.0, True, True),
+    "gamma": (1.0, False, False),
+    "epsilon": (1.0, False, False),
+    "chi": (2.0, True, True),
+    "theta": (1.0, False, True),
+    "phi": (1.0, False, True),
+    "psi": (1.0, False, True),
+}
 
 
-def _check_flag(value: float, lo: float, hi: float, flag: str,
-                unit_pi: bool = False) -> float:
-    if not math.isfinite(value) or value < lo or value > hi:
+def _run_flag(args: argparse.Namespace, name: str) -> float:
+    hi, half_open, unit_pi = _RUN_FLAGS[name]
+    value = getattr(args, name)
+    if not (math.isfinite(value) and 0.0 <= value
+            and (value < hi if half_open else value <= hi)):
+        close = ")" if half_open else "]"
         unit = " (units of pi)" if unit_pi else ""
-        raise _RangeError(f"{flag} must lie in [{lo:g}, {hi:g}]{unit}, got {value:g}")
-    return value
+        raise ValueError(f"--{name} must lie in [0, {hi:g}{close}{unit}, got {value:g}")
+    return value * math.pi if unit_pi else value
 
 
 def _parse_grid(text: str, flag: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise _RangeError(f"{flag} must look like min:max:count, got {text!r}")
+        raise ValueError(f"{flag} must look like min:max:count, got {text!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError:
-        raise _RangeError(f"{flag} must look like min:max:count, got {text!r}") from None
+        raise ValueError(f"{flag} must look like min:max:count, got {text!r}") from None
     if not (0.0 <= lo <= hi <= 1.0):
-        raise _RangeError(f"{flag} bounds must satisfy 0 <= min <= max <= 1, got {text!r}")
+        raise ValueError(f"{flag} bounds must satisfy 0 <= min <= max <= 1, got {text!r}")
     if count < 2:
-        raise _RangeError(f"{flag} count must be >= 2, got {count}")
+        raise ValueError(f"{flag} count must be >= 2, got {count}")
     return lo, hi, count
 
 
@@ -127,20 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    alpha = _check_flag(args.alpha, 0.0, 1.0, "--alpha", unit_pi=True) * math.pi
-    beta_pi = args.beta
-    if not math.isfinite(beta_pi) or beta_pi < 0.0 or beta_pi >= 2.0:
-        raise _RangeError(f"--beta must lie in [0, 2) (units of pi), got {beta_pi:g}")
-    beta = beta_pi * math.pi
-    gamma = _check_flag(args.gamma, 0.0, 1.0, "--gamma")
-    epsilon = _check_flag(args.epsilon, 0.0, 1.0, "--epsilon")
-    chi_pi = args.chi
-    if not math.isfinite(chi_pi) or chi_pi < 0.0 or chi_pi >= 2.0:
-        raise _RangeError(f"--chi must lie in [0, 2) (units of pi), got {chi_pi:g}")
-    chi = chi_pi * math.pi
-    theta = _check_flag(args.theta, 0.0, 1.0, "--theta", unit_pi=True) * math.pi
-    phi = _check_flag(args.phi, 0.0, 1.0, "--phi", unit_pi=True) * math.pi
-    psi = _check_flag(args.psi, 0.0, 1.0, "--psi", unit_pi=True) * math.pi
+    alpha, beta, gamma, epsilon, chi, theta, phi, psi = [
+        _run_flag(args, name) for name in _RUN_FLAGS]
 
     report = run_protocol(InformationState(alpha, beta, gamma),
                           WernerResource(epsilon),
@@ -202,9 +203,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < 1:
-        raise _RangeError(f"--samples must be >= 1, got {args.samples}")
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if args.seed < 0:
-        raise _RangeError(f"--seed must be a nonnegative integer, got {args.seed}")
+        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
     results = run_verification(args.seed, args.samples)
     for result in results:
         print(result.line())
@@ -224,9 +225,6 @@ def main(argv=None) -> int:
     handler = {"run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify}[args.command]
     try:
         return handler(args)
-    except _RangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -220,9 +220,11 @@ def test_min_over_information_rejects_small_grid():
 
 def test_min_over_information_reports_consistent_argmin():
     rng = np.random.default_rng(71)
-    for _ in range(50):
-        gamma, epsilon = rng.uniform(0, 1, 2)
-        theta, phi, psi = rng.uniform(0, math.pi, 3)
+    general = [(*rng.uniform(0, 1, 2), *rng.uniform(0, math.pi, 3)) for _ in range(50)]
+    corners = [(gamma, epsilon, theta, 0.7, 1.3)
+               for gamma in (0.0, 1.0) for epsilon in (0.0, 1.0)
+               for theta in (0.0, math.pi)]
+    for gamma, epsilon, theta, phi, psi in general + corners:
         result = min_over_information(gamma, epsilon, UnitaryAngles(0, theta, phi, psi))
         at_argmin = fidelity_reference(result.alpha, result.beta, gamma, epsilon,
                                        theta, phi, psi)
@@ -397,7 +399,24 @@ def test_minimax_rejects_bad_grids():
 def test_minimax_golden_call_budget(golden_brackets, gamma, epsilon):
     # flat points (epsilon = 0, gamma = 1) once cost 4326 and 2339 golden
     # searches against 134 at a general point; each inner call now polishes
-    # at most one basin on these points
+    # at most one basin on these points, and the outer ascent runs over
+    # (theta, phi) only: 1 + 2 * 43 + 1 evaluations, 2 outer searches
     result = minimax_search(gamma, epsilon)
-    assert result.iterations == 131
-    assert len(golden_brackets) <= 134
+    assert result.iterations == 88
+    assert len(golden_brackets) <= 90
+
+
+def test_minimax_never_searches_psi(monkeypatch):
+    # the worst case over beta cannot depend on psi, so psi stays at 0
+    psis = []
+    inner = analytics.min_over_information
+
+    def recording(gamma, epsilon, angles, grid=33):
+        psis.append(angles.psi)
+        return inner(gamma, epsilon, angles, grid)
+
+    monkeypatch.setattr(analytics, "min_over_information", recording)
+    result = minimax_search(0.7, 0.9)
+    assert len(psis) == result.iterations
+    assert set(psis) == {0.0}
+    assert result.argmax[2] == 0.0

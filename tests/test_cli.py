@@ -38,16 +38,30 @@ def test_run_reports_small_difference(capsys):
     assert float(diff_line.split("=")[1]) < 1e-12
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--alpha", "1.7"), ("--alpha", "-0.1"), ("--beta", "2.0"),
-    ("--gamma", "1.5"), ("--epsilon", "-0.3"), ("--theta", "1.2"),
-    ("--phi", "9"), ("--psi", "-1"), ("--chi", "2"),
-])
-def test_run_range_errors_exit_2_and_name_the_flag(capsys, flag, value):
+RANGE_ERRORS = [
+    ("--alpha", "1.7", "--alpha must lie in [0, 1] (units of pi), got 1.7"),
+    ("--alpha", "-0.1", "--alpha must lie in [0, 1] (units of pi), got -0.1"),
+    ("--beta", "2.0", "--beta must lie in [0, 2) (units of pi), got 2"),
+    ("--gamma", "1.5", "--gamma must lie in [0, 1], got 1.5"),
+    ("--epsilon", "-0.3", "--epsilon must lie in [0, 1], got -0.3"),
+    ("--theta", "1.2", "--theta must lie in [0, 1] (units of pi), got 1.2"),
+    ("--phi", "9", "--phi must lie in [0, 1] (units of pi), got 9"),
+    ("--psi", "-1", "--psi must lie in [0, 1] (units of pi), got -1"),
+    ("--chi", "2", "--chi must lie in [0, 2) (units of pi), got 2"),
+    ("--alpha", "nan", "--alpha must lie in [0, 1] (units of pi), got nan"),
+    ("--beta", "nan", "--beta must lie in [0, 2) (units of pi), got nan"),
+    ("--gamma", "nan", "--gamma must lie in [0, 1], got nan"),
+    ("--chi", "nan", "--chi must lie in [0, 2) (units of pi), got nan"),
+]
+
+
+@pytest.mark.parametrize("flag,value,message", RANGE_ERRORS,
+                         ids=[f"{flag}-{value}" for flag, value, _ in RANGE_ERRORS])
+def test_run_range_errors_exit_2_and_name_the_flag(capsys, flag, value, message):
     code = main(["run", flag, value])
     captured = capsys.readouterr()
     assert code == 2
-    assert flag in captured.err
+    assert captured.err == f"error: {message}\n"
 
 
 # ------------------------------------------------------------ sweep
