@@ -10,7 +10,6 @@ from .density import (
     NotHermitianError,
     NotPositiveError,
     TraceError,
-    conjugate,
     identity,
     kron,
     ladder_operators,
@@ -65,7 +64,6 @@ __all__ = [
     "NotHermitianError",
     "NotPositiveError",
     "TraceError",
-    "conjugate",
     "identity",
     "kron",
     "ladder_operators",

@@ -387,12 +387,14 @@ def minimax_search(gamma: float, epsilon: float, *, outer_grid: int = 33,
     current = [float(thetas[it]), float(phis[ip])]
 
     evaluations = 0
+    seen: dict[tuple[float, float], InformationMinimum] = {}  # inner minimum per point
 
     def outer_value(th: float, ph: float) -> InformationMinimum:
         nonlocal evaluations
         evaluations += 1
-        return min_over_information(
+        seen[th, ph] = min_over_information(
             gamma, epsilon, UnitaryAngles(0.0, th, ph, 0.0), grid=inner_grid)
+        return seen[th, ph]
 
     incumbent = outer_value(*current)
     best_v = incumbent.value
@@ -418,7 +420,7 @@ def minimax_search(gamma: float, epsilon: float, *, outer_grid: int = 33,
         if not improved:
             break
 
-    final = outer_value(*current)
+    final = seen[current[0], current[1]]  # the ascent only moves to evaluated points
     return MinimaxResult(
         value=final.value,
         argmin=(final.alpha, final.beta),

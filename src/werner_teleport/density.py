@@ -16,7 +16,6 @@ __all__ = [
     "HERM_TOL",
     "TRACE_TOL",
     "PSD_TOL",
-    "UNITARY_TOL",
     "DensityMatrixError",
     "NotHermitianError",
     "TraceError",
@@ -28,7 +27,6 @@ __all__ = [
     "ladder_operators",
     "kron",
     "partial_trace",
-    "conjugate",
     "validate_density",
     "qubit_count",
 ]
@@ -40,7 +38,6 @@ MAX_DIM = 8
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
-UNITARY_TOL = 1e-10
 
 
 class DensityMatrixError(ValueError):
@@ -149,18 +146,6 @@ def partial_trace(rho: np.ndarray, keep: set[int] | frozenset[int]) -> np.ndarra
         remaining -= 1
     dim = 2 ** remaining
     return tensor.reshape(dim, dim)
-
-
-def conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Return ``u @ rho @ u.conj().T`` after checking that ``u`` is unitary."""
-    u = _check_square(u, "u")
-    rho = _check_square(rho, "rho")
-    if u.shape != rho.shape:
-        raise DensityMatrixError(f"dimension mismatch: {u.shape} vs {rho.shape}")
-    defect = np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
-    if defect > UNITARY_TOL:
-        raise DensityMatrixError(f"u is not unitary (|uu+ - I| = {defect:.3e})")
-    return u @ rho @ u.conj().T
 
 
 def validate_density(m: np.ndarray) -> np.ndarray:

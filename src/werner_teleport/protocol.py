@@ -10,7 +10,11 @@ same teleported state, so the protocol fidelity Tr[rho_T rho_in] is a
 single number per parameter set rather than a per-outcome one.
 
 The measurement is evaluated on all four branches deterministically; there
-is no sampling anywhere.
+is no sampling anywhere. Branch r is the Kraus sandwich K_r^+ rho_c K_r
+with K_r = |B_r> (x) I (8x2): its trace is the outcome probability, its
+normalization Bob's conditional state. Raw matrices are validated where
+they enter (:func:`composite`, :func:`bsm_project`); :func:`run_protocol`
+builds its states from range-checked dataclasses and validates nothing.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ import numpy as np
 from .density import (
     DensityMatrixError,
     identity,
-    kron,
     ladder_operators,
-    partial_trace,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -35,8 +37,8 @@ from .states import (
     BELL_INDICES,
     InformationState,
     WernerResource,
+    _BELL_VECTORS,
     _require_range,
-    bell_projector,
     information_state,
     werner_state,
 )
@@ -62,9 +64,12 @@ __all__ = [
 # by ~0.
 DEGENERATE_PROBABILITY = 1e-15
 
-_SIGMA_R = (identity, sigma_z, sigma_x, 1j * sigma_y)
+_SIGMA_R = np.stack([identity, sigma_z, sigma_x, 1j * sigma_y])
+_SIGMA_R.setflags(write=False)
 
-_PROJ_IDENTITY = [kron(bell_projector(r), identity) for r in BELL_INDICES]
+# K_r = |B_r> (x) I_2 stacked over r; row 2a + c of K_r is B_r[a] delta_cd.
+_BELL_KRAUS = np.einsum("ra,cd->racd", _BELL_VECTORS, identity).reshape(4, 8, 2)
+_BELL_KRAUS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,7 @@ class FidelityReport:
 
 def correction_branch_operators() -> tuple[np.ndarray, ...]:
     """The four branch operators (I, sigma_z, sigma_x, i*sigma_y)."""
-    return _SIGMA_R
+    return tuple(_SIGMA_R)
 
 
 def base_unitary(angles: UnitaryAngles) -> np.ndarray:
@@ -142,16 +147,30 @@ def composite(info: np.ndarray, resource: np.ndarray) -> np.ndarray:
     if info.shape != (2, 2) or resource.shape != (4, 4):
         raise DensityMatrixError(
             f"expected 2x2 info and 4x4 resource, got {info.shape} and {resource.shape}")
-    return kron(info, resource)
+    return np.kron(info, resource)
+
+
+def _project_bell(rho_c: np.ndarray, r: int | list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(p_r, K_r^+ rho_c K_r / p_r) for one Bell index ``r`` or a list of them.
+
+    ``rho_c`` is not checked. Raises if some p_r is degenerate (below 1e-15).
+    """
+    kraus = _BELL_KRAUS[r]
+    bob = kraus.conj().swapaxes(-1, -2) @ rho_c @ kraus
+    probability = bob[..., 0, 0].real + bob[..., 1, 1].real
+    if probability.min() < DEGENERATE_PROBABILITY:
+        raise DensityMatrixError(
+            f"degenerate Bell outcome r={r}: probability {probability.min():.3e}")
+    return probability, bob / probability[..., None, None]
 
 
 def bsm_project(composite_state: np.ndarray, r: int) -> BsmOutcome:
     """Project qubits (0, 1) onto Bell state ``r`` and reduce to Bob's qubit.
 
-    Returns the outcome probability Tr[rho_c (P_r x I)] and the normalized
-    conditional state of qubit 2. Raises if the branch probability is
-    degenerate (below 1e-15), which cannot happen for composites built
-    from a Werner-like resource.
+    Returns p = Tr[K_r^+ rho_c K_r] and Bob's state K_r^+ rho_c K_r / p with
+    K_r = |B_r> (x) I, after validating the composite as a density matrix.
+    Raises if p is degenerate (below 1e-15), which cannot happen for
+    composites built from a Werner-like resource.
     """
     composite_state = validate_density(np.asarray(composite_state, dtype=complex))
     if composite_state.shape != (8, 8):
@@ -159,13 +178,8 @@ def bsm_project(composite_state: np.ndarray, r: int) -> BsmOutcome:
             f"expected a three-qubit (8x8) composite, got {composite_state.shape}")
     if r not in BELL_INDICES:
         raise ValueError(f"Bell index must be one of {BELL_INDICES}, got {r}")
-    projected = composite_state @ _PROJ_IDENTITY[r]
-    probability = float(np.trace(projected).real)
-    if probability < DEGENERATE_PROBABILITY:
-        raise DensityMatrixError(
-            f"degenerate Bell outcome r={r}: probability {probability:.3e}")
-    bob = partial_trace(projected, keep={2}) / probability
-    return BsmOutcome(r=r, probability=probability, bob_state=bob)
+    probability, bob = _project_bell(composite_state, r)
+    return BsmOutcome(r=r, probability=float(probability), bob_state=bob)
 
 
 def conditional_state_formula(info: np.ndarray, epsilon: float, r: int) -> np.ndarray:
@@ -205,22 +219,19 @@ def run_protocol(info: InformationState, resource: WernerResource,
     For each outcome r the teleported state is U_r rho_Bob_r U_r^dagger and
     its fidelity is the trace overlap Tr[rho_T rho_in]. With the shared-U0
     corrections the four fidelities coincide; the report's ``fidelity`` is
-    their probability-weighted mean.
+    their probability-weighted mean. The states are not validated again.
     """
     rho_in = information_state(info)
-    rho_c = composite(rho_in, werner_state(resource))
-    u0 = base_unitary(angles)
-    records = []
-    total_p = 0.0
-    common = 0.0
-    for r in BELL_INDICES:
-        outcome = bsm_project(rho_c, r)
-        u_r = u0 @ _SIGMA_R[r]
-        teleported = u_r @ outcome.bob_state @ u_r.conj().T
-        fid = float(np.trace(teleported @ rho_in).real)
-        records.append(OutcomeRecord(r=r, probability=outcome.probability, fidelity=fid))
-        total_p += outcome.probability
-        common += outcome.probability * fid
+    rho_c = np.kron(rho_in, werner_state(resource))
+    probabilities, bob = _project_bell(rho_c, list(BELL_INDICES))
+    u_r = base_unitary(angles) @ _SIGMA_R
+    teleported = u_r @ bob @ u_r.conj().swapaxes(-1, -2)
+    # Tr[T_r rho_in] = sum_ij T_r[i, j] rho_in[j, i]
+    fidelities = (teleported * rho_in.T).sum(axis=(1, 2)).real
+    total_p = float(probabilities.sum())
     if abs(total_p - 1.0) > 1e-12:
         raise DensityMatrixError(f"branch probabilities sum to {total_p:.15g}")
-    return FidelityReport(outcomes=tuple(records), fidelity=common / total_p)
+    records = tuple(OutcomeRecord(r, float(p), float(f))
+                    for r, p, f in zip(BELL_INDICES, probabilities, fidelities))
+    return FidelityReport(outcomes=records,
+                          fidelity=float(probabilities @ fidelities) / total_p)

@@ -1,4 +1,4 @@
-"""Shared test utilities: random states, random unitaries, reference formulas."""
+"""Shared test utilities: random states and reference formulas."""
 
 import numpy as np
 
@@ -8,14 +8,6 @@ def random_density(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return m / np.trace(m).real
-
-
-def random_unitary(rng, dim):
-    """Haar-ish unitary from the QR decomposition of a complex Gaussian."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def fidelity_reference(a, b, g, e, th, ph, ps):

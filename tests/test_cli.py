@@ -64,6 +64,20 @@ def test_run_range_errors_exit_2_and_name_the_flag(capsys, flag, value, message)
     assert captured.err == f"error: {message}\n"
 
 
+def test_run_negative_word_value_is_taken_for_an_option(capsys):
+    # "-inf" as its own word looks like an option to argparse, which stops
+    # before the range table with its own message; "--psi=-inf" reaches the
+    # table. The exit code is 2 either way.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--psi", "-inf"])
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert "argument --psi: expected one argument" in err
+    assert main(["run", "--psi=-inf"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --psi must lie in [0, 1] (units of pi), got -inf\n")
+
+
 # ------------------------------------------------------------ sweep
 
 def test_sweep_csv_shape_and_corners(capsys):

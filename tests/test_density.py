@@ -6,8 +6,6 @@ from werner_teleport.density import (
     NotHermitianError,
     NotPositiveError,
     TraceError,
-    conjugate,
-    identity,
     kron,
     ladder_operators,
     partial_trace,
@@ -16,7 +14,7 @@ from werner_teleport.density import (
     validate_density,
 )
 
-from helpers import random_density, random_unitary
+from helpers import random_density
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -163,57 +161,6 @@ def test_ladder_operators_from_paulis():
     np.testing.assert_allclose(i_minus, (np.eye(2) - sigma_z) / 2)
     np.testing.assert_allclose(r_plus, (sigma_x + 1j * sigma_y) / 2)
     np.testing.assert_allclose(r_minus, (sigma_x - 1j * sigma_y) / 2)
-
-
-# ------------------------------------------------------------ conjugate
-
-def test_conjugate_identity():
-    rho = random_density(np.random.default_rng(1), 2)
-    np.testing.assert_allclose(conjugate(np.eye(2), rho), rho)
-
-
-def test_conjugate_bit_flip():
-    np.testing.assert_array_equal(conjugate(sigma_x, KET0), KET1)
-
-
-def test_conjugate_preserves_spectrum():
-    rng = np.random.default_rng(29)
-    for dim in (2, 4, 8):
-        rho = random_density(rng, dim)
-        u = random_unitary(rng, dim)
-        before = np.linalg.eigvalsh(rho)
-        after = np.linalg.eigvalsh(conjugate(u, rho))
-        np.testing.assert_allclose(after, before, atol=1e-10)
-
-
-def test_conjugate_preserves_trace():
-    rng = np.random.default_rng(31)
-    rho = random_density(rng, 4)
-    u = random_unitary(rng, 4)
-    assert abs(np.trace(conjugate(u, rho)) - 1) < 1e-12
-
-
-def test_conjugate_involutions():
-    # I, sigma_z, sigma_x and i*sigma_y all square to +-I, so conjugating
-    # twice is the identity map on states
-    from werner_teleport.density import sigma_y
-    rng = np.random.default_rng(37)
-    rho = random_density(rng, 2)
-    for u in (identity, sigma_z, sigma_x, 1j * sigma_y):
-        twice = conjugate(u, conjugate(u, rho))
-        np.testing.assert_allclose(twice, rho, atol=1e-12)
-
-
-def test_conjugate_rejects_non_unitary():
-    rho = random_density(np.random.default_rng(2), 2)
-    with pytest.raises(DensityMatrixError, match="unitary"):
-        conjugate(np.array([[1, 0], [0, 2]], dtype=complex), rho)
-
-
-def test_conjugate_rejects_dim_mismatch():
-    rho = random_density(np.random.default_rng(3), 4)
-    with pytest.raises(DensityMatrixError, match="mismatch"):
-        conjugate(np.eye(2), rho)
 
 
 # ------------------------------------------------------ validate_density

@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from werner_teleport.density import DensityMatrixError, kron, sigma_x, sigma_y, sigma_z
+from werner_teleport.density import (
+    DensityMatrixError,
+    NotHermitianError,
+    NotPositiveError,
+    TraceError,
+    kron,
+    sigma_x,
+    sigma_y,
+    sigma_z,
+)
+from werner_teleport import protocol
 from werner_teleport.protocol import (
     UnitaryAngles,
     base_unitary,
@@ -132,6 +142,16 @@ def test_bsm_rejects_bad_index_and_shape():
         bsm_project(rho_c, 5)
     with pytest.raises(DensityMatrixError):
         bsm_project(werner_state(WernerResource(0.5)), 0)
+    # bsm_project is the checked boundary: every density invariant on 8x8
+    skewed = rho_c.copy()
+    skewed[0, 7] += 0.1
+    with pytest.raises(NotHermitianError):
+        bsm_project(skewed, 0)
+    with pytest.raises(TraceError):
+        bsm_project(2 * rho_c, 0)
+    negative = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
+    with pytest.raises(NotPositiveError):
+        bsm_project(negative, 0)
 
 
 # ----------------------------------------------------- correction unitary
@@ -218,6 +238,46 @@ def test_run_protocol_matches_closed_form():
                               UnitaryAngles(chi, theta, phi, psi))
         expected = fidelity_reference(alpha, beta, gamma, epsilon, theta, phi, psi)
         assert abs(report.fidelity - expected) < 1e-10
+
+
+def test_run_protocol_validates_nothing(monkeypatch):
+    # the dataclass inputs were range-checked when built, so no state is
+    # re-validated: no validate_density and no eigensolve
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(protocol, "validate_density",
+                        counting("validate_density", protocol.validate_density))
+    run_protocol(InformationState(1.1, 2.2, 0.7), WernerResource(0.6),
+                 UnitaryAngles(0.3, 1.0, 0.5, 0.2))
+    assert calls == []
+
+
+CORNERS = [(alpha, gamma, epsilon) for alpha in (0.0, math.pi)
+           for gamma in (0.0, 1.0) for epsilon in (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("alpha, gamma, epsilon", CORNERS)
+def test_run_protocol_records_match_bsm_project_at_corners(alpha, gamma, epsilon):
+    info = InformationState(alpha, 1.3, gamma)
+    resource = WernerResource(epsilon)
+    angles = UnitaryAngles(0.4, 1.1, 0.7, 0.2)
+    report = run_protocol(info, resource, angles)
+    rho_in = information_state(info)
+    rho_c = composite(rho_in, werner_state(resource))
+    for r, record in enumerate(report.outcomes):
+        outcome = bsm_project(rho_c, r)
+        u_r = correction_unitary(r, angles)
+        teleported = u_r @ outcome.bob_state @ u_r.conj().T
+        assert record.r == r
+        assert abs(record.probability - outcome.probability) <= 1e-15
+        assert abs(record.fidelity - np.trace(teleported @ rho_in).real) <= 1e-15
 
 
 def test_conditional_state_formula_rejects_bad_index():
