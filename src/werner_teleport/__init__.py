@@ -22,7 +22,6 @@ from .density import (
 from .states import (
     InformationState,
     WernerResource,
-    bell_projector,
     concurrence_werner,
     information_state,
     purity,
@@ -74,7 +73,6 @@ __all__ = [
     "validate_density",
     "InformationState",
     "WernerResource",
-    "bell_projector",
     "concurrence_werner",
     "information_state",
     "purity",

@@ -12,9 +12,16 @@ single number per parameter set rather than a per-outcome one.
 The measurement is evaluated on all four branches deterministically; there
 is no sampling anywhere. Branch r is the Kraus sandwich K_r^+ rho_c K_r
 with K_r = |B_r> (x) I (8x2): its trace is the outcome probability, its
-normalization Bob's conditional state. Raw matrices are validated where
-they enter (:func:`composite`, :func:`bsm_project`); :func:`run_protocol`
-builds its states from range-checked dataclasses and validates nothing.
+normalization Bob's conditional state.
+
+The whole protocol is written once, as the private kernel ``_simulate``:
+it takes N parameter tuples as arrays and runs every step on (N, ...)
+stacks, so the cross-checks in :mod:`werner_teleport.verify` simulate many
+tuples per numpy call. :func:`run_protocol` is its N = 1 case. Raw matrices
+are validated where they enter (:func:`composite`, :func:`bsm_project`);
+the kernel builds its states from parameters that its callers range-check
+(the dataclasses of :func:`run_protocol`, the seeded draws of ``verify``)
+and validates nothing.
 """
 
 from __future__ import annotations
@@ -38,9 +45,9 @@ from .states import (
     InformationState,
     WernerResource,
     _BELL_VECTORS,
+    _information_states,
     _require_range,
-    information_state,
-    werner_state,
+    _werner_states,
 )
 
 __all__ = [
@@ -124,13 +131,23 @@ def correction_branch_operators() -> tuple[np.ndarray, ...]:
     return tuple(_SIGMA_R)
 
 
+def _base_unitaries(chi, theta, phi, psi) -> np.ndarray:
+    # Unchecked: U0 for broadcast angle arrays, shape (..., 2, 2).
+    half = 0.5 * np.asarray(theta, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    e_phi = np.exp(1j * np.asarray(phi, dtype=float))
+    e_psi = np.exp(1j * np.asarray(psi, dtype=float))
+    u = np.empty(e_phi.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = c * e_phi
+    u[..., 0, 1] = s * e_psi
+    u[..., 1, 0] = -s * e_psi.conj()
+    u[..., 1, 1] = c * e_phi.conj()
+    return np.exp(1j * np.asarray(chi, dtype=float))[..., None, None] * u
+
+
 def base_unitary(angles: UnitaryAngles) -> np.ndarray:
     """Bob's base correction unitary U0."""
-    half = 0.5 * angles.theta
-    c, s = math.cos(half), math.sin(half)
-    return np.exp(1j * angles.chi) * np.array(
-        [[c * np.exp(1j * angles.phi), s * np.exp(1j * angles.psi)],
-         [-s * np.exp(-1j * angles.psi), c * np.exp(-1j * angles.phi)]])
+    return _base_unitaries(angles.chi, angles.theta, angles.phi, angles.psi)
 
 
 def correction_unitary(r: int, angles: UnitaryAngles) -> np.ndarray:
@@ -150,17 +167,23 @@ def composite(info: np.ndarray, resource: np.ndarray) -> np.ndarray:
     return np.kron(info, resource)
 
 
-def _project_bell(rho_c: np.ndarray, r: int | list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(p_r, K_r^+ rho_c K_r / p_r) for one Bell index ``r`` or a list of them.
+def _project_bell(rho_c: np.ndarray,
+                  r: list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(p_r, K_r^+ rho_c K_r / p_r) for a stack ``rho_c`` of shape (N, 8, 8).
 
-    ``rho_c`` is not checked. Raises if some p_r is degenerate (below 1e-15).
+    ``r`` lists the Bell indices (all four by default); the results have
+    shapes (N, len(r)) and (N, len(r), 2, 2). ``rho_c`` is not checked.
+    Raises if some p_r is degenerate (below 1e-15).
     """
-    kraus = _BELL_KRAUS[r]
-    bob = kraus.conj().swapaxes(-1, -2) @ rho_c @ kraus
+    indices = list(BELL_INDICES) if r is None else r
+    kraus = _BELL_KRAUS[indices]
+    bob = kraus.conj().swapaxes(-1, -2) @ rho_c[:, None] @ kraus
     probability = bob[..., 0, 0].real + bob[..., 1, 1].real
-    if probability.min() < DEGENERATE_PROBABILITY:
+    low = int(probability.argmin())
+    if probability.flat[low] < DEGENERATE_PROBABILITY:
         raise DensityMatrixError(
-            f"degenerate Bell outcome r={r}: probability {probability.min():.3e}")
+            f"degenerate Bell outcome r={indices[low % len(indices)]}: "
+            f"probability {probability.flat[low]:.3e}")
     return probability, bob / probability[..., None, None]
 
 
@@ -178,8 +201,8 @@ def bsm_project(composite_state: np.ndarray, r: int) -> BsmOutcome:
             f"expected a three-qubit (8x8) composite, got {composite_state.shape}")
     if r not in BELL_INDICES:
         raise ValueError(f"Bell index must be one of {BELL_INDICES}, got {r}")
-    probability, bob = _project_bell(composite_state, r)
-    return BsmOutcome(r=r, probability=float(probability), bob_state=bob)
+    probability, bob = _project_bell(composite_state[None], [r])
+    return BsmOutcome(r=r, probability=float(probability[0, 0]), bob_state=bob[0, 0])
 
 
 def conditional_state_formula(info: np.ndarray, epsilon: float, r: int) -> np.ndarray:
@@ -212,6 +235,31 @@ def conditional_state_formula(info: np.ndarray, epsilon: float, r: int) -> np.nd
                   + sign * 2.0 * epsilon * (p01 * r_plus + p10 * r_minus))
 
 
+def _simulate(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
+    """The protocol on N parameter tuples, each argument an array of length N.
+
+    Returns rho_in (N, 2, 2), the outcome probabilities (N, 4), Bob's
+    conditional states (N, 4, 2, 2) and the per-outcome fidelities
+    Tr[U_r rho_Bob_r U_r^+ rho_in] (N, 4). Nothing is validated, and the
+    closed form is never called.
+    """
+    rho_in = _information_states(alpha, beta, gamma)
+    n = len(rho_in)
+    rho_c = np.einsum("nij,nkl->nikjl", rho_in, _werner_states(epsilon)).reshape(n, 8, 8)
+    probabilities, bob = _project_bell(rho_c)
+    u_r = _base_unitaries(chi, theta, phi, psi)[:, None] @ _SIGMA_R
+    teleported = u_r @ bob @ u_r.conj().swapaxes(-1, -2)
+    # Tr[T_r rho_in] = sum_ij T_r[i, j] rho_in[j, i]
+    fidelities = (teleported * rho_in.swapaxes(-1, -2)[:, None]).sum(axis=(-2, -1)).real
+    return rho_in, probabilities, bob, fidelities
+
+
+def _mean_fidelity(probabilities: np.ndarray, fidelities: np.ndarray) -> np.ndarray:
+    """Probability-weighted mean over the last axis: sum_r p_r F_r / sum_r p_r."""
+    weighted = (probabilities[..., None, :] @ fidelities[..., :, None])[..., 0, 0]
+    return weighted / probabilities.sum(axis=-1)
+
+
 def run_protocol(info: InformationState, resource: WernerResource,
                  angles: UnitaryAngles) -> FidelityReport:
     """Run all four Bell branches and report probabilities and fidelities.
@@ -219,19 +267,17 @@ def run_protocol(info: InformationState, resource: WernerResource,
     For each outcome r the teleported state is U_r rho_Bob_r U_r^dagger and
     its fidelity is the trace overlap Tr[rho_T rho_in]. With the shared-U0
     corrections the four fidelities coincide; the report's ``fidelity`` is
-    their probability-weighted mean. The states are not validated again.
+    their probability-weighted mean. This is the N = 1 case of the batched
+    kernel; the dataclasses were range-checked when built and no state is
+    validated again.
     """
-    rho_in = information_state(info)
-    rho_c = np.kron(rho_in, werner_state(resource))
-    probabilities, bob = _project_bell(rho_c, list(BELL_INDICES))
-    u_r = base_unitary(angles) @ _SIGMA_R
-    teleported = u_r @ bob @ u_r.conj().swapaxes(-1, -2)
-    # Tr[T_r rho_in] = sum_ij T_r[i, j] rho_in[j, i]
-    fidelities = (teleported * rho_in.T).sum(axis=(1, 2)).real
-    total_p = float(probabilities.sum())
+    params = np.array([[info.alpha, info.beta, info.gamma, resource.epsilon,
+                        angles.chi, angles.theta, angles.phi, angles.psi]])
+    _, probabilities, _, fidelities = _simulate(*params.T)
+    total_p = float(probabilities[0].sum())
     if abs(total_p - 1.0) > 1e-12:
         raise DensityMatrixError(f"branch probabilities sum to {total_p:.15g}")
     records = tuple(OutcomeRecord(r, float(p), float(f))
-                    for r, p, f in zip(BELL_INDICES, probabilities, fidelities))
+                    for r, p, f in zip(BELL_INDICES, probabilities[0], fidelities[0]))
     return FidelityReport(outcomes=records,
-                          fidelity=float(probabilities @ fidelities) / total_p)
+                          fidelity=float(_mean_fidelity(probabilities, fidelities)[0]))

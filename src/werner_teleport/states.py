@@ -32,7 +32,6 @@ __all__ = [
     "BELL_INDICES",
     "information_state",
     "werner_state",
-    "bell_projector",
     "concurrence_werner",
     "wootters_concurrence",
     "purity",
@@ -83,26 +82,22 @@ class WernerResource:
         _require_range(self.epsilon, 0.0, 1.0, "epsilon")
 
 
-def information_state(state: InformationState) -> np.ndarray:
-    """Build the 2x2 density matrix of the input qubit."""
-    half = 0.5 * state.alpha
-    c, s = math.cos(half), math.sin(half)
-    off = state.gamma * s * c * np.exp(-1j * state.beta)
-    rho = np.array([[c * c, off], [np.conj(off), s * s]], dtype=complex)
-    rho.setflags(write=False)
+def _information_states(alpha, beta, gamma) -> np.ndarray:
+    # Unchecked: input matrices for broadcast parameter arrays, shape (..., 2, 2).
+    half = 0.5 * np.asarray(alpha, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    off = gamma * s * c * np.exp(-1j * np.asarray(beta, dtype=float))
+    rho = np.empty(off.shape + (2, 2), dtype=complex)
+    rho[..., 0, 0] = c * c
+    rho[..., 0, 1] = off
+    rho[..., 1, 0] = off.conj()
+    rho[..., 1, 1] = s * s
     return rho
 
 
-_PHI_PLUS = np.zeros(4, dtype=complex)
-_PHI_PLUS[0] = _PHI_PLUS[3] = 1.0 / math.sqrt(2.0)
-_PHI_PLUS.setflags(write=False)
-
-
-def werner_state(resource: WernerResource) -> np.ndarray:
-    """Build the 4x4 Werner-like resource (1-eps)/4 * I + eps |phi+><phi+|."""
-    eps = resource.epsilon
-    rho = (1.0 - eps) / 4.0 * np.eye(4, dtype=complex) \
-        + eps * np.outer(_PHI_PLUS, _PHI_PLUS.conj())
+def information_state(state: InformationState) -> np.ndarray:
+    """Build the 2x2 density matrix of the input qubit."""
+    rho = _information_states(state.alpha, state.beta, state.gamma)
     rho.setflags(write=False)
     return rho
 
@@ -120,15 +115,21 @@ _BELL_VECTORS = np.array(
 ) / math.sqrt(2.0)
 _BELL_VECTORS.setflags(write=False)
 
+_PHI_PLUS_PROJECTOR = np.outer(_BELL_VECTORS[0], _BELL_VECTORS[0].conj())
+_PHI_PLUS_PROJECTOR.setflags(write=False)
 
-def bell_projector(r: int) -> np.ndarray:
-    """Rank-1 projector onto Bell state ``r`` (0..3)."""
-    if r not in BELL_INDICES:
-        raise ValueError(f"Bell index must be one of {BELL_INDICES}, got {r}")
-    v = _BELL_VECTORS[r]
-    proj = np.outer(v, v.conj())
-    proj.setflags(write=False)
-    return proj
+
+def _werner_states(epsilon) -> np.ndarray:
+    # Unchecked: resources for a broadcast epsilon array, shape (..., 4, 4).
+    eps = np.asarray(epsilon, dtype=float)[..., None, None]
+    return (1.0 - eps) / 4.0 * np.eye(4, dtype=complex) + eps * _PHI_PLUS_PROJECTOR
+
+
+def werner_state(resource: WernerResource) -> np.ndarray:
+    """Build the 4x4 Werner-like resource (1-eps)/4 * I + eps |phi+><phi+|."""
+    rho = _werner_states(resource.epsilon)
+    rho.setflags(write=False)
+    return rho
 
 
 def concurrence_werner(epsilon: float) -> float:

@@ -27,7 +27,7 @@ from werner_teleport.protocol import (
 from werner_teleport.states import (
     InformationState,
     WernerResource,
-    bell_projector,
+    _BELL_VECTORS,
     information_state,
     purity,
     werner_state,
@@ -129,7 +129,8 @@ def test_bsm_branch_conjugation_relation():
 
 def test_bsm_degenerate_outcome_fails_loudly():
     # hand-built composite orthogonal to the r=0 Bell branch
-    rho_c = kron(bell_projector(1), np.eye(2, dtype=complex) / 2)
+    phi_minus = np.outer(_BELL_VECTORS[1], _BELL_VECTORS[1].conj())
+    rho_c = kron(phi_minus, np.eye(2, dtype=complex) / 2)
     with pytest.raises(DensityMatrixError, match="degenerate"):
         bsm_project(rho_c, 0)
     assert abs(bsm_project(rho_c, 1).probability - 1.0) < 1e-12
@@ -278,6 +279,47 @@ def test_run_protocol_records_match_bsm_project_at_corners(alpha, gamma, epsilon
         assert record.r == r
         assert abs(record.probability - outcome.probability) <= 1e-15
         assert abs(record.fidelity - np.trace(teleported @ rho_in).real) <= 1e-15
+
+
+# ------------------------------------------------------ batched kernel
+
+def _assert_kernel_rows_match_scalar_api(params):
+    # row i of one kernel call equals run_protocol (probabilities and
+    # fidelities) and bsm_project (Bob's states) on tuple i
+    rho_in, probabilities, bob, fidelities = protocol._simulate(*params.T)
+    assert rho_in.shape == (len(params), 2, 2)
+    assert probabilities.shape == fidelities.shape == (len(params), 4)
+    assert bob.shape == (len(params), 4, 2, 2)
+    for i, (alpha, beta, gamma, epsilon, chi, theta, phi, psi) in enumerate(params):
+        info = InformationState(alpha, beta, gamma)
+        resource = WernerResource(epsilon)
+        report = run_protocol(info, resource, UnitaryAngles(chi, theta, phi, psi))
+        assert np.abs(rho_in[i] - information_state(info)).max() <= 1e-15
+        rho_c = composite(information_state(info), werner_state(resource))
+        for r, record in enumerate(report.outcomes):
+            assert abs(probabilities[i, r] - record.probability) <= 1e-15
+            assert abs(fidelities[i, r] - record.fidelity) <= 1e-15
+            assert np.abs(bob[i, r] - bsm_project(rho_c, r).bob_state).max() <= 1e-15
+
+
+def test_kernel_rows_match_run_protocol_on_seeded_tuples():
+    from werner_teleport.verify import _draw_tuples
+    _assert_kernel_rows_match_scalar_api(_draw_tuples(np.random.default_rng(71), 150))
+
+
+def test_kernel_rows_match_run_protocol_at_corners():
+    params = np.array([(alpha, 1.3, gamma, epsilon, 0.4, 1.1, 0.7, 0.2)
+                       for alpha, gamma, epsilon in CORNERS])
+    _assert_kernel_rows_match_scalar_api(params)
+
+
+def test_kernel_degenerate_branch_names_its_index():
+    # a stack whose second composite annihilates the r = 2 Bell branch
+    psi_plus = np.outer(_BELL_VECTORS[2], _BELL_VECTORS[2].conj())
+    good = np.eye(8, dtype=complex) / 8
+    bad = kron(np.eye(4, dtype=complex) - psi_plus, np.eye(2, dtype=complex)) / 6
+    with pytest.raises(DensityMatrixError, match="r=2"):
+        protocol._project_bell(np.stack([good, bad]))
 
 
 def test_conditional_state_formula_rejects_bad_index():

@@ -9,7 +9,7 @@ from werner_teleport.density import kron, ladder_operators, validate_density
 from werner_teleport.states import (
     InformationState,
     WernerResource,
-    bell_projector,
+    _BELL_VECTORS,
     concurrence_werner,
     information_state,
     purity,
@@ -161,33 +161,34 @@ def test_werner_rejects_out_of_range(epsilon):
 
 # -------------------------------------------------- bell projectors
 
+def _bell_projector(r):
+    # |B_r><B_r| from the basis the protocol's Kraus maps are built on
+    v = _BELL_VECTORS[r]
+    return np.outer(v, v.conj())
+
+
 def test_bell_projector_phi_plus():
     expected = np.zeros((4, 4), dtype=complex)
     expected[np.ix_([0, 3], [0, 3])] = 0.5
-    np.testing.assert_allclose(bell_projector(0), expected, atol=1e-15)
+    np.testing.assert_allclose(_bell_projector(0), expected, atol=1e-15)
 
 
 def test_bell_projectors_complete():
-    total = sum(bell_projector(r) for r in range(4))
+    total = sum(_bell_projector(r) for r in range(4))
     np.testing.assert_allclose(total, np.eye(4), atol=1e-15)
 
 
 def test_bell_projectors_orthonormal():
     for r in range(4):
         for s in range(4):
-            overlap = np.trace(bell_projector(r) @ bell_projector(s)).real
+            overlap = np.trace(_bell_projector(r) @ _bell_projector(s)).real
             assert abs(overlap - (1.0 if r == s else 0.0)) < 1e-15
 
 
 def test_bell_projectors_rank_one():
     for r in range(4):
-        eigs = np.linalg.eigvalsh(bell_projector(r))
+        eigs = np.linalg.eigvalsh(_bell_projector(r))
         np.testing.assert_allclose(sorted(eigs), [0, 0, 0, 1], atol=1e-14)
-
-
-def test_bell_projector_rejects_bad_index():
-    with pytest.raises(ValueError):
-        bell_projector(4)
 
 
 # ----------------------------------------------------- concurrence
@@ -205,7 +206,7 @@ def test_concurrence_werner_rejects_out_of_range():
 
 
 def test_wootters_maximally_entangled():
-    assert abs(wootters_concurrence(bell_projector(0)) - 1.0) < 1e-12
+    assert abs(wootters_concurrence(_bell_projector(0)) - 1.0) < 1e-12
 
 
 def test_wootters_separable():

@@ -1,10 +1,18 @@
+import math
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from werner_teleport import density, protocol, states, verify
+from werner_teleport.analytics import fidelity_closed_form
 from werner_teleport.verify import (
     CheckResult,
     run_verification,
     worst_closed_form_deviation,
 )
+
+ORACLE = "closed-form fidelity vs density-matrix simulation"
 
 
 def test_all_checks_pass_on_small_sample():
@@ -61,3 +69,85 @@ def test_check_result_line_format():
     bad = CheckResult(name="demo", tolerance=1e-6, worst=1e-3, detail="(x=1): a=2 b=3")
     assert not bad.passed
     assert "first failure at (x=1)" in bad.line()
+
+
+def test_nan_deviation_fails_and_names_its_tuple():
+    results = run_verification(3, 20, closed_form=lambda *a: float("nan"),
+                               run_quadrature=False, run_minimax=False)
+    by_name = {r.name: r for r in results}
+    oracle = by_name[ORACLE]
+    assert not oracle.passed
+    assert math.isnan(oracle.worst)
+    assert oracle.detail.startswith("(alpha=")
+    assert oracle.detail.endswith("closed=nan")
+    assert "FAIL" in oracle.line()
+    assert all(r.passed for r in results if r is not oracle)
+
+
+def test_nan_stays_worst_and_first_failure_is_in_order():
+    tracker = verify._Worst(1.0)
+    tracker.update(0.5, lambda: "first")
+    tracker.update_all(np.array([[0.2, math.nan], [3.0, 0.1]]), lambda k: f"entry {k}")
+    tracker.update(2.0, lambda: "later")
+    assert math.isnan(tracker.worst)
+    assert tracker.first_fail == "entry 1"
+    scalar = verify._Worst(1.0)
+    scalar.update(math.inf, lambda: "inf")
+    assert scalar.worst == math.inf and scalar.first_fail == "inf"
+
+
+def _late_bias(alpha, beta, gamma, epsilon, theta, phi, psi):
+    # fails only on tuples with alpha > 3, so the first failure is deep in the run
+    bias = 1e-3 if alpha > 3.0 else 0.0
+    return fidelity_closed_form(alpha, beta, gamma, epsilon, theta, phi, psi) + bias
+
+
+@pytest.mark.parametrize("closed_form", [None, _late_bias])
+def test_reports_do_not_depend_on_chunk_size(monkeypatch, closed_form):
+    samples = verify._CHUNK + 45
+    runs = []
+    for chunk in (1, 7, verify._CHUNK):
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        results = run_verification(13, samples, closed_form=closed_form,
+                                   formula_samples=samples - 30,
+                                   run_quadrature=False, run_minimax=False)
+        runs.append([(r.name, r.worst, r.detail) for r in results])
+    assert runs[0] == runs[1] == runs[2]
+    if closed_form is not None:
+        assert "alpha=3." in dict((name, detail) for name, _, detail in runs[0])[ORACLE]
+
+
+def test_tuple_checks_validate_nothing(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    for module in (density, states, protocol, verify):
+        if hasattr(module, "validate_density"):
+            monkeypatch.setattr(module, "validate_density",
+                                counting("validate_density", module.validate_density))
+    results = run_verification(5, 60, formula_samples=60, run_quadrature=False,
+                               run_minimax=False)
+    assert all(r.passed for r in results)
+    assert calls == []
+
+
+def _peak_bytes(samples):
+    tracemalloc.start()
+    try:
+        run_verification(1, samples, run_quadrature=False, run_minimax=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_grows_only_by_the_seeded_draw():
+    # the up-front draw is 8 float64 per sample; the kernel works in chunks
+    small, large = 2000, 20000
+    growth = _peak_bytes(large) - _peak_bytes(small)
+    assert growth <= 2 * 64 * (large - small)
