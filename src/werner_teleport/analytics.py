@@ -13,8 +13,8 @@ numbers are extremes of F over the input at fixed purity: the worst case
 maximized over Bob's correction (``masfi``), the Bloch-sphere average at
 the optimal correction (``f_av_max``), and the absolute ceiling
 (``f_max``). Each closed form here is paired with an independent numeric
-route (nested grid/golden-section search, Gauss-Legendre quadrature) so
-they can be cross-validated.
+route (nested grid search refined by batched zooms, Gauss-Legendre
+quadrature) so they can be cross-validated.
 
 The global phase chi of Bob's unitary cancels from every conjugation, so
 it does not appear in F and is excluded from all searches. F depends on
@@ -50,10 +50,16 @@ __all__ = [
     "minimax_search",
 ]
 
-# Golden-section brackets are shrunk to this width before the search stops.
+# Zoom brackets are shrunk to this width before the search stops.
 REFINE_TOL = 1e-9
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Sub-steps per zoom pass: each pass evaluates k + 1 points of every bracket
+# in one array call and keeps the best point plus or minus one sub-step, so a
+# bracket shrinks by k/2 per pass (by k when the best point is an edge).
+# Inner brackets are cheap rows of the alpha profile; an outer point is a
+# whole inner search, so the outer zoom takes fewer points per pass.
+_ZOOM_K = 32
+_ZOOM_K_OUTER = 16
 
 
 class InformationMinimum(NamedTuple):
@@ -72,7 +78,8 @@ class MinimaxResult:
     input cannot depend on psi, so it is not searched.
     ``iterations`` counts evaluations of the outer objective (each one a
     full inner minimization); ``tolerance_achieved`` is the widest final
-    golden-section bracket among the outer refinements.
+    zoom bracket among the outer refinements: each outer coordinate is
+    pinned to within that width around the reported point.
     """
 
     value: float
@@ -191,38 +198,37 @@ def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles
     return float(w @ grid.sum(axis=1)) / (2.0 * nodes)
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                tol: float) -> tuple[float, float, int, float]:
-    """Golden-section minimum of f on [lo, hi].
+def _zoom_min(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
+              k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum of f on each row's bracket [lo[i], hi[i]] by k-ary zoom.
 
-    Returns (x, f(x), iterations, final bracket width) for the best point
-    seen anywhere during the search, which is never worse than the final
-    bracket midpoint. Ties keep the earlier point, so the result is
+    Each pass evaluates k + 1 evenly spaced points of every open bracket in
+    one call, f(x, live), where x is (len(live), k + 1) and live holds the
+    indices of the open rows; each bracket then shrinks to its best point
+    plus or minus one sub-step. A row closes once its bracket is no wider
+    than REFINE_TOL, so a row's result does not depend on the other rows.
+    Returns per row the best point seen during the search, its value and
+    the final bracket width. Ties keep the earlier point, so the result is
     deterministic.
     """
-    best_x, best_f = lo, f(lo)
-    f_hi = f(hi)
-    if f_hi < best_f:
-        best_x, best_f = hi, f_hi
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    iterations = 0
-    while hi - lo > tol:
-        iterations += 1
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
-            if f1 < best_f:
-                best_x, best_f = x1, f1
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
-            if f2 < best_f:
-                best_x, best_f = x2, f2
-    return best_x, best_f, iterations, hi - lo
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    fractions = np.arange(k + 1) / k
+    best_x, best_f = lo.copy(), np.full(lo.shape, np.inf)
+    live = np.arange(lo.size)
+    while live.size:
+        low, high = lo[live], hi[live]
+        sub = (high - low) / k
+        x = low[:, None] + (high - low)[:, None] * fractions
+        x[:, -1] = high  # keeps every point inside the bracket
+        fx = f(x, live)
+        pick = np.argmin(fx, axis=1)
+        xi, fi = x[np.arange(live.size), pick], fx[np.arange(live.size), pick]
+        better = fi < best_f[live]
+        best_x[live[better]], best_f[live[better]] = xi[better], fi[better]
+        lo[live] = low = np.maximum(low, xi - sub)
+        hi[live] = high = np.minimum(high, xi + sub)
+        live = live[high - low > REFINE_TOL]
+    return best_x, best_f, hi - lo
 
 
 # Basin candidates of the alpha profile are plateaus: maximal runs of grid
@@ -237,8 +243,8 @@ _PLATEAU_TOL = 8.0 * np.finfo(float).eps
 # Pruning margin for basin candidates: a global minimum can sit at most
 # max|g''|/2 * (half grid step)^2 below its best grid sample, which for a
 # 33-point mesh and the O(1) curvature of the reduced profile is well
-# under 0.05. Candidates whose grid value exceeds the incumbent by more
-# cannot hide the global minimum and are skipped.
+# under 0.05. Candidates whose grid value exceeds the lowest candidate of
+# their profile by more cannot hide the global minimum and are skipped.
 _BASIN_MARGIN = 0.05
 
 
@@ -291,16 +297,60 @@ def _best_beta(alpha: float, gamma: float, epsilon: float, theta: float,
     return min((u - psi) % two_pi, (math.pi - u - psi) % two_pi)
 
 
-def _profile_local_minima(values: np.ndarray) -> list[tuple[int, int, int]]:
-    # 1-D local minimum plateaus with hard edges (alpha is not periodic), as
-    # (seed, first, last) grid indices in grid order.
-    breaks = np.abs(values[1:] - values[:-1]) > _PLATEAU_TOL
-    firsts = np.flatnonzero(np.concatenate(([True], breaks)))
-    lasts = np.concatenate((firsts[1:], [values.size])) - 1
-    padded = np.concatenate(([np.inf], values, [np.inf]))
-    mask = (values[firsts] <= padded[firsts]) & (values[lasts] <= padded[lasts + 2])
-    return [(first + int(np.argmin(values[first:last + 1])), first, last)
-            for first, last in zip(firsts[mask].tolist(), lasts[mask].tolist())]
+def _profile_local_minima(values: np.ndarray) -> np.ndarray:
+    # Local minimum plateaus of each row of a (rows, grid) profile, with hard
+    # edges (alpha is not periodic), as an (n, 4) array of (row, seed, first,
+    # last) grid indices in row-major grid order.
+    size = values.shape[1]
+    starts = np.ones(values.shape, dtype=bool)
+    np.greater(np.abs(np.diff(values, axis=1)), _PLATEAU_TOL, out=starts[:, 1:])
+    starts = starts.ravel()
+    flat = values.ravel()
+    firsts = np.flatnonzero(starts)
+    lasts = np.append(firsts[1:], flat.size) - 1
+    rows = firsts // size
+    # the grid values just outside each run, +inf beyond the ends of its row
+    edge = np.full((values.shape[0], 1), np.inf)
+    padded = np.concatenate((edge, values, edge), axis=1).ravel()
+    mask = ((flat[firsts] <= padded[firsts + 2 * rows])
+            & (flat[lasts] <= padded[lasts + 2 * rows + 2]))
+    # the seed of a run is its first lowest point
+    run = np.cumsum(starts) - 1
+    lowest = np.flatnonzero(flat == np.minimum.reduceat(flat, firsts)[run])
+    seeds = lowest[np.concatenate(([True], run[lowest[1:]] != run[lowest[:-1]]))]
+    offset = rows * size
+    return np.stack((rows, seeds - offset, firsts - offset, lasts - offset), axis=1)[mask]
+
+
+def _worst_cases(gamma: float, epsilon: float, theta: np.ndarray, phi: np.ndarray,
+                 grid: int) -> tuple[np.ndarray, np.ndarray]:
+    # Worst case over the input for each row of corrections (theta[i],
+    # phi[i]) as (values, alphas), searched as min_over_information says.
+    # Every row has a candidate: the profile enters some run by a step down
+    # and leaves it by a step up, counting the +inf beyond both ends.
+    alphas = np.linspace(0.0, math.pi, grid)
+    step = math.pi / (grid - 1)
+    profile = _information_profile(alphas, gamma, epsilon, theta[:, None], phi[:, None])
+    candidates = _profile_local_minima(profile)
+    seed_v = profile[candidates[:, 0], candidates[:, 1]]
+    # by (row, value, alpha): lexsort is stable and candidates are in grid order
+    order = np.lexsort((seed_v, candidates[:, 0]))
+    candidates, seed_v = candidates[order], seed_v[order]
+    row_start = np.searchsorted(candidates[:, 0], np.arange(theta.size))
+    keep = seed_v <= seed_v[row_start][candidates[:, 0]] + _BASIN_MARGIN
+    (rows, seeds, firsts, lasts), seed_v = candidates[keep].T, seed_v[keep]
+
+    def profile_rows(a: np.ndarray, live: np.ndarray) -> np.ndarray:
+        return _information_profile(a, gamma, epsilon, theta[rows[live], None],
+                                    phi[rows[live], None])
+
+    x, fx, _ = _zoom_min(profile_rows, np.maximum(0.0, alphas[firsts] - step),
+                         np.minimum(math.pi, alphas[lasts] + step), _ZOOM_K)
+    fallback = fx >= seed_v
+    x, fx = np.where(fallback, alphas[seeds], x), np.where(fallback, seed_v, fx)
+    # per row, the first candidate with the least value
+    best = np.lexsort((fx, rows))[np.searchsorted(rows, np.arange(theta.size))]
+    return fx[best], x[best]
 
 
 def min_over_information(gamma: float, epsilon: float, angles: UnitaryAngles,
@@ -310,48 +360,35 @@ def min_over_information(gamma: float, epsilon: float, angles: UnitaryAngles,
     The minimum over beta is taken in closed form for each alpha (the beta
     dependence is a quadratic in sin(beta+psi)), leaving a one-dimensional
     profile in alpha. That profile is scanned on a ``grid``-point mesh and
-    every grid-local basin is polished by golden section inside its
-    bracketing cells until the bracket is below 1e-9.
+    every grid-local basin is polished inside its bracketing cells by a
+    zoom: each pass evaluates 33 evenly spaced points of the bracket at once
+    and keeps the best one plus or minus one sub-step, until the bracket is
+    no wider than ``REFINE_TOL``. A polish that finds nothing below its grid
+    seed reports the seed.
 
     A basin is a plateau: a maximal run of grid neighbours whose values
     differ only by round-off (a few machine epsilons), no higher than the
     grid values just outside it. Each plateau is polished once, from its
     first lowest grid point, over the run plus one grid step on each side;
-    without ties every plateau is a single grid point. On flat landscapes
-    the whole grid is one plateau and its first grid point is reported;
-    ties between basins resolve to the candidate whose seed sorts first by
-    (value, alpha).
+    without ties every plateau is a single grid point. Plateaus whose grid
+    value is more than 0.05 above the lowest one cannot hold the minimum
+    and are skipped. On flat landscapes the whole grid is one plateau and
+    its first grid point is reported; ties between basins resolve to the
+    candidate whose seed sorts first by (value, alpha).
+
+    This is the one-row case of the batched search that
+    :func:`minimax_search` runs over many corrections at once.
     """
     gamma = _require_range(gamma, 0.0, 1.0, "gamma")
     epsilon = _require_range(epsilon, 0.0, 1.0, "epsilon")
     grid = int(grid)
     if grid < 32:
         raise ValueError(f"grid must be >= 32 points per axis, got {grid}")
-    theta, phi, psi = angles.theta, angles.phi, angles.psi
-
-    alphas = np.linspace(0.0, math.pi, grid)
-    profile = _information_profile(alphas, gamma, epsilon, theta, phi)
-    candidates = _profile_local_minima(profile)
-    candidates.sort(key=lambda c: (profile[c[0]], c[0]))
-    step = math.pi / (grid - 1)
-
-    def at(a: float) -> float:
-        return float(_information_profile(a, gamma, epsilon, theta, phi))
-
-    best_a = best_v = None
-    for idx, first, last in candidates:
-        seed_v = float(profile[idx])
-        if best_v is not None and seed_v > best_v + _BASIN_MARGIN:
-            break
-        seed_a = float(alphas[idx])
-        x, fx, _, _ = _golden_min(at, max(0.0, float(alphas[first]) - step),
-                                  min(math.pi, float(alphas[last]) + step), REFINE_TOL)
-        if fx >= seed_v:
-            x, fx = seed_a, seed_v
-        if best_v is None or fx < best_v:
-            best_a, best_v = x, fx
-    return InformationMinimum(value=best_v, alpha=best_a,
-                              beta=_best_beta(best_a, gamma, epsilon, theta, phi, psi))
+    theta, phi = angles.theta, angles.phi
+    values, alphas = _worst_cases(gamma, epsilon, np.array([theta]), np.array([phi]), grid)
+    alpha = float(alphas[0])
+    return InformationMinimum(value=float(values[0]), alpha=alpha,
+                              beta=_best_beta(alpha, gamma, epsilon, theta, phi, angles.psi))
 
 
 def minimax_search(gamma: float, epsilon: float, *, outer_grid: int = 33,
@@ -363,9 +400,14 @@ def minimax_search(gamma: float, epsilon: float, *, outer_grid: int = 33,
     maximizes that minimum over (theta, phi); psi, on which the worst case
     cannot depend, is reported as 0. A coarse ``outer_grid``^2 scan (inner
     minima taken on the raw alpha mesh of the beta-reduced profile) seeds a
-    coordinate-wise golden-section ascent whose outer evaluations use the
-    fully refined :func:`min_over_information`. The result must agree with :func:`masfi`
-    to much better than 1e-6.
+    coordinate-wise ascent. Each coordinate is refined by a zoom over one
+    grid step on each side of the current point: a pass evaluates 17 angles
+    at once, each the fully refined inner minimum of
+    :func:`min_over_information` and all of them one batched inner search,
+    and keeps the best angle plus or minus one sub-step, until the bracket
+    is no wider than ``REFINE_TOL``. The ascent moves only to a strictly
+    better point. The result must agree with :func:`masfi` to much better
+    than 1e-6.
     """
     gamma = _require_range(gamma, 0.0, 1.0, "gamma")
     epsilon = _require_range(epsilon, 0.0, 1.0, "epsilon")
@@ -387,43 +429,42 @@ def minimax_search(gamma: float, epsilon: float, *, outer_grid: int = 33,
     current = [float(thetas[it]), float(phis[ip])]
 
     evaluations = 0
-    seen: dict[tuple[float, float], InformationMinimum] = {}  # inner minimum per point
+    seen: dict[tuple[float, float], tuple[float, float]] = {}  # (value, alpha) per point
 
-    def outer_value(th: float, ph: float) -> InformationMinimum:
+    def outer_values(points: np.ndarray) -> np.ndarray:
+        # inner minima at (theta, phi) rows, as one batched search
         nonlocal evaluations
-        evaluations += 1
-        seen[th, ph] = min_over_information(
-            gamma, epsilon, UnitaryAngles(0.0, th, ph, 0.0), grid=inner_grid)
-        return seen[th, ph]
+        evaluations += len(points)
+        values, argmins = _worst_cases(gamma, epsilon, points[:, 0], points[:, 1], inner_grid)
+        seen.update(zip(map(tuple, points.tolist()), zip(values.tolist(), argmins.tolist())))
+        return values
 
-    incumbent = outer_value(*current)
-    best_v = incumbent.value
+    best_v = float(outer_values(np.array([current]))[0])
     step = math.pi / (outer_grid - 1)
     widest_bracket = 0.0
 
     for _ in range(6):
         improved = False
         for ci in range(2):
-            def negated(x: float, _ci: int = ci) -> float:
-                args = list(current)
-                args[_ci] = x
-                return -outer_value(*args).value
+            def negated(x: np.ndarray, _live: np.ndarray, _ci: int = ci) -> np.ndarray:
+                points = np.repeat([current], x.size, axis=0)
+                points[:, _ci] = x.ravel()
+                return -outer_values(points).reshape(x.shape)
 
-            x, fx, _, width = _golden_min(
-                negated, max(0.0, current[ci] - step),
-                min(math.pi, current[ci] + step), REFINE_TOL)
-            widest_bracket = max(widest_bracket, width)
-            if -fx > best_v:
-                current[ci] = x
-                best_v = -fx
+            x, fx, width = _zoom_min(negated, [max(0.0, current[ci] - step)],
+                                     [min(math.pi, current[ci] + step)], _ZOOM_K_OUTER)
+            widest_bracket = max(widest_bracket, float(width[0]))
+            if -fx[0] > best_v:
+                current[ci] = float(x[0])
+                best_v = float(-fx[0])
                 improved = True
         if not improved:
             break
 
-    final = seen[current[0], current[1]]  # the ascent only moves to evaluated points
+    value, alpha = seen[current[0], current[1]]  # the ascent only moves to evaluated points
     return MinimaxResult(
-        value=final.value,
-        argmin=(final.alpha, final.beta),
+        value=value,
+        argmin=(alpha, _best_beta(alpha, gamma, epsilon, current[0], current[1], 0.0)),
         argmax=(current[0], current[1], 0.0),
         iterations=evaluations,
         tolerance_achieved=widest_bracket,

@@ -19,7 +19,7 @@ from werner_teleport.analytics import (
 )
 from werner_teleport.protocol import UnitaryAngles
 
-from helpers import fidelity_reference
+from helpers import fidelity_reference, worst_case_reference
 
 _unit = st.floats(0, 1)
 
@@ -249,6 +249,32 @@ def test_min_over_information_matches_dense_grid():
                                    UnitaryAngles(0, theta, phi, psi)).value
         assert got <= dense + 1e-9
         assert dense - got < 2.4e-5
+        assert abs(got - worst_case_reference(gamma, epsilon, theta, phi)) < 1e-12
+
+
+def test_min_over_information_matches_exact_worst_case():
+    # the channel form gives the inner worst case as a 3x3 eigenvalue
+    rng = np.random.default_rng(79)
+    general = [(*rng.uniform(0, 1, 2), *rng.uniform(0, math.pi, 3)) for _ in range(1000)]
+    corners = [(gamma, epsilon, theta, 0.7, 1.3)
+               for gamma in (0.0, 1.0) for epsilon in (0.0, 1.0)
+               for theta in (0.0, math.pi)]
+    for gamma, epsilon, theta, phi, psi in general + corners:
+        got = min_over_information(gamma, epsilon, UnitaryAngles(0, theta, phi, psi)).value
+        assert abs(got - worst_case_reference(gamma, epsilon, theta, phi)) < 1e-12
+
+
+def test_batched_worst_cases_rows_match_min_over_information():
+    # min_over_information is the one-row case of the batched inner search,
+    # and a row's result does not depend on the rows beside it
+    rng = np.random.default_rng(83)
+    thetas, phis = rng.uniform(0, math.pi, (2, 17))
+    thetas[:4] = phis[:4] = (0.0, math.pi, 1e-9, 0.0)
+    for gamma, epsilon in ((0.6, 0.7), (1.0, 0.4), (0.3, 0.0), (0.0, 1.0)):
+        values, alphas = analytics._worst_cases(gamma, epsilon, thetas, phis, 33)
+        for theta, phi, value, alpha in zip(thetas, phis, values, alphas):
+            alone = min_over_information(gamma, epsilon, UnitaryAngles(0, theta, phi, 0))
+            assert (alone.value, alone.alpha) == (value, alpha)
 
 
 def test_min_over_information_psi_independent():
@@ -259,52 +285,73 @@ def test_min_over_information_psi_independent():
 
 
 @pytest.fixture
-def golden_brackets(monkeypatch):
-    """Record the (lo, hi) bracket of every golden-section search."""
+def zoom_brackets(monkeypatch):
+    """Record the initial (lo, hi) of every bracket row of every zoom."""
     brackets = []
-    search = analytics._golden_min
+    search = analytics._zoom_min
 
-    def counting(f, lo, hi, tol):
-        brackets.append((lo, hi))
-        return search(f, lo, hi, tol)
+    def recording(f, lo, hi, k):
+        brackets.extend(zip(np.atleast_1d(lo).tolist(), np.atleast_1d(hi).tolist()))
+        return search(f, lo, hi, k)
 
-    monkeypatch.setattr(analytics, "_golden_min", counting)
+    monkeypatch.setattr(analytics, "_zoom_min", recording)
     return brackets
 
 
-def test_min_over_information_exact_plateau_polished_once(golden_brackets):
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """Count the array calls of the beta-reduced alpha profile."""
+    calls = []
+    profile = analytics._information_profile
+
+    def counting(*args):
+        calls.append(np.shape(args[0]))
+        return profile(*args)
+
+    monkeypatch.setattr(analytics, "_information_profile", counting)
+    return calls
+
+
+def test_min_over_information_exact_plateau_polished_once(zoom_brackets):
     # epsilon = 0 makes the profile exactly constant: one plateau, not 33
     result = min_over_information(0.3, 0.0, UnitaryAngles(0, 1, 2, 3))
-    assert golden_brackets == [(0.0, math.pi)]
+    assert zoom_brackets == [(0.0, math.pi)]
     assert (result.value, result.alpha) == (0.5, 0.0)
 
 
-def test_min_over_information_roundoff_plateau_polished_once(golden_brackets):
+def test_min_over_information_roundoff_plateau_polished_once(zoom_brackets):
     # gamma = 1 near the identity: flat up to round-off, not 16 basins
     result = min_over_information(1.0, 0.7, UnitaryAngles(0, 1e-9, 1e-9, 0))
-    assert len(golden_brackets) == 1
+    assert len(zoom_brackets) == 1
     assert abs(result.value - 0.85) < 1e-15
 
 
-def test_min_over_information_tied_dip_bracket_covers_both_cells(golden_brackets):
+def test_min_over_information_tied_dip_bracket_covers_both_cells(zoom_brackets):
     # on an even grid the equator minimum falls between two grid points
     result = min_over_information(0.5, 0.8, UnitaryAngles(), grid=34)
     step = math.pi / 33
-    (lo, hi), = golden_brackets
+    (lo, hi), = zoom_brackets
     assert lo <= 15 * step + 1e-12 and hi >= 18 * step - 1e-12
     assert abs(result.value - 0.6) < 1e-12
     # a quadratic minimum pins its argument only to about sqrt(eps)
     assert abs(result.alpha - math.pi / 2) < 1e-7
 
 
+def _plateaus(values):
+    # one profile row through the row-batched detector, as (seed, first, last)
+    found = analytics._profile_local_minima(np.asarray(values)[None, :])
+    assert set(found[:, 0].tolist()) <= {0}
+    return [tuple(c) for c in found[:, 1:].tolist()]
+
+
 def test_profile_local_minima_constant_is_one_plateau():
-    assert analytics._profile_local_minima(np.full(33, 0.5)) == [(0, 0, 32)]
+    assert _plateaus(np.full(33, 0.5)) == [(0, 0, 32)]
 
 
 def test_profile_local_minima_ulp_alternation_is_one_plateau():
     values = np.where(np.arange(33) % 2, np.nextafter(0.5, 1.0), 0.5)
-    assert analytics._profile_local_minima(values) == [(0, 0, 32)]
-    assert analytics._profile_local_minima(values[1:]) == [(1, 0, 31)]
+    assert _plateaus(values) == [(0, 0, 32)]
+    assert _plateaus(values[1:]) == [(1, 0, 31)]
 
 
 def test_profile_local_minima_without_ties_matches_neighbour_mask():
@@ -314,19 +361,30 @@ def test_profile_local_minima_without_ties_matches_neighbour_mask():
         padded = np.pad(values, 1, constant_values=np.inf)
         mask = (values <= padded[:-2]) & (values <= padded[2:])
         expected = [(i, i, i) for i in np.flatnonzero(mask).tolist()]
-        assert analytics._profile_local_minima(values) == expected
+        assert _plateaus(values) == expected
 
 
 def test_profile_local_minima_keeps_hard_edges():
     x = np.linspace(0, 1, 33)
-    assert analytics._profile_local_minima(-(x - 0.5) ** 2) == [(0, 0, 0), (32, 32, 32)]
-    assert analytics._profile_local_minima(x) == [(0, 0, 0)]
-    assert analytics._profile_local_minima(-x) == [(32, 32, 32)]
+    assert _plateaus(-(x - 0.5) ** 2) == [(0, 0, 0), (32, 32, 32)]
+    assert _plateaus(x) == [(0, 0, 0)]
+    assert _plateaus(-x) == [(32, 32, 32)]
 
 
 def test_profile_local_minima_symmetric_dip_is_one_candidate():
     values = (np.arange(8) - 3.5) ** 2
-    assert analytics._profile_local_minima(values) == [(3, 3, 4)]
+    assert _plateaus(values) == [(3, 3, 4)]
+
+
+def test_profile_local_minima_rows_are_independent():
+    # runs never join across rows, and a row's edges stay hard
+    rng = np.random.default_rng(7)
+    x = np.linspace(0, 1, 33)
+    rows = np.stack([np.full(33, 0.5), -x, x,
+                     np.where(np.arange(33) % 2, np.nextafter(0.5, 1.0), 0.5),
+                     -(x - 0.5) ** 2, rng.uniform(0, 1, 33), np.full(33, 0.5)])
+    expected = [(r, *c) for r, values in enumerate(rows) for c in _plateaus(values)]
+    assert [tuple(c) for c in analytics._profile_local_minima(rows).tolist()] == expected
 
 
 # ------------------------------------------------------ minimax search
@@ -376,16 +434,23 @@ def test_minimax_matches_nested_brute_force():
     alphas = np.linspace(0, math.pi, 129)[:, None]
     betas = np.linspace(0, 2 * math.pi, 128, endpoint=False)[None, :]
     for gamma, epsilon in ((0.3, 0.9), (0.8, 0.5)):
-        brute = -np.inf
+        brute = exact = -np.inf
         for theta in thetas:
             for phi in phis:
                 surface = fidelity_reference(alphas, betas, gamma, epsilon,
                                              theta, phi, 0.0)
                 brute = max(brute, float(surface.min()))
-        searched = minimax_search(gamma, epsilon).value
+                exact = max(exact, worst_case_reference(gamma, epsilon, theta, phi))
+        result = minimax_search(gamma, epsilon)
+        searched = result.value
         # the brute force's coarse inner grid can only overestimate branch
         # minima, so it bounds the search value from above
         assert searched - 1e-9 <= brute < searched + 2e-3
+        # the exact worst case: at the reported correction, and no grid
+        # correction better than the search's
+        theta, phi, _ = result.argmax
+        assert abs(searched - worst_case_reference(gamma, epsilon, theta, phi)) < 1e-12
+        assert exact < searched + 1e-12
 
 
 def test_minimax_rejects_bad_grids():
@@ -395,29 +460,45 @@ def test_minimax_rejects_bad_grids():
         minimax_search(0.5, 0.5, inner_grid=8)
 
 
-@pytest.mark.parametrize("gamma, epsilon", [(0.3, 0.0), (1.0, 0.4), (0.7, 0.9)])
-def test_minimax_golden_call_budget(golden_brackets, gamma, epsilon):
-    # flat points (epsilon = 0, gamma = 1) once cost 4326 and 2339 golden
-    # searches against 134 at a general point; each inner call now polishes
-    # at most one basin on these points, and the outer ascent runs over
-    # (theta, phi) only: 1 + 2 * 43 evaluations, 2 outer searches, and the
-    # final argmin is the stored inner minimum at the chosen point
+@pytest.mark.parametrize("gamma, epsilon", [(0.3, 0.0), (1.0, 0.4), (0.7, 0.9), (0.0, 0.5)])
+def test_minimax_golden_call_budget(zoom_brackets, profile_calls, gamma, epsilon):
+    # flat points (epsilon = 0, gamma = 1) once cost 4326 and 2339 scalar
+    # golden-section searches against 134 at a general point, and the scalar
+    # search about 4000 profile calls. The ascent now zooms each of (theta,
+    # phi) over 17 angles a pass, 7 passes from a grid point on the theta = 0
+    # edge: 1 + 2 * 7 * 17 evaluations, each pass one batched inner search of
+    # 1 grid call plus 7 or 8 zoom calls. Every inner row polishes one basin
+    # on these points.
     result = minimax_search(gamma, epsilon)
-    assert result.iterations == 87
-    assert len(golden_brackets) <= 89
+    assert result.iterations == 239
+    assert len(profile_calls) <= 129
+    # two outer zooms, and one basin bracket per inner row
+    assert len(zoom_brackets) == 2 + result.iterations
 
 
 def test_minimax_never_searches_psi(monkeypatch):
-    # the worst case over beta cannot depend on psi, so psi stays at 0
-    psis = []
-    inner = analytics.min_over_information
+    # the worst case over beta cannot depend on psi, so psi stays at 0: the
+    # batched inner search takes (theta, phi) rows only, it evaluates every
+    # outer point once, and the argmin's beta is taken at psi = 0
+    rows, psis = [], []
+    inner, best_beta = analytics._worst_cases, analytics._best_beta
 
-    def recording(gamma, epsilon, angles, grid=33):
-        psis.append(angles.psi)
-        return inner(gamma, epsilon, angles, grid)
+    def recording(gamma, epsilon, theta, phi, grid):
+        assert np.shape(theta) == np.shape(phi) == (len(theta),)
+        rows.append(len(theta))
+        return inner(gamma, epsilon, theta, phi, grid)
 
-    monkeypatch.setattr(analytics, "min_over_information", recording)
+    def beta_at(alpha, gamma, epsilon, theta, phi, psi):
+        psis.append(psi)
+        return best_beta(alpha, gamma, epsilon, theta, phi, psi)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("minimax_search called the scalar inner search")
+
+    monkeypatch.setattr(analytics, "_worst_cases", recording)
+    monkeypatch.setattr(analytics, "_best_beta", beta_at)
+    monkeypatch.setattr(analytics, "min_over_information", unexpected)
     result = minimax_search(0.7, 0.9)
-    assert len(psis) == result.iterations
-    assert set(psis) == {0.0}
+    assert sum(rows) == result.iterations
+    assert psis == [0.0]
     assert result.argmax[2] == 0.0
