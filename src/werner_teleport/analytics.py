@@ -16,6 +16,13 @@ the optimal correction (``f_av_max``), and the absolute ceiling
 route (nested grid search refined by batched zooms, Gauss-Legendre
 quadrature) so they can be cross-validated.
 
+The closed forms (``fidelity_closed_form``, ``masfi``, ``f_av_max``,
+``f_max``, ``fidelity_gap``) take floats or numpy arrays, which broadcast
+against each other, so a whole grid or a chunk of tuples is one call. Each
+argument is range-checked once; an array fails on its first bad entry in
+row-major order, with the message that entry alone would get. Floats give
+a float back.
+
 The global phase chi of Bob's unitary cancels from every conjugation, so
 it does not appear in F and is excluded from all searches. F depends on
 beta and psi only through beta + psi, so the worst case over a full period
@@ -32,7 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .protocol import UnitaryAngles
-from .states import _require_range
+from .states import _require_range, _require_scalar
 
 __all__ = [
     "REFINE_TOL",
@@ -110,11 +117,12 @@ def _fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi):
 
 
 def fidelity_closed_form(alpha: float, beta: float, gamma: float, epsilon: float,
-                         theta: float, phi: float, psi: float) -> float:
+                         theta: float, phi: float, psi: float) -> float | np.ndarray:
     """Protocol fidelity as an explicit function of all seven parameters.
 
     Agrees with the density-matrix simulation in
-    :func:`werner_teleport.protocol.run_protocol` to round-off.
+    :func:`werner_teleport.protocol.run_protocol` to round-off. Broadcasts
+    like the other closed forms here (see the module docstring).
     """
     alpha = _require_range(alpha, 0.0, math.pi, "alpha")
     beta = _require_range(beta, 0.0, 2.0 * math.pi, "beta", open_upper=True)
@@ -123,10 +131,11 @@ def fidelity_closed_form(alpha: float, beta: float, gamma: float, epsilon: float
     theta = _require_range(theta, 0.0, math.pi, "theta")
     phi = _require_range(phi, 0.0, math.pi, "phi")
     psi = _require_range(psi, 0.0, math.pi, "psi")
-    return float(_fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi))
+    value = _fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi)
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
-def masfi(gamma: float, epsilon: float) -> float:
+def masfi(gamma: float, epsilon: float) -> float | np.ndarray:
     """Minimum assured fidelity (1 + gamma^2 epsilon)/2.
 
     Worst case over all input states of a given purity, after Bob picks
@@ -139,13 +148,13 @@ def masfi(gamma: float, epsilon: float) -> float:
     return 0.5 * (1.0 + gamma * gamma * epsilon)
 
 
-def f_max(epsilon: float) -> float:
+def f_max(epsilon: float) -> float | np.ndarray:
     """Largest attainable fidelity (1 + epsilon)/2, reached at the poles."""
     epsilon = _require_range(epsilon, 0.0, 1.0, "epsilon")
     return 0.5 * (1.0 + epsilon)
 
 
-def f_av_max(gamma: float, epsilon: float) -> float:
+def f_av_max(gamma: float, epsilon: float) -> float | np.ndarray:
     """Bloch-sphere average of F at the optimal correction:
     1/2 + epsilon (1 + 2 gamma^2)/6."""
     gamma = _require_range(gamma, 0.0, 1.0, "gamma")
@@ -153,7 +162,7 @@ def f_av_max(gamma: float, epsilon: float) -> float:
     return 0.5 + epsilon * (1.0 + 2.0 * gamma * gamma) / 6.0
 
 
-def fidelity_gap(gamma: float, epsilon: float) -> float:
+def fidelity_gap(gamma: float, epsilon: float) -> float | np.ndarray:
     """Excess of the average over the assured fidelity:
     (1 - gamma^2) epsilon / 6.
 
@@ -168,7 +177,7 @@ def fidelity_gap(gamma: float, epsilon: float) -> float:
 def classical_threshold(gamma: float) -> ClassicalThreshold:
     """Resource weights where the quantum protocol overtakes the classical
     bound, for both the averaged and the assured fidelity."""
-    gamma = _require_range(gamma, 0.0, 1.0, "gamma")
+    gamma = _require_scalar(gamma, 0.0, 1.0, "gamma")
     g2 = gamma * gamma
     return ClassicalThreshold(
         average=1.0 / (1.0 + 2.0 * g2),
@@ -185,8 +194,8 @@ def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles
     rule in beta. Independent of the closed form in :func:`f_av_max`, which
     it must reproduce at theta = phi = 0.
     """
-    gamma = _require_range(gamma, 0.0, 1.0, "gamma")
-    epsilon = _require_range(epsilon, 0.0, 1.0, "epsilon")
+    gamma = _require_scalar(gamma, 0.0, 1.0, "gamma")
+    epsilon = _require_scalar(epsilon, 0.0, 1.0, "epsilon")
     nodes = int(nodes)
     if nodes < 8:
         raise ValueError(f"nodes must be >= 8, got {nodes}")
@@ -379,8 +388,8 @@ def min_over_information(gamma: float, epsilon: float, angles: UnitaryAngles,
     This is the one-row case of the batched search that
     :func:`minimax_search` runs over many corrections at once.
     """
-    gamma = _require_range(gamma, 0.0, 1.0, "gamma")
-    epsilon = _require_range(epsilon, 0.0, 1.0, "epsilon")
+    gamma = _require_scalar(gamma, 0.0, 1.0, "gamma")
+    epsilon = _require_scalar(epsilon, 0.0, 1.0, "epsilon")
     grid = int(grid)
     if grid < 32:
         raise ValueError(f"grid must be >= 32 points per axis, got {grid}")
@@ -409,8 +418,8 @@ def minimax_search(gamma: float, epsilon: float, *, outer_grid: int = 33,
     better point. The result must agree with :func:`masfi` to much better
     than 1e-6.
     """
-    gamma = _require_range(gamma, 0.0, 1.0, "gamma")
-    epsilon = _require_range(epsilon, 0.0, 1.0, "epsilon")
+    gamma = _require_scalar(gamma, 0.0, 1.0, "gamma")
+    epsilon = _require_scalar(epsilon, 0.0, 1.0, "epsilon")
     outer_grid = int(outer_grid)
     if outer_grid < 2:
         raise ValueError(f"outer_grid must be >= 2, got {outer_grid}")

@@ -5,6 +5,10 @@ every special point is an exact rational. Sweeps emit one row per (gamma,
 epsilon) grid point in row-major order (gamma outer) as CSV or JSON lines
 with 12 significant digits; byte-identical output for identical arguments.
 
+Sweeps evaluate the quantity as one array call on the whole grid. Grid
+counts run from 2 to 1001 per axis and ``verify --samples`` from 1 to
+10^6; anything outside is a usage error.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or range error,
 3 I/O error.
 """
@@ -29,6 +33,12 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# Input bounds, so that memory and time stay bounded: verify draws its
+# tuples up front at 64 B each (64 MB at the bound), and a sweep builds its
+# whole text in memory (about 40 MB for a 1001 x 1001 CSV).
+_MAX_SAMPLES = 10**6
+_MAX_GRID_COUNT = 1001
 
 _QUANTITIES = {
     "masfi": lambda gamma, epsilon: masfi(gamma, epsilon),
@@ -87,6 +97,8 @@ def _parse_grid(text: str, flag: str) -> tuple[float, float, int]:
         raise ValueError(f"{flag} bounds must satisfy 0 <= min <= max <= 1, got {text!r}")
     if count < 2:
         raise ValueError(f"{flag} count must be >= 2, got {count}")
+    if count > _MAX_GRID_COUNT:
+        raise ValueError(f"{flag} count must be <= {_MAX_GRID_COUNT}, got {count}")
     return lo, hi, count
 
 
@@ -121,9 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--quantity", required=True, choices=sorted(_QUANTITIES),
                        help="which surface to emit")
     sweep.add_argument("--gamma-grid", default="0:1:51", metavar="MIN:MAX:COUNT",
-                       help="gamma grid (default 0:1:51)")
+                       help="gamma grid, count 2 to 1001 (default 0:1:51)")
     sweep.add_argument("--epsilon-grid", default="0:1:51", metavar="MIN:MAX:COUNT",
-                       help="epsilon grid (default 0:1:51)")
+                       help="epsilon grid, count 2 to 1001 (default 0:1:51)")
     sweep.add_argument("--format", default="csv", choices=("csv", "jsonl"),
                        dest="fmt", help="output format (default csv)")
     sweep.add_argument("--out", default=None, metavar="PATH",
@@ -134,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=42,
                         help="seed for the random parameter tuples (default 42)")
     verify.add_argument("--samples", type=int, default=10000,
-                        help="number of random tuples (default 10000)")
+                        help="number of random tuples, 1 to 10^6 (default 10000)")
 
     return parser
 
@@ -158,13 +170,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def sweep_rows(config: SweepConfig):
-    """Yield (gamma, epsilon, value) in row-major order, gamma outer."""
-    quantity = _QUANTITIES[config.quantity]
-    g_lo, g_hi, g_n = config.gamma_grid
-    e_lo, e_hi, e_n = config.epsilon_grid
-    for gamma in np.linspace(g_lo, g_hi, g_n):
-        for epsilon in np.linspace(e_lo, e_hi, e_n):
-            yield float(gamma), float(epsilon), quantity(float(gamma), float(epsilon))
+    """Yield (gamma, epsilon, value) in row-major order, gamma outer.
+
+    The quantity is one array call on the whole grid; rows are turned into
+    floats one gamma at a time.
+    """
+    gamma, epsilon = np.meshgrid(np.linspace(*config.gamma_grid),
+                                 np.linspace(*config.epsilon_grid), indexing="ij")
+    values = _QUANTITIES[config.quantity](gamma, epsilon)
+    epsilons = epsilon[0].tolist()
+    for g, row in zip(gamma[:, 0].tolist(), values):
+        for e, value in zip(epsilons, row.tolist()):
+            yield g, e, value
 
 
 def render_sweep(config: SweepConfig) -> str:
@@ -204,6 +221,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.samples > _MAX_SAMPLES:
+        raise ValueError(f"--samples must be <= {_MAX_SAMPLES}, got {args.samples}")
     if args.seed < 0:
         raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
     results = run_verification(args.seed, args.samples)

@@ -47,6 +47,7 @@ from .states import (
     _BELL_VECTORS,
     _information_states,
     _require_range,
+    _require_scalar,
     _werner_states,
 )
 
@@ -96,10 +97,10 @@ class UnitaryAngles:
     psi: float = 0.0
 
     def __post_init__(self):
-        _require_range(self.chi, 0.0, 2.0 * math.pi, "chi", open_upper=True)
-        _require_range(self.theta, 0.0, math.pi, "theta")
-        _require_range(self.phi, 0.0, math.pi, "phi")
-        _require_range(self.psi, 0.0, math.pi, "psi")
+        _require_scalar(self.chi, 0.0, 2.0 * math.pi, "chi", open_upper=True)
+        _require_scalar(self.theta, 0.0, math.pi, "theta")
+        _require_scalar(self.phi, 0.0, math.pi, "phi")
+        _require_scalar(self.psi, 0.0, math.pi, "psi")
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,8 @@ def bsm_project(composite_state: np.ndarray, r: int) -> BsmOutcome:
     return BsmOutcome(r=r, probability=float(probability[0, 0]), bob_state=bob[0, 0])
 
 
-def conditional_state_formula(info: np.ndarray, epsilon: float, r: int) -> np.ndarray:
+def conditional_state_formula(info: np.ndarray, epsilon: float | np.ndarray,
+                              r: int) -> np.ndarray:
     """Bob's conditional state written directly in the ladder basis.
 
     Independent of the projection route in :func:`bsm_project`: the state
@@ -217,14 +219,19 @@ def conditional_state_formula(info: np.ndarray, epsilon: float, r: int) -> np.nd
     with the diagonal pair swapped for r in (2, 3), the off-diagonal pair
     swapped for r in (2, 3), and the off-diagonal sign flipped for r in
     (1, 3). The two routes must agree entry for entry.
+
+    ``info`` may be a stack of shape (..., 2, 2) and ``epsilon`` an array
+    that broadcasts against its leading axes; the result is then a stack
+    of conditional states, one per input.
     """
     if r not in BELL_INDICES:
         raise ValueError(f"Bell index must be one of {BELL_INDICES}, got {r}")
-    epsilon = _require_range(epsilon, 0.0, 1.0, "epsilon")
+    epsilon = np.asarray(_require_range(epsilon, 0.0, 1.0, "epsilon"))[..., None, None]
     info = np.asarray(info, dtype=complex)
     i_plus, i_minus, r_plus, r_minus = ladder_operators()
-    p00, p01 = info[0, 0], info[0, 1]
-    p10, p11 = info[1, 0], info[1, 1]
+    # entries of each input as (..., 1, 1) arrays that scale the 2x2 operators
+    p00, p01 = info[..., :1, :1], info[..., :1, 1:]
+    p10, p11 = info[..., 1:, :1], info[..., 1:, 1:]
     heavy = p00 * (1 + epsilon) + p11 * (1 - epsilon)
     light = p00 * (1 - epsilon) + p11 * (1 + epsilon)
     if r in (2, 3):

@@ -42,15 +42,30 @@ BELL_INDICES = (0, 1, 2, 3)
 _TWO_PI = 2.0 * math.pi
 
 
-def _require_range(value: float, lo: float, hi: float, name: str,
-                   open_upper: bool = False) -> float:
+def _require_range(value, lo: float, hi: float, name: str, open_upper: bool = False):
+    """``value`` as a float, or as a float array when it is a numpy array
+    with at least one axis; raises ValueError for the first entry, in
+    row-major order, that is not finite or lies outside [lo, hi] (or
+    [lo, hi) when ``open_upper``), with the message a scalar would get."""
+    # Python floats skip the array test, which would cost them half again.
+    if type(value) is not float and isinstance(value, np.ndarray) and value.ndim:
+        inside = (value >= lo) & ((value < hi) if open_upper else (value <= hi))
+        if inside.all():
+            return value.astype(float, copy=False)
+        value = value.flat[np.argmin(inside)]  # the scalar check below raises for it
     value = float(value)
+    if lo <= value and (value < hi if open_upper else value <= hi):  # False for NaN
+        return value
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
-    if value < lo or (value >= hi if open_upper else value > hi):
-        bracket = ")" if open_upper else "]"
-        raise ValueError(f"{name} must lie in [{lo}, {hi}{bracket}, got {value}")
-    return value
+    bracket = ")" if open_upper else "]"
+    raise ValueError(f"{name} must lie in [{lo}, {hi}{bracket}, got {value}")
+
+
+def _require_scalar(value, lo: float, hi: float, name: str, open_upper: bool = False) -> float:
+    # _require_range for parameters that do not broadcast: float() turns an
+    # array with more than one entry into a TypeError.
+    return _require_range(float(value), lo, hi, name, open_upper)
 
 
 @dataclass(frozen=True)
@@ -67,9 +82,9 @@ class InformationState:
     gamma: float
 
     def __post_init__(self):
-        _require_range(self.alpha, 0.0, math.pi, "alpha")
-        _require_range(self.beta, 0.0, _TWO_PI, "beta", open_upper=True)
-        _require_range(self.gamma, 0.0, 1.0, "gamma")
+        _require_scalar(self.alpha, 0.0, math.pi, "alpha")
+        _require_scalar(self.beta, 0.0, _TWO_PI, "beta", open_upper=True)
+        _require_scalar(self.gamma, 0.0, 1.0, "gamma")
 
 
 @dataclass(frozen=True)
@@ -79,7 +94,7 @@ class WernerResource:
     epsilon: float
 
     def __post_init__(self):
-        _require_range(self.epsilon, 0.0, 1.0, "epsilon")
+        _require_scalar(self.epsilon, 0.0, 1.0, "epsilon")
 
 
 def _information_states(alpha, beta, gamma) -> np.ndarray:
@@ -134,7 +149,7 @@ def werner_state(resource: WernerResource) -> np.ndarray:
 
 def concurrence_werner(epsilon: float) -> float:
     """Concurrence of the Werner-like state: max(0, (3 eps - 1)/2)."""
-    epsilon = _require_range(epsilon, 0.0, 1.0, "epsilon")
+    epsilon = _require_scalar(epsilon, 0.0, 1.0, "epsilon")
     return max(0.0, (3.0 * epsilon - 1.0) / 2.0)
 
 

@@ -7,9 +7,11 @@ meet. The checks are pure functions of the seed, so a report is exactly
 reproducible. A deviation that is not finite fails its check.
 
 The simulation checks run the batched protocol kernel of
-:mod:`werner_teleport.protocol` on fixed-size chunks of ``_CHUNK`` tuples;
-the closed form stays a scalar callable, called once per tuple, and the
-simulation never calls it. Memory is the seeded draw, 64 B per sample
+:mod:`werner_teleport.protocol` on fixed-size chunks of ``_CHUNK`` tuples.
+The closed forms broadcast over numpy arrays, so each is called once per
+chunk on the chunk's columns (the fidelity, and the conditional state once
+per Bell index), and once per (gamma, epsilon) grid in the grid checks;
+the simulation never calls them. Memory is the seeded draw, 64 B per sample
 (eight float64 parameters), plus a working set fixed by the chunk size,
 whatever ``samples`` is. The draws stay up front because ``_draw_tuples``
 draws column by column: drawing chunk by chunk would change every tuple.
@@ -109,7 +111,7 @@ def _draw_tuples(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def run_verification(seed: int, samples: int, *,
-                     closed_form: Callable[..., float] | None = None,
+                     closed_form: Callable[..., float | np.ndarray] | None = None,
                      formula_samples: int = 1000,
                      grid_points: int = 5,
                      run_quadrature: bool = True,
@@ -118,8 +120,11 @@ def run_verification(seed: int, samples: int, *,
 
     ``closed_form`` substitutes the analytic fidelity being checked against
     the simulation; supplying a corrupted function is how the suite's own
-    sensitivity is tested. ``formula_samples`` caps the tuples used for the
-    entrywise conditional-state comparisons. The quadrature and minimax
+    sensitivity is tested. It is called once per chunk with the chunk's
+    seven columns (alpha, beta, gamma, epsilon, theta, phi, psi) as arrays,
+    so it must broadcast like :func:`fidelity_closed_form`; a scalar result
+    stands for every tuple of the chunk. ``formula_samples`` caps the
+    tuples used for the entrywise conditional-state comparisons. The quadrature and minimax
     checks walk a ``grid_points`` x ``grid_points`` mesh over (gamma,
     epsilon) and can be skipped when only the fast checks are wanted.
     """
@@ -145,13 +150,16 @@ def run_verification(seed: int, samples: int, *,
                     f"phi={phi:.6g}, psi={psi:.6g})")
             return spot + (f": {values}" if values else "")
 
+        alpha, beta, gamma, epsilon, _, theta, phi, psi = chunk.T
         rho_in, probabilities, bob, fidelities = _simulate(*chunk.T)
         simulated = _mean_fidelity(probabilities, fidelities)
-        f_closed = [closed(alpha, beta, gamma, epsilon, theta, phi, psi)
-                    for alpha, beta, gamma, epsilon, _, theta, phi, psi in chunk]
+        f_closed = np.broadcast_to(
+            np.asarray(closed(alpha, beta, gamma, epsilon, theta, phi, psi), dtype=float),
+            simulated.shape)
         oracle.update_all(
-            np.abs(simulated - np.array(f_closed, dtype=float)),
-            lambda i: where(i, f"simulated={float(simulated[i])!r} closed={f_closed[i]!r}"))
+            np.abs(simulated - f_closed),
+            lambda i: where(i, f"simulated={float(simulated[i])!r} "
+                               f"closed={float(f_closed[i])!r}"))
 
         probs.update_all(
             np.maximum(np.abs(probabilities - 0.25).max(axis=1),
@@ -160,9 +168,9 @@ def run_verification(seed: int, samples: int, *,
 
         checked = max(0, min(len(chunk), formula_samples - start))
         if checked:
-            epsilon = chunk[:, 3]
-            expected = np.array([[conditional_state_formula(rho_in[i], epsilon[i], r)
-                                  for r in BELL_INDICES] for i in range(checked)])
+            expected = np.stack(
+                [conditional_state_formula(rho_in[:checked], epsilon[:checked], r)
+                 for r in BELL_INDICES], axis=1)
             formula.update_all(
                 np.abs(bob[:checked] - expected).max(axis=(-2, -1)),
                 lambda k: where(k // 4, f"conditional state r={k % 4}"))
@@ -185,50 +193,56 @@ def run_verification(seed: int, samples: int, *,
     return results
 
 
-def _grid(points: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, points)
+def _mesh(points: int) -> tuple[np.ndarray, np.ndarray]:
+    # the points x points (gamma, epsilon) grid on [0, 1]^2, gamma outer
+    axis = np.linspace(0.0, 1.0, points)
+    return np.meshgrid(axis, axis, indexing="ij")
+
+
+def _cell(gamma: np.ndarray, epsilon: np.ndarray, k: int) -> str:
+    return f"(gamma={gamma.flat[k]:.6g}, epsilon={epsilon.flat[k]:.6g}): "
+
+
+def _grid_check(name: str, tolerance: float, points: int,
+                numeric: Callable[[float, float], float], label: str,
+                closed: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> CheckResult:
+    # A numeric route, one call per grid point, against one array call of
+    # its closed form on the whole grid.
+    gamma, epsilon = _mesh(points)
+    found = np.array([numeric(g, e) for g, e in zip(gamma.flat, epsilon.flat)])
+    analytic = closed(gamma, epsilon).ravel()
+    tracker = _Worst(tolerance)
+    tracker.update_all(np.abs(found - analytic), lambda k: (
+        _cell(gamma, epsilon, k)
+        + f"{label}={float(found[k])!r} closed={float(analytic[k])!r}"))
+    return tracker.result(name)
 
 
 def _ordering_check(points: int) -> CheckResult:
     # masfi <= f_av_max <= f_max with both lower quantities >= 1/2; the
     # "deviation" is how far any inequality is violated. At gamma = 1 the
     # chain holds with equality, so round-off clearance is needed.
+    gamma, epsilon = _mesh(max(points, 11))
+    lo, mid, hi = masfi(gamma, epsilon), f_av_max(gamma, epsilon), f_max(epsilon)
+    violation = np.maximum.reduce([lo - mid, mid - hi, 0.5 - lo, 0.5 - mid,
+                                   np.zeros_like(lo)])
     tracker = _Worst(1e-12)
-    for gamma in _grid(max(points, 11)):
-        for epsilon in _grid(max(points, 11)):
-            lo = masfi(gamma, epsilon)
-            mid = f_av_max(gamma, epsilon)
-            hi = f_max(epsilon)
-            violation = max(lo - mid, mid - hi, 0.5 - lo, 0.5 - mid, 0.0)
-            tracker.update(violation, lambda: (
-                f"(gamma={gamma:.6g}, epsilon={epsilon:.6g}): "
-                f"masfi={lo!r} f_av_max={mid!r} f_max={hi!r}"))
+    tracker.update_all(violation, lambda k: (
+        _cell(gamma, epsilon, k) + f"masfi={float(lo.flat[k])!r} "
+        f"f_av_max={float(mid.flat[k])!r} f_max={float(hi.flat[k])!r}"))
     return tracker.result("ordering chain masfi <= f_av_max <= f_max with 1/2 floor")
 
 
 def _quadrature_check(points: int) -> CheckResult:
-    tracker = _Worst(1e-8)
     angles = UnitaryAngles()
-    for gamma in _grid(points):
-        for epsilon in _grid(points):
-            numeric = average_fidelity_numeric(gamma, epsilon, angles, nodes=64)
-            analytic = f_av_max(gamma, epsilon)
-            tracker.update(abs(numeric - analytic), lambda: (
-                f"(gamma={gamma:.6g}, epsilon={epsilon:.6g}): "
-                f"quadrature={numeric!r} closed={analytic!r}"))
-    return tracker.result("sphere-average quadrature vs closed form")
+    return _grid_check("sphere-average quadrature vs closed form", 1e-8, points,
+                       lambda g, e: average_fidelity_numeric(g, e, angles, nodes=64),
+                       "quadrature", f_av_max)
 
 
 def _minimax_check(points: int) -> CheckResult:
-    tracker = _Worst(1e-6)
-    for gamma in _grid(points):
-        for epsilon in _grid(points):
-            searched = minimax_search(gamma, epsilon).value
-            analytic = masfi(gamma, epsilon)
-            tracker.update(abs(searched - analytic), lambda: (
-                f"(gamma={gamma:.6g}, epsilon={epsilon:.6g}): "
-                f"search={searched!r} closed={analytic!r}"))
-    return tracker.result("nested min-max search vs assured-fidelity formula")
+    return _grid_check("nested min-max search vs assured-fidelity formula", 1e-6, points,
+                       lambda g, e: minimax_search(g, e).value, "search", masfi)
 
 
 def worst_closed_form_deviation(results: Sequence[CheckResult]) -> float:

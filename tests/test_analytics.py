@@ -74,6 +74,40 @@ def test_closed_form_within_epsilon_band(alpha, beta, gamma, epsilon, theta, phi
     assert (1 - epsilon) / 2 - 1e-12 <= value <= (1 + epsilon) / 2 + 1e-12
 
 
+def _agreement_rows():
+    # 10^4 seeded (alpha, beta, gamma, epsilon, theta, phi, psi) rows plus
+    # the 8 corners alpha in {0, pi} x gamma, epsilon in {0, 1}
+    from werner_teleport.verify import _draw_tuples
+    rows = np.delete(_draw_tuples(np.random.default_rng(73), 10**4), 4, axis=1)
+    corners = [(alpha, 1.3, gamma, epsilon, 1.1, 0.7, 0.2) for alpha in (0.0, math.pi)
+               for gamma in (0.0, 1.0) for epsilon in (0.0, 1.0)]
+    return np.vstack([rows, corners])
+
+
+def test_closed_forms_on_arrays_agree_with_scalar_calls():
+    rows = _agreement_rows()
+    gamma, epsilon = rows[:, 2], rows[:, 3]
+    for func, args in ((masfi, (gamma, epsilon)), (f_av_max, (gamma, epsilon)),
+                       (fidelity_gap, (gamma, epsilon)), (f_max, (epsilon,))):
+        values = func(*args)
+        assert isinstance(values, np.ndarray) and values.shape == gamma.shape
+        scalar = [func(*point) for point in zip(*(a.tolist() for a in args))]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(values, scalar), func.__name__
+    values = fidelity_closed_form(*rows.T)
+    scalar = np.array([fidelity_closed_form(*row) for row in rows.tolist()])
+    assert np.abs(values - scalar).max() <= 2.2e-16
+
+
+def test_closed_forms_broadcast_and_check_every_entry():
+    grid = masfi(np.linspace(0, 1, 3)[:, None], np.linspace(0, 1, 4))
+    assert grid.shape == (3, 4) and grid[2, 3] == 1.0
+    with pytest.raises(ValueError, match=r"epsilon must lie in \[0.0, 1.0\], got 1.5"):
+        f_av_max(0.5, np.array([0.2, 1.5, -3.0]))
+    with pytest.raises(ValueError, match="psi must be finite, got nan"):
+        fidelity_closed_form(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, np.array([0.5, np.nan]))
+
+
 # --------------------------------------------------- analytic extremes
 
 def test_masfi_values():

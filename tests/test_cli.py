@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -154,6 +155,43 @@ def test_sweep_invalid_quantity_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+# sha256 of the sweeps on a grid with non-trivial axes, recorded from the
+# scalar implementation that evaluated the quantity one grid point at a time
+SWEEP_DIGESTS = {
+    ("masfi", "csv"): "25bdcd698816823a38d95d70831db1a44fb73e7bcba22c4892dfa855b66695fe",
+    ("masfi", "jsonl"): "7f681fc1bd2ee6e6b08ec8e5e72cbd0ccadb2729a51e600558ace1ec2017f607",
+    ("favmax", "csv"): "2b2cdf9ba5893fead0f9fa874613397629996ff6db1570913ba76b7766b89b1d",
+    ("favmax", "jsonl"): "ed7b7ff23d6d8fa822433262fbc8f23f59943f32fa03cc7bc90c9244f8539f59",
+    ("gap", "csv"): "9cf863e95fa09e7ba58fe5f684c8066227a24b13eb56ae56e3df6d8c6d9acfed",
+    ("gap", "jsonl"): "61c848ae26f68271130196579fd1f4a12e90ebdac5c3a63e6a28fb5e20edd761",
+    ("fmax", "csv"): "fcd3318686aeb7f6018dedd89199cc683381d2291b5b2d9f156761e1aad0c5ab",
+    ("fmax", "jsonl"): "2354b40b4cecb0dc4245fc12f1a3c2d2489a8c971953ea4aac97d415b36c813c",
+}
+
+
+@pytest.mark.parametrize("quantity, fmt", sorted(SWEEP_DIGESTS))
+def test_sweep_bytes_are_pinned(capsys, quantity, fmt):
+    code = main(["sweep", "--quantity", quantity, "--format", fmt,
+                 "--gamma-grid", "0.05:0.95:37", "--epsilon-grid", "0:1:41"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SWEEP_DIGESTS[quantity, fmt]
+
+
+@pytest.mark.parametrize("flag", ["--gamma-grid", "--epsilon-grid"])
+def test_sweep_grid_count_is_bounded(capsys, flag):
+    other = "--epsilon-grid" if flag == "--gamma-grid" else "--gamma-grid"
+    code = main(["sweep", "--quantity", "fmax", flag, "0:1:1001", other, "0:1:2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 2 * 1001
+    code = main(["sweep", "--quantity", "fmax", flag, "0:1:1002", other, "0:1:2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} count must be <= 1001, got 1002\n"
+
+
 @pytest.mark.parametrize("grid", ["0:1", "0:2:5", "1:0:5", "0:1:1", "a:b:c"])
 def test_sweep_bad_grid_exits_2(capsys, grid):
     code = main(["sweep", "--quantity", "masfi", "--gamma-grid", grid])
@@ -171,6 +209,25 @@ def test_verify_zero_samples_is_usage_error(capsys):
     assert "--samples" in captured.err
 
 
+def test_verify_samples_are_bounded(capsys, monkeypatch):
+    import werner_teleport.cli as cli_module
+    asked = []
+
+    def fake_verification(seed, samples):
+        asked.append(samples)
+        return [CheckResult(name="closed-form fidelity vs density-matrix simulation",
+                            tolerance=1e-10, worst=0.0)]
+
+    monkeypatch.setattr(cli_module, "run_verification", fake_verification)
+    assert main(["verify", "--samples", "1000000"]) == 0
+    assert asked == [1000000]
+    capsys.readouterr()
+    assert main(["verify", "--samples", "1000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --samples must be <= 1000000, got 1000001\n"
+    assert asked == [1000000]
+
+
 def test_verify_reports_failure_exit_code(capsys, monkeypatch):
     import werner_teleport.cli as cli_module
 
@@ -186,14 +243,29 @@ def test_verify_reports_failure_exit_code(capsys, monkeypatch):
     assert "checks FAILED" in captured.err
 
 
+VERIFY_SEED_9 = """\
+[PASS] closed-form fidelity vs density-matrix simulation: worst deviation 3.331e-16 (tolerance 1e-10)
+[PASS] outcome probabilities are 1/4 and sum to 1: worst deviation 4.441e-16 (tolerance 1e-12)
+[PASS] projected conditional states vs ladder-basis formula: worst deviation 2.220e-16 (tolerance 1e-12)
+[PASS] sigma_r conjugation relation between branches: worst deviation 0.000e+00 (tolerance 1e-12)
+[PASS] ordering chain masfi <= f_av_max <= f_max with 1/2 floor: worst deviation 1.110e-16 (tolerance 1e-12)
+[PASS] sphere-average quadrature vs closed form: worst deviation 4.441e-16 (tolerance 1e-08)
+[PASS] nested min-max search vs assured-fidelity formula: worst deviation 1.110e-16 (tolerance 1e-06)
+max |F_simulated - F_closed_form| = 3.331e-16
+all 7 checks passed
+"""
+
+
 def test_verify_end_to_end(capsys):
-    # full pipeline including the 5x5 quadrature and minimax subgrids
+    # full pipeline including the 5x5 quadrature and minimax subgrids; the
+    # text is the one the scalar closed-form loops printed
     code = main(["verify", "--seed", "9", "--samples", "25"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("[PASS]") == 7
     assert "max |F_simulated - F_closed_form|" in out
     assert "all 7 checks passed" in out
+    assert out == VERIFY_SEED_9
 
 
 # ------------------------------------------------------- entry point

@@ -25,9 +25,11 @@ from werner_teleport.protocol import (
     run_protocol,
 )
 from werner_teleport.states import (
+    BELL_INDICES,
     InformationState,
     WernerResource,
     _BELL_VECTORS,
+    _information_states,
     information_state,
     purity,
     werner_state,
@@ -320,6 +322,28 @@ def test_kernel_degenerate_branch_names_its_index():
     bad = kron(np.eye(4, dtype=complex) - psi_plus, np.eye(2, dtype=complex)) / 6
     with pytest.raises(DensityMatrixError, match="r=2"):
         protocol._project_bell(np.stack([good, bad]))
+
+
+def test_conditional_state_formula_on_stacks_agrees_with_scalar_calls():
+    from werner_teleport.verify import _draw_tuples
+    rows = _draw_tuples(np.random.default_rng(79), 10**4)
+    corners = np.array([(alpha, 1.3, gamma, epsilon, 0.4, 1.1, 0.7, 0.2)
+                        for alpha, gamma, epsilon in CORNERS])
+    rows = np.vstack([rows, corners])
+    rho_in = _information_states(rows[:, 0], rows[:, 1], rows[:, 2])
+    epsilon = rows[:, 3]
+    for r in BELL_INDICES:
+        stacked = conditional_state_formula(rho_in, epsilon, r)
+        scalar = [conditional_state_formula(rho, e, r)
+                  for rho, e in zip(rho_in, epsilon.tolist())]
+        assert stacked.shape == (len(rows), 2, 2)
+        assert np.array_equal(stacked, scalar)
+
+
+def test_conditional_state_formula_checks_every_epsilon():
+    info = information_state(InformationState(0.5, 0.5, 0.5))
+    with pytest.raises(ValueError, match=r"epsilon must lie in \[0.0, 1.0\], got -0.25"):
+        conditional_state_formula(np.stack([info] * 3), np.array([0.5, -0.25, 2.0]), 0)
 
 
 def test_conditional_state_formula_rejects_bad_index():

@@ -10,6 +10,8 @@ from werner_teleport.states import (
     InformationState,
     WernerResource,
     _BELL_VECTORS,
+    _require_range,
+    _require_scalar,
     concurrence_werner,
     information_state,
     purity,
@@ -157,6 +159,48 @@ def test_werner_valid_on_grid():
 def test_werner_rejects_out_of_range(epsilon):
     with pytest.raises(ValueError):
         WernerResource(epsilon)
+
+
+# ---------------------------------------------------- range checks
+
+@pytest.mark.parametrize("value", [0.25, np.float64(0.25), 1, np.int64(0), np.array(0.5)])
+def test_require_range_scalar_gives_float(value):
+    checked = _require_range(value, 0.0, 1.0, "x")
+    assert type(checked) is float and checked == float(value)
+
+
+@pytest.mark.parametrize("entries, open_upper, first_bad", [
+    ([0.1, math.nan, 2.0], False, math.nan),
+    ([0.1, math.inf], False, math.inf),
+    ([-math.inf, 0.5], False, -math.inf),
+    ([0.2, 1.5, math.nan], False, 1.5),
+    ([0.0, -1e-300, 1.0], False, -1e-300),
+    ([0.0, 0.5, 1.0], True, 1.0),
+    ([[0.5, 0.5], [0.5, 1.0 + 1e-15]], False, 1.0 + 1e-15),
+    ([[0.5, 7.0], [math.nan, 0.5]], False, 7.0),
+])
+def test_require_range_array_names_first_bad_entry_like_a_scalar(entries, open_upper,
+                                                                  first_bad):
+    with pytest.raises(ValueError) as scalar:
+        _require_range(first_bad, 0.0, 1.0, "x", open_upper)
+    with pytest.raises(ValueError) as array:
+        _require_range(np.array(entries), 0.0, 1.0, "x", open_upper)
+    assert str(array.value) == str(scalar.value)
+
+
+def test_require_range_array_in_range_is_returned_as_floats():
+    values = np.array([[0.0, 0.5], [1.0, 0.25]])
+    assert _require_range(values, 0.0, 1.0, "x") is values
+    ints = _require_range(np.array([0, 1]), 0.0, 1.0, "x")
+    assert ints.dtype == float and ints.tolist() == [0.0, 1.0]
+
+
+def test_require_scalar_rejects_arrays():
+    assert _require_scalar(np.float64(0.5), 0.0, 1.0, "x") == 0.5
+    with pytest.raises(TypeError):
+        _require_scalar(np.array([0.5, 0.6]), 0.0, 1.0, "x")
+    with pytest.raises(TypeError):
+        InformationState(np.array([0.1, 0.2]), 0.0, 0.5)
 
 
 # -------------------------------------------------- bell projectors

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from werner_teleport import density, protocol, states, verify
-from werner_teleport.analytics import fidelity_closed_form
+from werner_teleport.analytics import fidelity_closed_form, masfi
 from werner_teleport.verify import (
     CheckResult,
     run_verification,
@@ -96,9 +96,55 @@ def test_nan_stays_worst_and_first_failure_is_in_order():
     assert scalar.worst == math.inf and scalar.first_fail == "inf"
 
 
+ORDERING = "ordering chain masfi <= f_av_max <= f_max with 1/2 floor"
+
+
+@pytest.mark.parametrize("biased, worst, detail", [
+    (lambda g, e: masfi(g, e) + 1e-3, 0.0010000000000000009,
+     "(gamma=0, epsilon=0): masfi=0.501 f_av_max=0.5 f_max=0.5"),
+    (lambda g, e: np.where((g > 0.5) & (e > 0.25), math.nan, masfi(g, e)), math.nan,
+     "(gamma=0.6, epsilon=0.3): masfi=nan f_av_max=0.5860000000000001 f_max=0.65"),
+], ids=["bias", "nan"])
+def test_ordering_failure_detail_text(monkeypatch, biased, worst, detail):
+    # the texts a scalar loop over the 11x11 grid printed: Python floats in
+    # grid order, never numpy reprs
+    monkeypatch.setattr(verify, "masfi", biased)
+    results = run_verification(3, 5, run_quadrature=False, run_minimax=False)
+    ordering = {r.name: r for r in results}[ORDERING]
+    assert ordering.worst == worst or (math.isnan(worst) and math.isnan(ordering.worst))
+    assert ordering.detail == detail
+    assert ordering.line().endswith(f"first failure at {detail}")
+    assert [r.name for r in results if not r.passed] == [ORDERING]
+
+
+def test_closed_forms_are_called_once_per_chunk_or_grid(monkeypatch):
+    calls = []
+
+    def counting(name):
+        fn = getattr(verify, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    for name in ("fidelity_closed_form", "conditional_state_formula", "masfi",
+                 "f_av_max", "f_max"):
+        monkeypatch.setattr(verify, name, counting(name))
+    monkeypatch.setattr(verify, "_CHUNK", 10)
+    results = run_verification(5, 25, formula_samples=15, grid_points=3,
+                               run_minimax=False)
+    assert all(r.passed for r in results)
+    # 3 chunks, 2 of them with conditional-state checks (4 Bell indices
+    # each), the ordering chain, and the quadrature check's f_av_max
+    assert sorted(calls) == sorted(["fidelity_closed_form"] * 3
+                                   + ["conditional_state_formula"] * 8
+                                   + ["masfi", "f_av_max", "f_max", "f_av_max"])
+
+
 def _late_bias(alpha, beta, gamma, epsilon, theta, phi, psi):
     # fails only on tuples with alpha > 3, so the first failure is deep in the run
-    bias = 1e-3 if alpha > 3.0 else 0.0
+    bias = np.where(alpha > 3.0, 1e-3, 0.0)
     return fidelity_closed_form(alpha, beta, gamma, epsilon, theta, phi, psi) + bias
 
 
