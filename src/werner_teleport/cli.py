@@ -5,7 +5,8 @@ every special point is an exact rational. Sweeps emit one row per (gamma,
 epsilon) grid point in row-major order (gamma outer) as CSV or JSON lines
 with 12 significant digits; byte-identical output for identical arguments.
 
-Sweeps evaluate the quantity as one array call on the whole grid. Grid
+Sweeps evaluate the quantity as one array call on the whole grid, format
+each axis value once and fill each gamma row through one template. Grid
 counts run from 2 to 1001 per axis and ``verify --samples`` from 1 to
 10^6; anything outside is a usage error.
 
@@ -36,15 +37,26 @@ EXIT_IO = 3
 
 # Input bounds, so that memory and time stay bounded: verify draws its
 # tuples up front at 64 B each (64 MB at the bound), and a sweep builds its
-# whole text in memory (about 40 MB for a 1001 x 1001 CSV).
+# whole text in memory. A 1001 x 1001 `masfi` sweep is 23.7 MB of CSV or
+# 57 MB of JSON lines; its process peaks at about 98 MB or 146 MB resident
+# (Python 3.11, numpy 2.4, x86_64 Linux).
 _MAX_SAMPLES = 10**6
 _MAX_GRID_COUNT = 1001
 
+# The lambdas look each closed form up when a sweep runs, so a wrapper put
+# on this module's attribute (perfbench's per-layer trace) sees the call.
 _QUANTITIES = {
     "masfi": lambda gamma, epsilon: masfi(gamma, epsilon),
     "favmax": lambda gamma, epsilon: f_av_max(gamma, epsilon),
     "gap": lambda gamma, epsilon: fidelity_gap(gamma, epsilon),
     "fmax": lambda gamma, epsilon: f_max(epsilon),
+}
+
+# Sweep line formats: (header, lead, tail). A line is lead + gamma + tail
+# with the epsilon text in place of {} and the value left as %.12g.
+_SWEEP_FORMATS = {
+    "csv": ("gamma,epsilon,value\n", "", ",{},%.12g"),
+    "jsonl": ("", '{"gamma": ', ', "epsilon": {}, "value": %.12g}}'),
 }
 
 
@@ -169,32 +181,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def sweep_rows(config: SweepConfig):
-    """Yield (gamma, epsilon, value) in row-major order, gamma outer.
-
-    The quantity is one array call on the whole grid; rows are turned into
-    floats one gamma at a time.
-    """
-    gamma, epsilon = np.meshgrid(np.linspace(*config.gamma_grid),
-                                 np.linspace(*config.epsilon_grid), indexing="ij")
-    values = _QUANTITIES[config.quantity](gamma, epsilon)
-    epsilons = epsilon[0].tolist()
-    for g, row in zip(gamma[:, 0].tolist(), values):
-        for e, value in zip(epsilons, row.tolist()):
-            yield g, e, value
-
-
 def render_sweep(config: SweepConfig) -> str:
-    lines = []
-    if config.fmt == "csv":
-        lines.append("gamma,epsilon,value")
-        for gamma, epsilon, value in sweep_rows(config):
-            lines.append(f"{gamma:.12g},{epsilon:.12g},{value:.12g}")
-    else:
-        for gamma, epsilon, value in sweep_rows(config):
-            lines.append(f'{{"gamma": {gamma:.12g}, "epsilon": {epsilon:.12g}, '
-                         f'"value": {value:.12g}}}')
-    return "\n".join(lines) + "\n"
+    """The sweep's text: one line per (gamma, epsilon), gamma outer."""
+    gammas = np.linspace(*config.gamma_grid)
+    epsilons = np.linspace(*config.epsilon_grid)
+    values = _QUANTITIES[config.quantity](*np.meshgrid(gammas, epsilons, indexing="ij"))
+    header, lead, tail = _SWEEP_FORMATS[config.fmt]
+    tails = [tail.format("%.12g" % e) for e in epsilons.tolist()]
+    parts = [header]
+    for g, row in zip(gammas.tolist(), values):
+        start = lead + "%.12g" % g
+        parts.append(start + ("\n" + start).join(tails) % tuple(row.tolist()) + "\n")
+    return "".join(parts)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -44,3 +44,25 @@ def worst_case_reference(gamma, epsilon, theta, phi):
     d = np.diag([gamma, gamma, 1.0])
     quadratic = d @ (rotation + rotation.T) / 2 @ d
     return 0.5 * (1 + epsilon * np.linalg.eigvalsh(quadratic)[0])
+
+
+def sweep_text_per_cell(gamma_grid, epsilon_grid, quantity, fmt):
+    """A sweep's text formatted one cell at a time with f-strings.
+
+    Transcribes the per-cell rendering loop that `cli.render_sweep` replaced,
+    so its bytes can be compared with the template-based rendering on axes
+    the pinned digests do not reach. `quantity` takes the (gamma, epsilon)
+    meshgrid arrays and returns the value grid.
+    """
+    gammas = np.linspace(*gamma_grid)
+    epsilons = np.linspace(*epsilon_grid)
+    values = quantity(*np.meshgrid(gammas, epsilons, indexing="ij"))
+    lines = ["gamma,epsilon,value"] if fmt == "csv" else []
+    for g, row in zip(gammas.tolist(), values.tolist()):
+        for e, v in zip(epsilons.tolist(), row):
+            if fmt == "csv":
+                lines.append(f"{g:.12g},{e:.12g},{v:.12g}")
+            else:
+                lines.append(f'{{"gamma": {g:.12g}, "epsilon": {e:.12g}, '
+                             f'"value": {v:.12g}}}')
+    return "\n".join(lines) + "\n"

@@ -3,9 +3,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from werner_teleport.cli import main
+from helpers import sweep_text_per_cell
+from werner_teleport import cli
+from werner_teleport.cli import _QUANTITIES, SweepConfig, _parse_grid, main, render_sweep
 from werner_teleport.verify import CheckResult
 
 
@@ -176,6 +179,40 @@ def test_sweep_bytes_are_pinned(capsys, quantity, fmt):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SWEEP_DIGESTS[quantity, fmt]
+
+
+@pytest.mark.parametrize("quantity, name", [("masfi", "masfi"), ("favmax", "f_av_max"),
+                                            ("gap", "fidelity_gap"), ("fmax", "f_max")])
+def test_sweep_calls_its_closed_form_once_through_the_module(monkeypatch, quantity, name):
+    calls = []
+    original = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or original(*args))
+    render_sweep(SweepConfig((0.0, 1.0, 5), (0.0, 1.0, 7), quantity, None))
+    assert len(calls) == 1
+    assert all(np.shape(arg) == (5, 7) for arg in calls[0])
+
+
+# Axes the digests above do not reach: a single repeated value, values that
+# print in exponent notation (5e-10, 1e-09), and the count bound on each axis.
+_EDGE_GRIDS = [
+    ("0.3:0.3:2", "0.2:0.7:3"),
+    ("0.1:0.9:4", "0:1e-9:3"),
+    ("0:1e-9:3", "0.3:0.3:2"),
+    ("0:1:1001", "0.1:0.9:2"),
+    ("0.2:0.8:3", "0:1:1001"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("quantity", sorted(_QUANTITIES))
+@pytest.mark.parametrize("gamma_grid, epsilon_grid", _EDGE_GRIDS)
+def test_sweep_matches_per_cell_formatting(quantity, fmt, gamma_grid, epsilon_grid):
+    grids = _parse_grid(gamma_grid, "--gamma-grid"), _parse_grid(epsilon_grid, "--epsilon-grid")
+    text = render_sweep(SweepConfig(*grids, quantity, None, fmt))
+    assert text == sweep_text_per_cell(*grids, _QUANTITIES[quantity], fmt)
+    assert len(text.splitlines()) == (fmt == "csv") + grids[0][2] * grids[1][2]
+    if "1e-9" in gamma_grid + epsilon_grid:
+        assert "5e-10" in text and "1e-09" in text
 
 
 @pytest.mark.parametrize("flag", ["--gamma-grid", "--epsilon-grid"])
