@@ -8,7 +8,7 @@ import pytest
 
 from helpers import sweep_text_per_cell
 from werner_teleport import cli
-from werner_teleport.cli import _QUANTITIES, SweepConfig, _parse_grid, main, render_sweep
+from werner_teleport.cli import SweepConfig, main, render_sweep
 from werner_teleport.verify import CheckResult
 
 
@@ -204,12 +204,13 @@ _EDGE_GRIDS = [
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-@pytest.mark.parametrize("quantity", sorted(_QUANTITIES))
+@pytest.mark.parametrize("quantity", sorted(cli._QUANTITIES))
 @pytest.mark.parametrize("gamma_grid, epsilon_grid", _EDGE_GRIDS)
 def test_sweep_matches_per_cell_formatting(quantity, fmt, gamma_grid, epsilon_grid):
-    grids = _parse_grid(gamma_grid, "--gamma-grid"), _parse_grid(epsilon_grid, "--epsilon-grid")
+    grids = (cli._parse_grid(gamma_grid, "--gamma-grid"),
+             cli._parse_grid(epsilon_grid, "--epsilon-grid"))
     text = render_sweep(SweepConfig(*grids, quantity, None, fmt))
-    assert text == sweep_text_per_cell(*grids, _QUANTITIES[quantity], fmt)
+    assert text == sweep_text_per_cell(*grids, cli._QUANTITIES[quantity], fmt)
     assert len(text.splitlines()) == (fmt == "csv") + grids[0][2] * grids[1][2]
     if "1e-9" in gamma_grid + epsilon_grid:
         assert "5e-10" in text and "1e-09" in text
