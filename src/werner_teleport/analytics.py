@@ -32,6 +32,7 @@ of beta does not depend on psi either: the correction search runs over
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -192,19 +193,35 @@ def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles
     Integrates over the solid angle with measure sin(alpha) da db / (4 pi):
     Gauss-Legendre in cos(alpha) crossed with an equally weighted periodic
     rule in beta. Independent of the closed form in :func:`f_av_max`, which
-    it must reproduce at theta = phi = 0.
+    it must reproduce at theta = phi = 0. The rule depends on the node count
+    alone, so it is built once per count and shared, read-only, by every
+    later call with that count.
     """
     gamma = _require_scalar(gamma, 0.0, 1.0, "gamma")
     epsilon = _require_scalar(epsilon, 0.0, 1.0, "epsilon")
     nodes = int(nodes)
     if nodes < 8:
         raise ValueError(f"nodes must be >= 8, got {nodes}")
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    alphas = np.arccos(x)
-    betas = 2.0 * math.pi * np.arange(nodes) / nodes
+    alphas, w, betas = _sphere_rule(nodes)
     grid = _fidelity_core(alphas[:, None], betas[None, :], gamma, epsilon,
                           angles.theta, angles.phi, angles.psi)
     return float(w @ grid.sum(axis=1)) / (2.0 * nodes)
+
+
+@functools.lru_cache(maxsize=8)
+def _sphere_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Polar nodes arccos(x), Gauss-Legendre weights w and periodic beta
+    nodes of the sphere rule with `nodes` points per axis.
+
+    Building the rule solves an eigenproblem that costs many times the
+    integrand, so each count is built once. The arrays are read-only,
+    since every caller with the same count shares them.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    rule = (np.arccos(x), w, 2.0 * math.pi * np.arange(nodes) / nodes)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def _zoom_min(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,

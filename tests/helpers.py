@@ -1,6 +1,10 @@
 """Shared test utilities: random states and reference formulas."""
 
+import math
+
 import numpy as np
+
+from werner_teleport.analytics import _fidelity_core
 
 
 def random_density(rng, dim):
@@ -44,6 +48,23 @@ def worst_case_reference(gamma, epsilon, theta, phi):
     d = np.diag([gamma, gamma, 1.0])
     quadratic = d @ (rotation + rotation.T) / 2 @ d
     return 0.5 * (1 + epsilon * np.linalg.eigvalsh(quadratic)[0])
+
+
+def sphere_average_reference(gamma, epsilon, angles, nodes):
+    """Sphere average of F by quadrature, with the rule rebuilt on every call.
+
+    Transcribes `analytics.average_fidelity_numeric` as it was before its
+    Gauss-Legendre rule was cached: same nodes, same integrand and the same
+    order of summation, so the two must agree bit for bit. It shares the
+    integrand with the package on purpose; `fidelity_reference` and
+    `f_av_max` are the independent checks of the value.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    alphas = np.arccos(x)
+    betas = 2.0 * math.pi * np.arange(nodes) / nodes
+    grid = _fidelity_core(alphas[:, None], betas[None, :], gamma, epsilon,
+                          angles.theta, angles.phi, angles.psi)
+    return float(w @ grid.sum(axis=1)) / (2.0 * nodes)
 
 
 def sweep_text_per_cell(gamma_grid, epsilon_grid, quantity, fmt):

@@ -19,7 +19,7 @@ from werner_teleport.analytics import (
 )
 from werner_teleport.protocol import UnitaryAngles
 
-from helpers import fidelity_reference, worst_case_reference
+from helpers import fidelity_reference, sphere_average_reference, worst_case_reference
 
 _unit = st.floats(0, 1)
 
@@ -230,6 +230,60 @@ def test_average_converges_at_general_angles():
 def test_average_rejects_few_nodes():
     with pytest.raises(ValueError):
         average_fidelity_numeric(0.5, 0.5, UnitaryAngles(), 7)
+
+
+_QUADRATURE_CORNERS = [(gamma, epsilon, UnitaryAngles(0.0, theta, phi, 0.0))
+                       for gamma in (0.0, 1.0) for epsilon in (0.0, 1.0)
+                       for theta in (0.0, math.pi) for phi in (0.0, math.pi)]
+
+
+@pytest.mark.parametrize("nodes", [8, 16, 32, 64, 96])
+def test_average_equals_uncached_rule_exactly(nodes):
+    # the shared rule must give the very floats a freshly built one gives
+    rng = np.random.default_rng(900 + nodes)
+    draws = [(float(rng.random()), float(rng.random()),
+              UnitaryAngles(*(float(v) for v in rng.random(4) * math.pi)))
+             for _ in range(200)]
+    for gamma, epsilon, angles in draws + _QUADRATURE_CORNERS:
+        got = average_fidelity_numeric(gamma, epsilon, angles, nodes)
+        assert got == sphere_average_reference(gamma, epsilon, angles, nodes), \
+            (gamma, epsilon, angles)
+
+
+def test_average_builds_rule_once_per_node_count(monkeypatch):
+    analytics._sphere_rule.cache_clear()
+    builds = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(nodes):
+        builds.append(nodes)
+        return leggauss(nodes)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    angles = UnitaryAngles(0.0, 1.2, 0.7, 0.4)
+    for i in range(100):
+        value = average_fidelity_numeric(0.6, 0.9, angles, 64)
+        if i % 10 == 0:
+            average_fidelity_numeric(0.6, 0.9, angles, 32)
+            average_fidelity_numeric(0.6, 0.9, angles, 96)
+    assert sorted(builds) == [32, 64, 96]
+    assert average_fidelity_numeric(0.6, 0.9, angles, 64.0) == value
+    assert len(builds) == 3
+    with pytest.raises(ValueError):
+        average_fidelity_numeric(0.6, 0.9, angles, 7)
+    assert len(builds) == 3
+    assert analytics._sphere_rule.cache_info().currsize == 3
+
+
+def test_average_rule_is_read_only():
+    angles = UnitaryAngles(0.0, 1.2, 0.7, 0.4)
+    before = average_fidelity_numeric(0.6, 0.9, angles, 64)
+    for array in analytics._sphere_rule(64):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+        with pytest.raises(ValueError):
+            array *= 2.0
+    assert average_fidelity_numeric(0.6, 0.9, angles, 64) == before
 
 
 # ------------------------------------------- minimization over inputs
