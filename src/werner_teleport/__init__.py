@@ -24,7 +24,6 @@ from .states import (
     WernerResource,
     concurrence_werner,
     information_state,
-    purity,
     werner_state,
     wootters_concurrence,
 )
@@ -33,11 +32,9 @@ from .protocol import (
     FidelityReport,
     OutcomeRecord,
     UnitaryAngles,
-    base_unitary,
     bsm_project,
     composite,
     conditional_state_formula,
-    correction_unitary,
     run_protocol,
 )
 from .analytics import (
@@ -75,18 +72,15 @@ __all__ = [
     "WernerResource",
     "concurrence_werner",
     "information_state",
-    "purity",
     "werner_state",
     "wootters_concurrence",
     "BsmOutcome",
     "FidelityReport",
     "OutcomeRecord",
     "UnitaryAngles",
-    "base_unitary",
     "bsm_project",
     "composite",
     "conditional_state_formula",
-    "correction_unitary",
     "run_protocol",
     "ClassicalThreshold",
     "InformationMinimum",

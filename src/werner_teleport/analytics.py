@@ -13,8 +13,9 @@ numbers are extremes of F over the input at fixed purity: the worst case
 maximized over Bob's correction (``masfi``), the Bloch-sphere average at
 the optimal correction (``f_av_max``), and the absolute ceiling
 (``f_max``). Each closed form here is paired with an independent numeric
-route (nested grid search refined by batched zooms, Gauss-Legendre
-quadrature) so they can be cross-validated.
+route (nested grid search refined by batched zooms, one per correction
+for the worst case over the input; Gauss-Legendre quadrature) so they can
+be cross-validated.
 
 The closed forms (``fidelity_closed_form``, ``masfi``, ``f_av_max``,
 ``f_max``, ``fidelity_gap``) take floats or numpy arrays, which broadcast
@@ -64,9 +65,9 @@ REFINE_TOL = 1e-9
 # Sub-steps per zoom pass: each pass evaluates k + 1 points of every bracket
 # in one array call and keeps the best point plus or minus one sub-step, so a
 # bracket shrinks by k/2 per pass (by k when the best point is an edge).
-# Inner brackets are cheap rows of the alpha profile; an outer point is a
-# whole inner search, so the outer zoom takes fewer points per pass.
-_ZOOM_K = 32
+# The inner zoom takes grid - 1 sub-steps (32 by default), since its first
+# pass is the alpha grid; an outer point is a whole inner search, so the
+# outer zoom takes fewer points per pass.
 _ZOOM_K_OUTER = 16
 
 
@@ -257,23 +258,6 @@ def _zoom_min(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
     return best_x, best_f, hi - lo
 
 
-# Basin candidates of the alpha profile are plateaus: maximal runs of grid
-# neighbours whose values differ by at most _PLATEAU_TOL, i.e. by round-off
-# only (fidelities are O(1), so an absolute tolerance of a few machine
-# epsilons). A plateau no higher than both of its outside neighbours is one
-# candidate: seeded at its first lowest point, bracketed by the run plus one
-# grid step on each side, and ordered among the others by (value, alpha).
-# Without round-off ties every run is a single grid point.
-_PLATEAU_TOL = 8.0 * np.finfo(float).eps
-
-# Pruning margin for basin candidates: a global minimum can sit at most
-# max|g''|/2 * (half grid step)^2 below its best grid sample, which for a
-# 33-point mesh and the O(1) curvature of the reduced profile is well
-# under 0.05. Candidates whose grid value exceeds the lowest candidate of
-# their profile by more cannot hide the global minimum and are skipped.
-_BASIN_MARGIN = 0.05
-
-
 def _beta_reduced_terms(alpha, gamma, epsilon, theta, phi):
     # F(alpha, beta) = A(alpha) + B(alpha) sin(beta+psi) + C(alpha) cos(2(beta+psi))
     sin_a_sq = np.sin(alpha) ** 2
@@ -323,60 +307,24 @@ def _best_beta(alpha: float, gamma: float, epsilon: float, theta: float,
     return min((u - psi) % two_pi, (math.pi - u - psi) % two_pi)
 
 
-def _profile_local_minima(values: np.ndarray) -> np.ndarray:
-    # Local minimum plateaus of each row of a (rows, grid) profile, with hard
-    # edges (alpha is not periodic), as an (n, 4) array of (row, seed, first,
-    # last) grid indices in row-major grid order.
-    size = values.shape[1]
-    starts = np.ones(values.shape, dtype=bool)
-    np.greater(np.abs(np.diff(values, axis=1)), _PLATEAU_TOL, out=starts[:, 1:])
-    starts = starts.ravel()
-    flat = values.ravel()
-    firsts = np.flatnonzero(starts)
-    lasts = np.append(firsts[1:], flat.size) - 1
-    rows = firsts // size
-    # the grid values just outside each run, +inf beyond the ends of its row
-    edge = np.full((values.shape[0], 1), np.inf)
-    padded = np.concatenate((edge, values, edge), axis=1).ravel()
-    mask = ((flat[firsts] <= padded[firsts + 2 * rows])
-            & (flat[lasts] <= padded[lasts + 2 * rows + 2]))
-    # the seed of a run is its first lowest point
-    run = np.cumsum(starts) - 1
-    lowest = np.flatnonzero(flat == np.minimum.reduceat(flat, firsts)[run])
-    seeds = lowest[np.concatenate(([True], run[lowest[1:]] != run[lowest[:-1]]))]
-    offset = rows * size
-    return np.stack((rows, seeds - offset, firsts - offset, lasts - offset), axis=1)[mask]
-
-
 def _worst_cases(gamma: float, epsilon: float, theta: np.ndarray, phi: np.ndarray,
                  grid: int) -> tuple[np.ndarray, np.ndarray]:
     # Worst case over the input for each row of corrections (theta[i],
-    # phi[i]) as (values, alphas), searched as min_over_information says.
-    # Every row has a candidate: the profile enters some run by a step down
-    # and leaves it by a step up, counting the +inf beyond both ends.
-    alphas = np.linspace(0.0, math.pi, grid)
-    step = math.pi / (grid - 1)
-    profile = _information_profile(alphas, gamma, epsilon, theta[:, None], phi[:, None])
-    candidates = _profile_local_minima(profile)
-    seed_v = profile[candidates[:, 0], candidates[:, 1]]
-    # by (row, value, alpha): lexsort is stable and candidates are in grid order
-    order = np.lexsort((seed_v, candidates[:, 0]))
-    candidates, seed_v = candidates[order], seed_v[order]
-    row_start = np.searchsorted(candidates[:, 0], np.arange(theta.size))
-    keep = seed_v <= seed_v[row_start][candidates[:, 0]] + _BASIN_MARGIN
-    (rows, seeds, firsts, lasts), seed_v = candidates[keep].T, seed_v[keep]
-
+    # phi[i]) as (values, alphas), by one zoom per row over [0, pi] whose
+    # first pass is the alpha grid. Refining the lowest grid point alone is
+    # enough, since every local minimum of the alpha profile is a global
+    # one. In the channel form (Bowen & Bose, PRL 87, 267901, 2001),
+    # F = (1 + eps n.Q n)/2 over unit Bloch directions n, with the symmetric
+    # Q = D sym(R) D, and a quadratic form on the unit sphere has no local
+    # minimum outside its lowest eigenspace. A local minimum in alpha of
+    # min_beta F, poles included, is one of F on the sphere; the other dips
+    # of the profile are mirror twins alpha <-> pi - alpha of the lowest.
     def profile_rows(a: np.ndarray, live: np.ndarray) -> np.ndarray:
-        return _information_profile(a, gamma, epsilon, theta[rows[live], None],
-                                    phi[rows[live], None])
+        return _information_profile(a, gamma, epsilon, theta[live, None], phi[live, None])
 
-    x, fx, _ = _zoom_min(profile_rows, np.maximum(0.0, alphas[firsts] - step),
-                         np.minimum(math.pi, alphas[lasts] + step), _ZOOM_K)
-    fallback = fx >= seed_v
-    x, fx = np.where(fallback, alphas[seeds], x), np.where(fallback, seed_v, fx)
-    # per row, the first candidate with the least value
-    best = np.lexsort((fx, rows))[np.searchsorted(rows, np.arange(theta.size))]
-    return fx[best], x[best]
+    alphas, values, _ = _zoom_min(profile_rows, np.zeros(theta.size),
+                                  np.full(theta.size, math.pi), grid - 1)
+    return values, alphas
 
 
 def min_over_information(gamma: float, epsilon: float, angles: UnitaryAngles,
@@ -385,22 +333,14 @@ def min_over_information(gamma: float, epsilon: float, angles: UnitaryAngles,
 
     The minimum over beta is taken in closed form for each alpha (the beta
     dependence is a quadratic in sin(beta+psi)), leaving a one-dimensional
-    profile in alpha. That profile is scanned on a ``grid``-point mesh and
-    every grid-local basin is polished inside its bracketing cells by a
-    zoom: each pass evaluates 33 evenly spaced points of the bracket at once
-    and keeps the best one plus or minus one sub-step, until the bracket is
-    no wider than ``REFINE_TOL``. A polish that finds nothing below its grid
-    seed reports the seed.
-
-    A basin is a plateau: a maximal run of grid neighbours whose values
-    differ only by round-off (a few machine epsilons), no higher than the
-    grid values just outside it. Each plateau is polished once, from its
-    first lowest grid point, over the run plus one grid step on each side;
-    without ties every plateau is a single grid point. Plateaus whose grid
-    value is more than 0.05 above the lowest one cannot hold the minimum
-    and are skipped. On flat landscapes the whole grid is one plateau and
-    its first grid point is reported; ties between basins resolve to the
-    candidate whose seed sorts first by (value, alpha).
+    profile in alpha. One zoom over [0, pi] minimizes it: the first pass
+    evaluates the ``grid``-point mesh, and every pass keeps its best point
+    plus or minus one sub-step and evaluates ``grid`` evenly spaced points
+    of that bracket at once, until the bracket is no wider than
+    ``REFINE_TOL``. Only the lowest grid point is refined, because every
+    local minimum of the profile is a global one; the other grid-local
+    dips are its mirror twins alpha <-> pi - alpha. Ties keep the point
+    found first, so a flat profile reports alpha = 0.
 
     This is the one-row case of the batched search that
     :func:`minimax_search` runs over many corrections at once.
@@ -431,9 +371,10 @@ def minimax_search(gamma: float, epsilon: float, *, outer_grid: int = 33,
     at once, each the fully refined inner minimum of
     :func:`min_over_information` and all of them one batched inner search,
     and keeps the best angle plus or minus one sub-step, until the bracket
-    is no wider than ``REFINE_TOL``. The ascent moves only to a strictly
-    better point. The result must agree with :func:`masfi` to much better
-    than 1e-6.
+    is no wider than ``REFINE_TOL``. Each inner search is one zoom per
+    row, as in :func:`min_over_information`. The ascent moves only to a
+    strictly better point. The result must agree with :func:`masfi` to
+    much better than 1e-6.
     """
     gamma = _require_scalar(gamma, 0.0, 1.0, "gamma")
     epsilon = _require_scalar(epsilon, 0.0, 1.0, "epsilon")

@@ -58,8 +58,6 @@ __all__ = [
     "OutcomeRecord",
     "FidelityReport",
     "correction_branch_operators",
-    "base_unitary",
-    "correction_unitary",
     "composite",
     "bsm_project",
     "conditional_state_formula",
@@ -144,18 +142,6 @@ def _base_unitaries(chi, theta, phi, psi) -> np.ndarray:
     u[..., 1, 0] = -s * e_psi.conj()
     u[..., 1, 1] = c * e_phi.conj()
     return np.exp(1j * np.asarray(chi, dtype=float))[..., None, None] * u
-
-
-def base_unitary(angles: UnitaryAngles) -> np.ndarray:
-    """Bob's base correction unitary U0."""
-    return _base_unitaries(angles.chi, angles.theta, angles.phi, angles.psi)
-
-
-def correction_unitary(r: int, angles: UnitaryAngles) -> np.ndarray:
-    """Bob's outcome-r correction U_r = U0 sigma_r."""
-    if r not in BELL_INDICES:
-        raise ValueError(f"Bell index must be one of {BELL_INDICES}, got {r}")
-    return base_unitary(angles) @ _SIGMA_R[r]
 
 
 def composite(info: np.ndarray, resource: np.ndarray) -> np.ndarray:

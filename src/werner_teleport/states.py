@@ -1,5 +1,5 @@
 """Parametrized states: the mixed input qubit, the Werner-like resource,
-and the Bell basis, plus concurrence and purity diagnostics.
+and the Bell basis, plus concurrence diagnostics.
 
 The input qubit is described by two Bloch angles and a coherence scale:
 
@@ -34,7 +34,6 @@ __all__ = [
     "werner_state",
     "concurrence_werner",
     "wootters_concurrence",
-    "purity",
 ]
 
 BELL_INDICES = (0, 1, 2, 3)
@@ -171,8 +170,3 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     lams = np.sort(np.sqrt(np.clip(evals.real, 0.0, None)))[::-1]
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
-
-def purity(rho: np.ndarray) -> float:
-    """Tr[rho^2]; equals 1 exactly when the state is pure."""
-    rho = validate_density(np.asarray(rho, dtype=complex))
-    return float(np.trace(rho @ rho).real)

@@ -401,14 +401,15 @@ def profile_calls(monkeypatch):
 
 
 def test_min_over_information_exact_plateau_polished_once(zoom_brackets):
-    # epsilon = 0 makes the profile exactly constant: one plateau, not 33
+    # epsilon = 0 makes the profile exactly constant: one bracket, and ties
+    # keep the first grid point
     result = min_over_information(0.3, 0.0, UnitaryAngles(0, 1, 2, 3))
     assert zoom_brackets == [(0.0, math.pi)]
     assert (result.value, result.alpha) == (0.5, 0.0)
 
 
 def test_min_over_information_roundoff_plateau_polished_once(zoom_brackets):
-    # gamma = 1 near the identity: flat up to round-off, not 16 basins
+    # gamma = 1 near the identity: flat up to round-off, still one bracket
     result = min_over_information(1.0, 0.7, UnitaryAngles(0, 1e-9, 1e-9, 0))
     assert len(zoom_brackets) == 1
     assert abs(result.value - 0.85) < 1e-15
@@ -425,54 +426,32 @@ def test_min_over_information_tied_dip_bracket_covers_both_cells(zoom_brackets):
     assert abs(result.alpha - math.pi / 2) < 1e-7
 
 
-def _plateaus(values):
-    # one profile row through the row-batched detector, as (seed, first, last)
-    found = analytics._profile_local_minima(np.asarray(values)[None, :])
-    assert set(found[:, 0].tolist()) <= {0}
-    return [tuple(c) for c in found[:, 1:].tolist()]
+def test_min_over_information_refines_one_of_two_mirror_twins(zoom_brackets):
+    # the alpha profile has two dips here, mirror twins alpha <-> pi - alpha
+    # of the same depth; one zoom over [0, pi] refines only the lower grid one
+    gamma, epsilon, theta, phi = 0.8, 0.9, 2.0, 1.2
+    result = min_over_information(gamma, epsilon, UnitaryAngles(0, theta, phi, 0))
+    assert zoom_brackets == [(0.0, math.pi)]
+    assert abs(result.value - worst_case_reference(gamma, epsilon, theta, phi)) < 1e-12
 
 
-def test_profile_local_minima_constant_is_one_plateau():
-    assert _plateaus(np.full(33, 0.5)) == [(0, 0, 32)]
-
-
-def test_profile_local_minima_ulp_alternation_is_one_plateau():
-    values = np.where(np.arange(33) % 2, np.nextafter(0.5, 1.0), 0.5)
-    assert _plateaus(values) == [(0, 0, 32)]
-    assert _plateaus(values[1:]) == [(1, 0, 31)]
-
-
-def test_profile_local_minima_without_ties_matches_neighbour_mask():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        values = rng.uniform(0, 1, 33)
-        padded = np.pad(values, 1, constant_values=np.inf)
-        mask = (values <= padded[:-2]) & (values <= padded[2:])
-        expected = [(i, i, i) for i in np.flatnonzero(mask).tolist()]
-        assert _plateaus(values) == expected
-
-
-def test_profile_local_minima_keeps_hard_edges():
-    x = np.linspace(0, 1, 33)
-    assert _plateaus(-(x - 0.5) ** 2) == [(0, 0, 0), (32, 32, 32)]
-    assert _plateaus(x) == [(0, 0, 0)]
-    assert _plateaus(-x) == [(32, 32, 32)]
-
-
-def test_profile_local_minima_symmetric_dip_is_one_candidate():
-    values = (np.arange(8) - 3.5) ** 2
-    assert _plateaus(values) == [(3, 3, 4)]
-
-
-def test_profile_local_minima_rows_are_independent():
-    # runs never join across rows, and a row's edges stay hard
-    rng = np.random.default_rng(7)
-    x = np.linspace(0, 1, 33)
-    rows = np.stack([np.full(33, 0.5), -x, x,
-                     np.where(np.arange(33) % 2, np.nextafter(0.5, 1.0), 0.5),
-                     -(x - 0.5) ** 2, rng.uniform(0, 1, 33), np.full(33, 0.5)])
-    expected = [(r, *c) for r, values in enumerate(rows) for c in _plateaus(values)]
-    assert [tuple(c) for c in analytics._profile_local_minima(rows).tolist()] == expected
+def test_alpha_profile_has_no_local_minimum_above_the_worst_case():
+    # The premise of the one-zoom inner search: F is a quadratic form on the
+    # unit sphere of Bloch directions, so every local minimum of the profile
+    # is a global one. On a fine grid with hard edges, every sample no higher
+    # than both neighbours sits within the grid's resolution of the exact
+    # worst case.
+    alphas = np.linspace(0, math.pi, 4097)
+    rng = np.random.default_rng(89)
+    general = [(*rng.uniform(0, 1, 2), *rng.uniform(0, math.pi, 2)) for _ in range(500)]
+    corners = [(gamma, epsilon, theta, 0.7) for gamma in (0.0, 1.0)
+               for epsilon in (0.0, 1.0) for theta in (0.0, math.pi)]
+    for gamma, epsilon, theta, phi in general + corners:
+        profile = analytics._information_profile(alphas, gamma, epsilon, theta, phi)
+        padded = np.pad(profile, 1, constant_values=np.inf)
+        dips = profile[(profile <= padded[:-2]) & (profile <= padded[2:])]
+        exact = worst_case_reference(gamma, epsilon, theta, phi)
+        assert dips.size and np.abs(dips - exact).max() < 1e-6, (gamma, epsilon, theta, phi)
 
 
 # ------------------------------------------------------ minimax search
@@ -555,12 +534,11 @@ def test_minimax_golden_call_budget(zoom_brackets, profile_calls, gamma, epsilon
     # search about 4000 profile calls. The ascent now zooms each of (theta,
     # phi) over 17 angles a pass, 7 passes from a grid point on the theta = 0
     # edge: 1 + 2 * 7 * 17 evaluations, each pass one batched inner search of
-    # 1 grid call plus 7 or 8 zoom calls. Every inner row polishes one basin
-    # on these points.
+    # 7 or 8 zoom calls, the first on the alpha grid.
     result = minimax_search(gamma, epsilon)
     assert result.iterations == 239
     assert len(profile_calls) <= 129
-    # two outer zooms, and one basin bracket per inner row
+    # two outer zooms, and one [0, pi] bracket per inner row
     assert len(zoom_brackets) == 2 + result.iterations
 
 

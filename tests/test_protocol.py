@@ -16,12 +16,10 @@ from werner_teleport.density import (
 from werner_teleport import protocol
 from werner_teleport.protocol import (
     UnitaryAngles,
-    base_unitary,
     bsm_project,
     composite,
     conditional_state_formula,
     correction_branch_operators,
-    correction_unitary,
     run_protocol,
 )
 from werner_teleport.states import (
@@ -31,7 +29,6 @@ from werner_teleport.states import (
     _BELL_VECTORS,
     _information_states,
     information_state,
-    purity,
     werner_state,
 )
 
@@ -48,7 +45,7 @@ def _random_params(rng):
 def test_composite_pure_times_pure_is_pure():
     rho_c = composite(information_state(InformationState(0.3, 1.0, 1.0)),
                       werner_state(WernerResource(1.0)))
-    assert abs(purity(rho_c) - 1.0) < 1e-12
+    assert abs(np.trace(rho_c @ rho_c).real - 1.0) < 1e-12
 
 
 def test_composite_trace_and_marginal():
@@ -158,6 +155,12 @@ def test_bsm_rejects_bad_index_and_shape():
 
 
 # ----------------------------------------------------- correction unitary
+
+def correction_unitary(r, angles):
+    # Bob's outcome-r correction U_r = U0 sigma_r, from the kernel's builders
+    u0 = protocol._base_unitaries(angles.chi, angles.theta, angles.phi, angles.psi)
+    return u0 @ protocol._SIGMA_R[r]
+
 
 def test_correction_unitary_identity():
     np.testing.assert_allclose(correction_unitary(0, UnitaryAngles()), np.eye(2),

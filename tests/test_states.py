@@ -14,7 +14,6 @@ from werner_teleport.states import (
     _require_scalar,
     concurrence_werner,
     information_state,
-    purity,
     werner_state,
     wootters_concurrence,
 )
@@ -83,28 +82,25 @@ def test_information_state_always_valid(alpha, beta, gamma):
 def test_purity_pure_states():
     for alpha in (0.0, 0.7, math.pi / 2, math.pi):
         rho = information_state(InformationState(alpha, 1.0, 1.0))
-        assert abs(purity(rho) - 1.0) < 1e-12
+        assert abs(np.trace(rho @ rho).real - 1.0) < 1e-12
 
 
 def test_purity_maximally_mixed():
     rho = information_state(InformationState(math.pi / 2, 0.0, 0.0))
-    assert abs(purity(rho) - 0.5) < 1e-15
+    assert abs(np.trace(rho @ rho).real - 0.5) < 1e-15
 
 
 def test_purity_closed_form():
-    # Tr[rho^2] = 1 - (1 - gamma^2) sin^2(alpha) / 2, checked against the
-    # direct matrix square
+    # the direct matrix square against Tr[rho^2] = 1 - (1 - gamma^2) sin^2(alpha) / 2
     rho = information_state(InformationState(math.pi / 2, 0.3, 0.5))
-    direct = float(np.trace(rho @ rho).real)
-    assert abs(direct - 0.625) < 1e-15
-    assert abs(purity(rho) - 0.625) < 1e-15
+    assert abs(np.trace(rho @ rho).real - 0.625) < 1e-15
 
     rng = np.random.default_rng(7)
     for _ in range(50):
         alpha, gamma = rng.uniform(0, math.pi), rng.uniform(0, 1)
         rho = information_state(InformationState(alpha, rng.uniform(0, 6), gamma))
         predicted = 1 - (1 - gamma ** 2) * math.sin(alpha) ** 2 / 2
-        assert abs(purity(rho) - predicted) < 1e-13
+        assert abs(np.trace(rho @ rho).real - predicted) < 1e-13
 
 
 @given(alpha=st.floats(0.0, math.pi),
@@ -112,8 +108,9 @@ def test_purity_closed_form():
 @settings(max_examples=200)
 def test_purity_monotone_in_gamma(alpha, lo, hi):
     lo, hi = min(lo, hi), max(lo, hi)
-    p_lo = purity(information_state(InformationState(alpha, 0.0, lo)))
-    p_hi = purity(information_state(InformationState(alpha, 0.0, hi)))
+    rho_lo = information_state(InformationState(alpha, 0.0, lo))
+    rho_hi = information_state(InformationState(alpha, 0.0, hi))
+    p_lo, p_hi = np.trace(rho_lo @ rho_lo).real, np.trace(rho_hi @ rho_hi).real
     assert p_hi >= p_lo - 1e-15
 
 
