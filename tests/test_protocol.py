@@ -157,7 +157,7 @@ def test_bsm_rejects_bad_index_and_shape():
 # ----------------------------------------------------- correction unitary
 
 def correction_unitary(r, angles):
-    # Bob's outcome-r correction U_r = U0 sigma_r, from the kernel's builders
+    # Bob's outcome-r correction U_r = U0 sigma_r, as the kernel forms it
     u0 = protocol._base_unitaries(angles.chi, angles.theta, angles.phi, angles.psi)
     return u0 @ protocol._SIGMA_R[r]
 
