@@ -62,12 +62,17 @@ __all__ = [
 # Zoom brackets are shrunk to this width before the search stops.
 REFINE_TOL = 1e-9
 
+# Points per axis of the alpha grid, the first pass of every inner search,
+# and of the coarse (theta, phi) scan that seeds the outer ascent.
+_INNER_GRID = 33
+_OUTER_GRID = 33
+
 # Sub-steps per zoom pass: each pass evaluates k + 1 points of every bracket
 # in one array call and keeps the best point plus or minus one sub-step, so a
 # bracket shrinks by k/2 per pass (by k when the best point is an edge).
-# The inner zoom takes grid - 1 sub-steps (32 by default), since its first
-# pass is the alpha grid; an outer point is a whole inner search, so the
-# outer zoom takes fewer points per pass.
+# The inner zoom takes _INNER_GRID - 1 sub-steps, since its first pass is the
+# alpha grid; an outer point is a whole inner search, so the outer zoom takes
+# fewer points per pass.
 _ZOOM_K_OUTER = 16
 
 
@@ -126,13 +131,13 @@ def fidelity_closed_form(alpha: float, beta: float, gamma: float, epsilon: float
     :func:`werner_teleport.protocol.run_protocol` to round-off. Broadcasts
     like the other closed forms here (see the module docstring).
     """
-    alpha = _require_range(alpha, 0.0, math.pi, "alpha")
-    beta = _require_range(beta, 0.0, 2.0 * math.pi, "beta", open_upper=True)
-    gamma = _require_range(gamma, 0.0, 1.0, "gamma")
-    epsilon = _require_range(epsilon, 0.0, 1.0, "epsilon")
-    theta = _require_range(theta, 0.0, math.pi, "theta")
-    phi = _require_range(phi, 0.0, math.pi, "phi")
-    psi = _require_range(psi, 0.0, math.pi, "psi")
+    alpha = _require_range(alpha, "alpha")
+    beta = _require_range(beta, "beta")
+    gamma = _require_range(gamma, "gamma")
+    epsilon = _require_range(epsilon, "epsilon")
+    theta = _require_range(theta, "theta")
+    phi = _require_range(phi, "phi")
+    psi = _require_range(psi, "psi")
     value = _fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi)
     return value if isinstance(value, np.ndarray) else float(value)
 
@@ -145,22 +150,22 @@ def masfi(gamma: float, epsilon: float) -> float | np.ndarray:
     Bloch equator. Strictly below 1 for gamma < 1 even with a perfectly
     entangled resource.
     """
-    gamma = _require_range(gamma, 0.0, 1.0, "gamma")
-    epsilon = _require_range(epsilon, 0.0, 1.0, "epsilon")
+    gamma = _require_range(gamma, "gamma")
+    epsilon = _require_range(epsilon, "epsilon")
     return 0.5 * (1.0 + gamma * gamma * epsilon)
 
 
 def f_max(epsilon: float) -> float | np.ndarray:
     """Largest attainable fidelity (1 + epsilon)/2, reached at the poles."""
-    epsilon = _require_range(epsilon, 0.0, 1.0, "epsilon")
+    epsilon = _require_range(epsilon, "epsilon")
     return 0.5 * (1.0 + epsilon)
 
 
 def f_av_max(gamma: float, epsilon: float) -> float | np.ndarray:
     """Bloch-sphere average of F at the optimal correction:
     1/2 + epsilon (1 + 2 gamma^2)/6."""
-    gamma = _require_range(gamma, 0.0, 1.0, "gamma")
-    epsilon = _require_range(epsilon, 0.0, 1.0, "epsilon")
+    gamma = _require_range(gamma, "gamma")
+    epsilon = _require_range(epsilon, "epsilon")
     return 0.5 + epsilon * (1.0 + 2.0 * gamma * gamma) / 6.0
 
 
@@ -171,15 +176,15 @@ def fidelity_gap(gamma: float, epsilon: float) -> float | np.ndarray:
     Zero exactly when the input is pure or the resource fully mixed; grows
     with epsilon and shrinks with gamma.
     """
-    gamma = _require_range(gamma, 0.0, 1.0, "gamma")
-    epsilon = _require_range(epsilon, 0.0, 1.0, "epsilon")
+    gamma = _require_range(gamma, "gamma")
+    epsilon = _require_range(epsilon, "epsilon")
     return (1.0 - gamma * gamma) * epsilon / 6.0
 
 
 def classical_threshold(gamma: float) -> ClassicalThreshold:
     """Resource weights where the quantum protocol overtakes the classical
     bound, for both the averaged and the assured fidelity."""
-    gamma = _require_scalar(gamma, 0.0, 1.0, "gamma")
+    gamma = _require_scalar(gamma, "gamma")
     g2 = gamma * gamma
     return ClassicalThreshold(
         average=1.0 / (1.0 + 2.0 * g2),
@@ -198,8 +203,8 @@ def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles
     alone, so it is built once per count and shared, read-only, by every
     later call with that count.
     """
-    gamma = _require_scalar(gamma, 0.0, 1.0, "gamma")
-    epsilon = _require_scalar(epsilon, 0.0, 1.0, "epsilon")
+    gamma = _require_scalar(gamma, "gamma")
+    epsilon = _require_scalar(epsilon, "epsilon")
     nodes = int(nodes)
     if nodes < 8:
         raise ValueError(f"nodes must be >= 8, got {nodes}")
@@ -307,8 +312,8 @@ def _best_beta(alpha: float, gamma: float, epsilon: float, theta: float,
     return min((u - psi) % two_pi, (math.pi - u - psi) % two_pi)
 
 
-def _worst_cases(gamma: float, epsilon: float, theta: np.ndarray, phi: np.ndarray,
-                 grid: int) -> tuple[np.ndarray, np.ndarray]:
+def _worst_cases(gamma: float, epsilon: float, theta: np.ndarray,
+                 phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Worst case over the input for each row of corrections (theta[i],
     # phi[i]) as (values, alphas), by one zoom per row over [0, pi] whose
     # first pass is the alpha grid. Refining the lowest grid point alone is
@@ -323,49 +328,45 @@ def _worst_cases(gamma: float, epsilon: float, theta: np.ndarray, phi: np.ndarra
         return _information_profile(a, gamma, epsilon, theta[live, None], phi[live, None])
 
     alphas, values, _ = _zoom_min(profile_rows, np.zeros(theta.size),
-                                  np.full(theta.size, math.pi), grid - 1)
+                                  np.full(theta.size, math.pi), _INNER_GRID - 1)
     return values, alphas
 
 
-def min_over_information(gamma: float, epsilon: float, angles: UnitaryAngles,
-                         grid: int = 33) -> InformationMinimum:
+def min_over_information(gamma: float, epsilon: float,
+                         angles: UnitaryAngles) -> InformationMinimum:
     """Worst-case fidelity over the input state at a fixed correction.
 
     The minimum over beta is taken in closed form for each alpha (the beta
     dependence is a quadratic in sin(beta+psi)), leaving a one-dimensional
     profile in alpha. One zoom over [0, pi] minimizes it: the first pass
-    evaluates the ``grid``-point mesh, and every pass keeps its best point
-    plus or minus one sub-step and evaluates ``grid`` evenly spaced points
-    of that bracket at once, until the bracket is no wider than
-    ``REFINE_TOL``. Only the lowest grid point is refined, because every
-    local minimum of the profile is a global one; the other grid-local
-    dips are its mirror twins alpha <-> pi - alpha. Ties keep the point
-    found first, so a flat profile reports alpha = 0.
+    evaluates a 33-point mesh, and every pass keeps its best point plus or
+    minus one sub-step and evaluates 33 evenly spaced points of that
+    bracket at once, until the bracket is no wider than ``REFINE_TOL``.
+    Only the lowest grid point is refined, because every local minimum of
+    the profile is a global one; the other grid-local dips are its mirror
+    twins alpha <-> pi - alpha. Ties keep the point found first, so a flat
+    profile reports alpha = 0.
 
     This is the one-row case of the batched search that
     :func:`minimax_search` runs over many corrections at once.
     """
-    gamma = _require_scalar(gamma, 0.0, 1.0, "gamma")
-    epsilon = _require_scalar(epsilon, 0.0, 1.0, "epsilon")
-    grid = int(grid)
-    if grid < 32:
-        raise ValueError(f"grid must be >= 32 points per axis, got {grid}")
+    gamma = _require_scalar(gamma, "gamma")
+    epsilon = _require_scalar(epsilon, "epsilon")
     theta, phi = angles.theta, angles.phi
-    values, alphas = _worst_cases(gamma, epsilon, np.array([theta]), np.array([phi]), grid)
+    values, alphas = _worst_cases(gamma, epsilon, np.array([theta]), np.array([phi]))
     alpha = float(alphas[0])
     return InformationMinimum(value=float(values[0]), alpha=alpha,
                               beta=_best_beta(alpha, gamma, epsilon, theta, phi, angles.psi))
 
 
-def minimax_search(gamma: float, epsilon: float, *, outer_grid: int = 33,
-                   inner_grid: int = 33) -> MinimaxResult:
+def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     """Maximize the worst-case fidelity over Bob's correction angles.
 
     Nested search in the order the problem is posed: the inner level
     minimizes F over the input state (alpha, beta), the outer level
     maximizes that minimum over (theta, phi); psi, on which the worst case
-    cannot depend, is reported as 0. A coarse ``outer_grid``^2 scan (inner
-    minima taken on the raw alpha mesh of the beta-reduced profile) seeds a
+    cannot depend, is reported as 0. A coarse 33 x 33 scan (inner minima
+    taken on the raw alpha mesh of the beta-reduced profile) seeds a
     coordinate-wise ascent. Each coordinate is refined by a zoom over one
     grid step on each side of the current point: a pass evaluates 17 angles
     at once, each the fully refined inner minimum of
@@ -376,24 +377,17 @@ def minimax_search(gamma: float, epsilon: float, *, outer_grid: int = 33,
     strictly better point. The result must agree with :func:`masfi` to
     much better than 1e-6.
     """
-    gamma = _require_scalar(gamma, 0.0, 1.0, "gamma")
-    epsilon = _require_scalar(epsilon, 0.0, 1.0, "epsilon")
-    outer_grid = int(outer_grid)
-    if outer_grid < 2:
-        raise ValueError(f"outer_grid must be >= 2, got {outer_grid}")
-    inner_grid = int(inner_grid)
-    if inner_grid < 32:
-        raise ValueError(f"inner_grid must be >= 32, got {inner_grid}")
+    gamma = _require_scalar(gamma, "gamma")
+    epsilon = _require_scalar(epsilon, "epsilon")
 
-    thetas = np.linspace(0.0, math.pi, outer_grid)
-    phis = np.linspace(0.0, math.pi, outer_grid)
-    alphas = np.linspace(0.0, math.pi, inner_grid)
+    corrections = np.linspace(0.0, math.pi, _OUTER_GRID)
+    alphas = np.linspace(0.0, math.pi, _INNER_GRID)
 
     # Coarse stage: inner grid minima of the beta-reduced profile.
     profile = _information_profile(alphas[None, None, :], gamma, epsilon,
-                                   thetas[:, None, None], phis[None, :, None])
-    it, ip = divmod(int(np.argmax(profile.min(axis=2))), outer_grid)
-    current = [float(thetas[it]), float(phis[ip])]
+                                   corrections[:, None, None], corrections[None, :, None])
+    it, ip = divmod(int(np.argmax(profile.min(axis=2))), _OUTER_GRID)
+    current = [float(corrections[it]), float(corrections[ip])]
 
     evaluations = 0
     seen: dict[tuple[float, float], tuple[float, float]] = {}  # (value, alpha) per point
@@ -402,12 +396,12 @@ def minimax_search(gamma: float, epsilon: float, *, outer_grid: int = 33,
         # inner minima at (theta, phi) rows, as one batched search
         nonlocal evaluations
         evaluations += len(points)
-        values, argmins = _worst_cases(gamma, epsilon, points[:, 0], points[:, 1], inner_grid)
+        values, argmins = _worst_cases(gamma, epsilon, points[:, 0], points[:, 1])
         seen.update(zip(map(tuple, points.tolist()), zip(values.tolist(), argmins.tolist())))
         return values
 
     best_v = float(outer_values(np.array([current]))[0])
-    step = math.pi / (outer_grid - 1)
+    step = math.pi / (_OUTER_GRID - 1)
     widest_bracket = 0.0
 
     for _ in range(6):

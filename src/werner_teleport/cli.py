@@ -25,7 +25,7 @@ import numpy as np
 
 from .analytics import f_av_max, f_max, fidelity_closed_form, fidelity_gap, masfi
 from .protocol import UnitaryAngles, run_protocol
-from .states import InformationState, WernerResource
+from .states import _DOMAINS, InformationState, WernerResource
 from .verify import run_verification, worst_closed_form_deviation
 
 __all__ = ["SweepConfig", "build_parser", "main", "entry_point"]
@@ -71,22 +71,15 @@ class SweepConfig:
     fmt: str = "csv"
 
 
-# Bounds of the `run` flags: (upper bound, half-open, given in units of pi).
-# Every lower bound is 0. Flags are checked, and unpacked by cmd_run, in order.
-_RUN_FLAGS = {
-    "alpha": (1.0, False, True),
-    "beta": (2.0, True, True),
-    "gamma": (1.0, False, False),
-    "epsilon": (1.0, False, False),
-    "chi": (2.0, True, True),
-    "theta": (1.0, False, True),
-    "phi": (1.0, False, True),
-    "psi": (1.0, False, True),
-}
+# The `run` flags given in units of pi. Each flag is checked against the
+# domain of its parameter, and cmd_run unpacks the flags in the table's order.
+_PI_FLAGS = {"alpha", "beta", "chi", "theta", "phi", "psi"}
 
 
 def _run_flag(args: argparse.Namespace, name: str) -> float:
-    hi, half_open, unit_pi = _RUN_FLAGS[name]
+    hi, half_open = _DOMAINS[name]
+    unit_pi = name in _PI_FLAGS
+    hi = hi / math.pi if unit_pi else hi
     value = getattr(args, name)
     if not (math.isfinite(value) and 0.0 <= value
             and (value < hi if half_open else value <= hi)):
@@ -165,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args: argparse.Namespace) -> int:
     alpha, beta, gamma, epsilon, chi, theta, phi, psi = [
-        _run_flag(args, name) for name in _RUN_FLAGS]
+        _run_flag(args, name) for name in _DOMAINS]
 
     report = run_protocol(InformationState(alpha, beta, gamma),
                           WernerResource(epsilon),

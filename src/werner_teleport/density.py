@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "MAX_DIM",
     "HERM_TOL",
     "TRACE_TOL",
     "PSD_TOL",
@@ -28,10 +27,7 @@ __all__ = [
     "kron",
     "partial_trace",
     "validate_density",
-    "qubit_count",
 ]
-
-MAX_DIM = 8
 
 # Hermiticity/trace are direct entry comparisons; positivity goes through an
 # eigensolve and is the noisiest check, hence the looser bound.
@@ -96,11 +92,6 @@ def _check_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def qubit_count(m: np.ndarray) -> int:
-    """Number of qubits of a 2**n dimensional square matrix."""
-    return int(np.asarray(m).shape[0]).bit_length() - 1
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with ``a`` on the most significant qubit(s).
 
@@ -109,9 +100,9 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = _check_square(a, "a")
     b = _check_square(b, "b")
-    if a.shape[0] * b.shape[0] > MAX_DIM:
-        raise DensityMatrixError(
-            f"tensor product dimension {a.shape[0] * b.shape[0]} exceeds {MAX_DIM}")
+    dim = a.shape[0] * b.shape[0]
+    if dim > 8:
+        raise DensityMatrixError(f"tensor product dimension {dim} exceeds 8")
     return np.kron(a, b)
 
 
@@ -127,7 +118,7 @@ def partial_trace(rho: np.ndarray, keep: set[int] | frozenset[int]) -> np.ndarra
         proper subset; use ``np.trace`` for the full trace instead.
     """
     rho = _check_square(rho, "rho")
-    n = qubit_count(rho)
+    n = rho.shape[0].bit_length() - 1
     keep_list = sorted(keep)
     if not keep_list:
         raise ValueError("keep must name at least one qubit")

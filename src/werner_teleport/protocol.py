@@ -26,7 +26,6 @@ and validates nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +45,8 @@ from .states import (
     WernerResource,
     _BELL_VECTORS,
     _information_states,
+    _require_fields,
     _require_range,
-    _require_scalar,
     _werner_states,
 )
 
@@ -94,11 +93,7 @@ class UnitaryAngles:
     phi: float = 0.0
     psi: float = 0.0
 
-    def __post_init__(self):
-        _require_scalar(self.chi, 0.0, 2.0 * math.pi, "chi", open_upper=True)
-        _require_scalar(self.theta, 0.0, math.pi, "theta")
-        _require_scalar(self.phi, 0.0, math.pi, "phi")
-        _require_scalar(self.psi, 0.0, math.pi, "psi")
+    __post_init__ = _require_fields
 
 
 @dataclass(frozen=True)
@@ -212,7 +207,7 @@ def conditional_state_formula(info: np.ndarray, epsilon: float | np.ndarray,
     """
     if r not in BELL_INDICES:
         raise ValueError(f"Bell index must be one of {BELL_INDICES}, got {r}")
-    epsilon = np.asarray(_require_range(epsilon, 0.0, 1.0, "epsilon"))[..., None, None]
+    epsilon = np.asarray(_require_range(epsilon, "epsilon"))[..., None, None]
     info = np.asarray(info, dtype=complex)
     i_plus, i_minus, r_plus, r_minus = ladder_operators()
     # entries of each input as (..., 1, 1) arrays that scale the 2x2 operators

@@ -15,7 +15,7 @@ concurrence (3 epsilon - 1)/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,30 +41,52 @@ BELL_INDICES = (0, 1, 2, 3)
 _TWO_PI = 2.0 * math.pi
 
 
-def _require_range(value, lo: float, hi: float, name: str, open_upper: bool = False):
+# Domain of each protocol parameter: name -> (upper bound, half-open). Every
+# lower bound is 0. The order is the column order of verify's seeded draws.
+_DOMAINS = {
+    "alpha": (math.pi, False),
+    "beta": (_TWO_PI, True),
+    "gamma": (1.0, False),
+    "epsilon": (1.0, False),
+    "chi": (_TWO_PI, True),
+    "theta": (math.pi, False),
+    "phi": (math.pi, False),
+    "psi": (math.pi, False),
+}
+
+
+def _require_range(value, name: str):
     """``value`` as a float, or as a float array when it is a numpy array
     with at least one axis; raises ValueError for the first entry, in
-    row-major order, that is not finite or lies outside [lo, hi] (or
-    [lo, hi) when ``open_upper``), with the message a scalar would get."""
+    row-major order, that is not finite or lies outside the domain of the
+    parameter ``name``, with the message a scalar would get."""
+    hi, open_upper = _DOMAINS[name]
     # Python floats skip the array test, which would cost them half again.
     if type(value) is not float and isinstance(value, np.ndarray) and value.ndim:
-        inside = (value >= lo) & ((value < hi) if open_upper else (value <= hi))
+        inside = (value >= 0.0) & ((value < hi) if open_upper else (value <= hi))
         if inside.all():
             return value.astype(float, copy=False)
         value = value.flat[np.argmin(inside)]  # the scalar check below raises for it
     value = float(value)
-    if lo <= value and (value < hi if open_upper else value <= hi):  # False for NaN
+    if 0.0 <= value and (value < hi if open_upper else value <= hi):  # False for NaN
         return value
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     bracket = ")" if open_upper else "]"
-    raise ValueError(f"{name} must lie in [{lo}, {hi}{bracket}, got {value}")
+    raise ValueError(f"{name} must lie in [0.0, {hi}{bracket}, got {value}")
 
 
-def _require_scalar(value, lo: float, hi: float, name: str, open_upper: bool = False) -> float:
+def _require_scalar(value, name: str) -> float:
     # _require_range for parameters that do not broadcast: float() turns an
     # array with more than one entry into a TypeError.
-    return _require_range(float(value), lo, hi, name, open_upper)
+    return _require_range(float(value), name)
+
+
+def _require_fields(self) -> None:
+    # The __post_init__ of the parameter dataclasses: each field is the
+    # parameter of the same name.
+    for field in fields(self):
+        _require_scalar(getattr(self, field.name), field.name)
 
 
 @dataclass(frozen=True)
@@ -80,10 +102,7 @@ class InformationState:
     beta: float
     gamma: float
 
-    def __post_init__(self):
-        _require_scalar(self.alpha, 0.0, math.pi, "alpha")
-        _require_scalar(self.beta, 0.0, _TWO_PI, "beta", open_upper=True)
-        _require_scalar(self.gamma, 0.0, 1.0, "gamma")
+    __post_init__ = _require_fields
 
 
 @dataclass(frozen=True)
@@ -92,8 +111,7 @@ class WernerResource:
 
     epsilon: float
 
-    def __post_init__(self):
-        _require_scalar(self.epsilon, 0.0, 1.0, "epsilon")
+    __post_init__ = _require_fields
 
 
 def _information_states(alpha, beta, gamma) -> np.ndarray:
@@ -148,7 +166,7 @@ def werner_state(resource: WernerResource) -> np.ndarray:
 
 def concurrence_werner(epsilon: float) -> float:
     """Concurrence of the Werner-like state: max(0, (3 eps - 1)/2)."""
-    epsilon = _require_scalar(epsilon, 0.0, 1.0, "epsilon")
+    epsilon = _require_scalar(epsilon, "epsilon")
     return max(0.0, (3.0 * epsilon - 1.0) / 2.0)
 
 

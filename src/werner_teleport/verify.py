@@ -40,7 +40,7 @@ from .protocol import (
     conditional_state_formula,
     correction_branch_operators,
 )
-from .states import BELL_INDICES
+from .states import _DOMAINS, BELL_INDICES
 
 __all__ = ["CheckResult", "run_verification", "worst_closed_form_deviation"]
 
@@ -70,6 +70,10 @@ class CheckResult:
 # tuple (tracemalloc, 1000 tuples), so about 0.6 MB per call.
 _CHUNK = 256
 
+# Points per axis of the (gamma, epsilon) mesh of the quadrature and minimax
+# checks.
+_GRID_POINTS = 5
+
 
 class _Worst:
     # Tracks the largest deviation and the first entry past tolerance. A NaN
@@ -79,18 +83,16 @@ class _Worst:
         self.worst = 0.0
         self.first_fail = ""
 
-    def update(self, deviation: float, describe: Callable[[], str]):
-        if deviation > self.worst or math.isnan(deviation):
-            self.worst = deviation
-        if not deviation <= self.tolerance and not self.first_fail:
-            self.first_fail = describe()
-
     def update_all(self, deviations: np.ndarray, describe: Callable[[int], str]):
-        # Array form of update; ``describe`` names the entry at a flat
-        # (row-major) index, and is asked for the first failing entry.
+        # ``describe`` names the entry at a flat (row-major) index, and is
+        # asked for the first failing entry.
         deviations = deviations.ravel()
+        worst = float(deviations.max())
+        if worst > self.worst or math.isnan(worst):
+            self.worst = worst
         failing = np.flatnonzero(~(deviations <= self.tolerance))
-        self.update(float(deviations.max()), lambda: describe(int(failing[0])))
+        if failing.size and not self.first_fail:
+            self.first_fail = describe(int(failing[0]))
 
     def result(self, name: str) -> CheckResult:
         return CheckResult(name=name, tolerance=self.tolerance,
@@ -98,22 +100,17 @@ class _Worst:
 
 
 def _draw_tuples(rng: np.random.Generator, n: int) -> np.ndarray:
-    cols = np.empty((n, 8))
-    cols[:, 0] = rng.uniform(0.0, math.pi, n)          # alpha
-    cols[:, 1] = rng.uniform(0.0, 2.0 * math.pi, n)    # beta
-    cols[:, 2] = rng.uniform(0.0, 1.0, n)              # gamma
-    cols[:, 3] = rng.uniform(0.0, 1.0, n)              # epsilon
-    cols[:, 4] = rng.uniform(0.0, 2.0 * math.pi, n)    # chi
-    cols[:, 5] = rng.uniform(0.0, math.pi, n)          # theta
-    cols[:, 6] = rng.uniform(0.0, math.pi, n)          # phi
-    cols[:, 7] = rng.uniform(0.0, math.pi, n)          # psi
+    # One column per parameter, in the domain table's order (alpha, beta,
+    # gamma, epsilon, chi, theta, phi, psi), each uniform on [0, hi).
+    cols = np.empty((n, len(_DOMAINS)))
+    for i, (hi, _) in enumerate(_DOMAINS.values()):
+        cols[:, i] = rng.uniform(0.0, hi, n)
     return cols
 
 
 def run_verification(seed: int, samples: int, *,
                      closed_form: Callable[..., float | np.ndarray] | None = None,
                      formula_samples: int = 1000,
-                     grid_points: int = 5,
                      run_quadrature: bool = True,
                      run_minimax: bool = True) -> list[CheckResult]:
     """Run every cross-check and return one result per check.
@@ -124,9 +121,9 @@ def run_verification(seed: int, samples: int, *,
     seven columns (alpha, beta, gamma, epsilon, theta, phi, psi) as arrays,
     so it must broadcast like :func:`fidelity_closed_form`; a scalar result
     stands for every tuple of the chunk. ``formula_samples`` caps the
-    tuples used for the entrywise conditional-state comparisons. The quadrature and minimax
-    checks walk a ``grid_points`` x ``grid_points`` mesh over (gamma,
-    epsilon) and can be skipped when only the fast checks are wanted.
+    tuples used for the entrywise conditional-state comparisons. The
+    quadrature and minimax checks can be skipped when only the fast checks
+    are wanted.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -184,12 +181,12 @@ def run_verification(seed: int, samples: int, *,
         probs.result("outcome probabilities are 1/4 and sum to 1"),
         formula.result("projected conditional states vs ladder-basis formula"),
         conj.result("sigma_r conjugation relation between branches"),
-        _ordering_check(grid_points),
+        _ordering_check(),
     ]
     if run_quadrature:
-        results.append(_quadrature_check(grid_points))
+        results.append(_quadrature_check())
     if run_minimax:
-        results.append(_minimax_check(grid_points))
+        results.append(_minimax_check())
     return results
 
 
@@ -203,12 +200,12 @@ def _cell(gamma: np.ndarray, epsilon: np.ndarray, k: int) -> str:
     return f"(gamma={gamma.flat[k]:.6g}, epsilon={epsilon.flat[k]:.6g}): "
 
 
-def _grid_check(name: str, tolerance: float, points: int,
+def _grid_check(name: str, tolerance: float,
                 numeric: Callable[[float, float], float], label: str,
                 closed: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> CheckResult:
-    # A numeric route, one call per grid point, against one array call of
-    # its closed form on the whole grid.
-    gamma, epsilon = _mesh(points)
+    # A numeric route, one call per point of the _GRID_POINTS mesh, against
+    # one array call of its closed form on the whole mesh.
+    gamma, epsilon = _mesh(_GRID_POINTS)
     found = np.array([numeric(g, e) for g, e in zip(gamma.flat, epsilon.flat)])
     analytic = closed(gamma, epsilon).ravel()
     tracker = _Worst(tolerance)
@@ -218,11 +215,11 @@ def _grid_check(name: str, tolerance: float, points: int,
     return tracker.result(name)
 
 
-def _ordering_check(points: int) -> CheckResult:
+def _ordering_check() -> CheckResult:
     # masfi <= f_av_max <= f_max with both lower quantities >= 1/2; the
     # "deviation" is how far any inequality is violated. At gamma = 1 the
     # chain holds with equality, so round-off clearance is needed.
-    gamma, epsilon = _mesh(max(points, 11))
+    gamma, epsilon = _mesh(11)
     lo, mid, hi = masfi(gamma, epsilon), f_av_max(gamma, epsilon), f_max(epsilon)
     violation = np.maximum.reduce([lo - mid, mid - hi, 0.5 - lo, 0.5 - mid,
                                    np.zeros_like(lo)])
@@ -233,15 +230,15 @@ def _ordering_check(points: int) -> CheckResult:
     return tracker.result("ordering chain masfi <= f_av_max <= f_max with 1/2 floor")
 
 
-def _quadrature_check(points: int) -> CheckResult:
+def _quadrature_check() -> CheckResult:
     angles = UnitaryAngles()
-    return _grid_check("sphere-average quadrature vs closed form", 1e-8, points,
+    return _grid_check("sphere-average quadrature vs closed form", 1e-8,
                        lambda g, e: average_fidelity_numeric(g, e, angles, nodes=64),
                        "quadrature", f_av_max)
 
 
-def _minimax_check(points: int) -> CheckResult:
-    return _grid_check("nested min-max search vs assured-fidelity formula", 1e-6, points,
+def _minimax_check() -> CheckResult:
+    return _grid_check("nested min-max search vs assured-fidelity formula", 1e-6,
                        lambda g, e: minimax_search(g, e).value, "search", masfi)
 
 

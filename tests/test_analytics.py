@@ -301,11 +301,6 @@ def test_min_over_information_flat_landscape():
     assert result.beta == 0.0
 
 
-def test_min_over_information_rejects_small_grid():
-    with pytest.raises(ValueError):
-        min_over_information(0.5, 0.5, UnitaryAngles(), grid=16)
-
-
 def test_min_over_information_reports_consistent_argmin():
     rng = np.random.default_rng(71)
     general = [(*rng.uniform(0, 1, 2), *rng.uniform(0, math.pi, 3)) for _ in range(50)]
@@ -359,7 +354,7 @@ def test_batched_worst_cases_rows_match_min_over_information():
     thetas, phis = rng.uniform(0, math.pi, (2, 17))
     thetas[:4] = phis[:4] = (0.0, math.pi, 1e-9, 0.0)
     for gamma, epsilon in ((0.6, 0.7), (1.0, 0.4), (0.3, 0.0), (0.0, 1.0)):
-        values, alphas = analytics._worst_cases(gamma, epsilon, thetas, phis, 33)
+        values, alphas = analytics._worst_cases(gamma, epsilon, thetas, phis)
         for theta, phi, value, alpha in zip(thetas, phis, values, alphas):
             alone = min_over_information(gamma, epsilon, UnitaryAngles(0, theta, phi, 0))
             assert (alone.value, alone.alpha) == (value, alpha)
@@ -415,15 +410,23 @@ def test_min_over_information_roundoff_plateau_polished_once(zoom_brackets):
     assert abs(result.value - 0.85) < 1e-15
 
 
-def test_min_over_information_tied_dip_bracket_covers_both_cells(zoom_brackets):
-    # on an even grid the equator minimum falls between two grid points
-    result = min_over_information(0.5, 0.8, UnitaryAngles(), grid=34)
+def test_zoom_min_tied_dip_bracket_covers_both_cells():
+    # with an odd number of sub-steps the equator minimum falls between two
+    # grid points of the first pass; the second pass must span both
+    passes = []
+
+    def profile(a, live):
+        passes.append((a.min(), a.max()))
+        return analytics._information_profile(a, 0.5, 0.8, 0.0, 0.0)
+
+    alphas, values, _ = analytics._zoom_min(profile, [0.0], [math.pi], 33)
     step = math.pi / 33
-    (lo, hi), = zoom_brackets
-    assert lo <= 15 * step + 1e-12 and hi >= 18 * step - 1e-12
-    assert abs(result.value - 0.6) < 1e-12
+    assert passes[0] == (0.0, math.pi)
+    lo, hi = passes[1]
+    assert lo <= 16 * step + 1e-12 and hi >= 17 * step - 1e-12
+    assert abs(values[0] - 0.6) < 1e-12
     # a quadratic minimum pins its argument only to about sqrt(eps)
-    assert abs(result.alpha - math.pi / 2) < 1e-7
+    assert abs(alphas[0] - math.pi / 2) < 1e-7
 
 
 def test_min_over_information_refines_one_of_two_mirror_twins(zoom_brackets):
@@ -520,14 +523,12 @@ def test_minimax_matches_nested_brute_force():
         assert exact < searched + 1e-12
 
 
-def test_minimax_rejects_bad_grids():
-    with pytest.raises(ValueError):
-        minimax_search(0.5, 0.5, outer_grid=1)
-    with pytest.raises(ValueError):
-        minimax_search(0.5, 0.5, inner_grid=8)
+# _information_profile array calls per search, pinned exactly so that one
+# extra zoom pass fails
+_PROFILE_CALLS = {(0.3, 0.0): 106, (1.0, 0.4): 118, (0.7, 0.9): 121, (0.0, 0.5): 121}
 
 
-@pytest.mark.parametrize("gamma, epsilon", [(0.3, 0.0), (1.0, 0.4), (0.7, 0.9), (0.0, 0.5)])
+@pytest.mark.parametrize("gamma, epsilon", list(_PROFILE_CALLS))
 def test_minimax_golden_call_budget(zoom_brackets, profile_calls, gamma, epsilon):
     # flat points (epsilon = 0, gamma = 1) once cost 4326 and 2339 scalar
     # golden-section searches against 134 at a general point, and the scalar
@@ -537,7 +538,7 @@ def test_minimax_golden_call_budget(zoom_brackets, profile_calls, gamma, epsilon
     # 7 or 8 zoom calls, the first on the alpha grid.
     result = minimax_search(gamma, epsilon)
     assert result.iterations == 239
-    assert len(profile_calls) <= 129
+    assert len(profile_calls) == _PROFILE_CALLS[gamma, epsilon]
     # two outer zooms, and one [0, pi] bracket per inner row
     assert len(zoom_brackets) == 2 + result.iterations
 
@@ -549,10 +550,10 @@ def test_minimax_never_searches_psi(monkeypatch):
     rows, psis = [], []
     inner, best_beta = analytics._worst_cases, analytics._best_beta
 
-    def recording(gamma, epsilon, theta, phi, grid):
+    def recording(gamma, epsilon, theta, phi):
         assert np.shape(theta) == np.shape(phi) == (len(theta),)
         rows.append(len(theta))
-        return inner(gamma, epsilon, theta, phi, grid)
+        return inner(gamma, epsilon, theta, phi)
 
     def beta_at(alpha, gamma, epsilon, theta, phi, psi):
         psis.append(psi)

@@ -1,15 +1,21 @@
+import inspect
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from werner_teleport import cli
+from werner_teleport.analytics import fidelity_closed_form
 from werner_teleport.density import kron, ladder_operators, validate_density
+from werner_teleport.protocol import UnitaryAngles
 from werner_teleport.states import (
     InformationState,
     WernerResource,
     _BELL_VECTORS,
+    _DOMAINS,
     _require_range,
     _require_scalar,
     concurrence_werner,
@@ -17,6 +23,7 @@ from werner_teleport.states import (
     werner_state,
     wootters_concurrence,
 )
+from werner_teleport.verify import _draw_tuples
 
 from helpers import random_density
 
@@ -162,10 +169,12 @@ def test_werner_rejects_out_of_range(epsilon):
 
 @pytest.mark.parametrize("value", [0.25, np.float64(0.25), 1, np.int64(0), np.array(0.5)])
 def test_require_range_scalar_gives_float(value):
-    checked = _require_range(value, 0.0, 1.0, "x")
+    checked = _require_range(value, "gamma")
     assert type(checked) is float and checked == float(value)
 
 
+# Entries in units of the domain's upper bound: gamma's closed [0, 1] and,
+# for the half-open cases, beta's [0, 2 pi).
 @pytest.mark.parametrize("entries, open_upper, first_bad", [
     ([0.1, math.nan, 2.0], False, math.nan),
     ([0.1, math.inf], False, math.inf),
@@ -178,26 +187,69 @@ def test_require_range_scalar_gives_float(value):
 ])
 def test_require_range_array_names_first_bad_entry_like_a_scalar(entries, open_upper,
                                                                   first_bad):
+    name = "beta" if open_upper else "gamma"
+    hi = _DOMAINS[name][0]
     with pytest.raises(ValueError) as scalar:
-        _require_range(first_bad, 0.0, 1.0, "x", open_upper)
+        _require_range(first_bad * hi, name)
     with pytest.raises(ValueError) as array:
-        _require_range(np.array(entries), 0.0, 1.0, "x", open_upper)
+        _require_range(np.array(entries) * hi, name)
     assert str(array.value) == str(scalar.value)
+    assert str(scalar.value).startswith(f"{name} must")
 
 
 def test_require_range_array_in_range_is_returned_as_floats():
     values = np.array([[0.0, 0.5], [1.0, 0.25]])
-    assert _require_range(values, 0.0, 1.0, "x") is values
-    ints = _require_range(np.array([0, 1]), 0.0, 1.0, "x")
+    assert _require_range(values, "gamma") is values
+    ints = _require_range(np.array([0, 1]), "gamma")
     assert ints.dtype == float and ints.tolist() == [0.0, 1.0]
 
 
 def test_require_scalar_rejects_arrays():
-    assert _require_scalar(np.float64(0.5), 0.0, 1.0, "x") == 0.5
+    assert _require_scalar(np.float64(0.5), "gamma") == 0.5
     with pytest.raises(TypeError):
-        _require_scalar(np.array([0.5, 0.6]), 0.0, 1.0, "x")
+        _require_scalar(np.array([0.5, 0.6]), "gamma")
     with pytest.raises(TypeError):
         InformationState(np.array([0.1, 0.2]), 0.0, 0.5)
+
+
+# ---------------------------------------------------- domain table
+
+def _inside_and_past(hi, open_upper):
+    # 0 and the largest value of [0, hi] or [0, hi); the nearest values
+    # outside it on either side
+    if open_upper:
+        return (0.0, float(np.nextafter(hi, 0.0))), (-5e-324, hi)
+    return (0.0, hi), (-5e-324, float(np.nextafter(hi, math.inf)))
+
+
+@pytest.mark.parametrize("name", list(_DOMAINS))
+def test_every_entry_point_checks_the_parameter_domain(capsys, name):
+    hi, open_upper = _DOMAINS[name]
+    inside, past = _inside_and_past(hi, open_upper)
+    owner = next(cls for cls in (InformationState, WernerResource, UnitaryAngles)
+                 if name in {field.name for field in fields(cls)})
+    at_zero = {field.name: 0.0 for field in fields(owner)}
+    entry_points = [lambda value: owner(**{**at_zero, name: value})]
+    closed_form_args = dict.fromkeys(inspect.signature(fidelity_closed_form).parameters, 0.0)
+    if name in closed_form_args:
+        entry_points.append(lambda value: fidelity_closed_form(**{**closed_form_args,
+                                                                  name: value}))
+    for entry_point in entry_points:
+        for value in inside:
+            entry_point(value)
+        for value in past:
+            with pytest.raises(ValueError, match=f"^{name} must lie in"):
+                entry_point(value)
+
+    # the command line takes every parameter but gamma and epsilon in units of pi
+    unit = 1.0 if name in ("gamma", "epsilon") else math.pi
+    flag_inside, flag_past = _inside_and_past(hi / unit, open_upper)
+    assert [cli.main(["run", f"--{name}={value!r}"]) for value in flag_inside] == [0, 0]
+    assert [cli.main(["run", f"--{name}={value!r}"]) for value in flag_past] == [2, 2]
+    assert capsys.readouterr().err.count(f"error: --{name} must lie in") == 2
+
+    column = _draw_tuples(np.random.default_rng(7), 1000)[:, list(_DOMAINS).index(name)]
+    assert 0.0 <= column.min() and 0.99 * hi < column.max() < hi
 
 
 # -------------------------------------------------- bell projectors

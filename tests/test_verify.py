@@ -16,8 +16,7 @@ ORACLE = "closed-form fidelity vs density-matrix simulation"
 
 
 def test_all_checks_pass_on_small_sample():
-    results = run_verification(seed=7, samples=40, grid_points=3,
-                               run_minimax=False)
+    results = run_verification(seed=7, samples=40, run_minimax=False)
     assert len(results) == 6
     for result in results:
         assert result.passed, result.line()
@@ -86,14 +85,15 @@ def test_nan_deviation_fails_and_names_its_tuple():
 
 def test_nan_stays_worst_and_first_failure_is_in_order():
     tracker = verify._Worst(1.0)
-    tracker.update(0.5, lambda: "first")
+    tracker.update_all(np.array([0.5]), lambda k: "first")
+    assert (tracker.worst, tracker.first_fail) == (0.5, "")
     tracker.update_all(np.array([[0.2, math.nan], [3.0, 0.1]]), lambda k: f"entry {k}")
-    tracker.update(2.0, lambda: "later")
+    tracker.update_all(np.array([2.0]), lambda k: "later")
     assert math.isnan(tracker.worst)
     assert tracker.first_fail == "entry 1"
-    scalar = verify._Worst(1.0)
-    scalar.update(math.inf, lambda: "inf")
-    assert scalar.worst == math.inf and scalar.first_fail == "inf"
+    single = verify._Worst(1.0)
+    single.update_all(np.array([math.inf]), lambda k: f"inf at {k}")
+    assert single.worst == math.inf and single.first_fail == "inf at 0"
 
 
 ORDERING = "ordering chain masfi <= f_av_max <= f_max with 1/2 floor"
@@ -132,8 +132,7 @@ def test_closed_forms_are_called_once_per_chunk_or_grid(monkeypatch):
                  "f_av_max", "f_max"):
         monkeypatch.setattr(verify, name, counting(name))
     monkeypatch.setattr(verify, "_CHUNK", 10)
-    results = run_verification(5, 25, formula_samples=15, grid_points=3,
-                               run_minimax=False)
+    results = run_verification(5, 25, formula_samples=15, run_minimax=False)
     assert all(r.passed for r in results)
     # 3 chunks, 2 of them with conditional-state checks (4 Bell indices
     # each), the ordering chain, and the quadrature check's f_av_max
