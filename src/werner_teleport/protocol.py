@@ -22,6 +22,17 @@ are validated where they enter (:func:`composite`, :func:`bsm_project`);
 the kernel builds its states from parameters that its callers range-check
 (the dataclasses of :func:`run_protocol`, the seeded draws of ``verify``)
 and validates nothing.
+
+Every product with a constant operand is a 2-D GEMM over the whole stack,
+so the number of BLAS calls does not grow with N: the Bell projection is
+one GEMM for K_r^+ rho_c and one per Bell index for the right factor K_r,
+and U0 sigma_r is one GEMM for all four r. The constants' entries are 0,
++-1, +-i and +-1/sqrt(2), and each output entry is the same dot product
+over the same inner dimension as in a per-matrix product, so the results
+are bit-identical to it. The conjugation U_r rho_Bob U_r^+ and the
+probability-weighted mean stay stacked per-tuple matmuls: every tuple
+has its own operands, so there is no shared factor to batch, and an
+elementwise rewrite would sum in another order and change the last bits.
 """
 
 from __future__ import annotations
@@ -71,10 +82,15 @@ DEGENERATE_PROBABILITY = 1e-15
 
 _SIGMA_R = np.stack([identity, sigma_z, sigma_x, 1j * sigma_y])
 _SIGMA_R.setflags(write=False)
+# The four sigma_r side by side, (2, 8): column block r is sigma_r.
+_SIGMA_R_ROW = np.concatenate(_SIGMA_R, axis=1)
+_SIGMA_R_ROW.setflags(write=False)
 
 # K_r = |B_r> (x) I_2 stacked over r; row 2a + c of K_r is B_r[a] delta_cd.
 _BELL_KRAUS = np.einsum("ra,cd->racd", _BELL_VECTORS, identity).reshape(4, 8, 2)
 _BELL_KRAUS.setflags(write=False)
+_BELL_KRAUS_ADJOINT = np.ascontiguousarray(_BELL_KRAUS.conj().swapaxes(-1, -2))
+_BELL_KRAUS_ADJOINT.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -158,8 +174,15 @@ def _project_bell(rho_c: np.ndarray,
     Raises if some p_r is degenerate (below 1e-15).
     """
     indices = list(BELL_INDICES) if r is None else r
-    kraus = _BELL_KRAUS[indices]
-    bob = kraus.conj().swapaxes(-1, -2) @ rho_c[:, None] @ kraus
+    n, m = len(rho_c), len(indices)
+    # K_r^+ rho_c for every r and tuple in one GEMM, (2m, 8) @ (8, 8N) with
+    # the tuples side by side; row (r, i), column (n, j) of the product.
+    left = (_BELL_KRAUS_ADJOINT[indices].reshape(2 * m, 8)
+            @ rho_c.transpose(1, 0, 2).reshape(8, 8 * n)).reshape(m, 2 * n, 8)
+    bob = np.empty((n, m, 2, 2), dtype=complex)
+    for k, index in enumerate(indices):
+        # (K_r^+ rho_c) K_r for all tuples at once: rows (i, n) of (2N, 8)
+        bob[:, k] = (left[k] @ _BELL_KRAUS[index]).reshape(2, n, 2).swapaxes(0, 1)
     probability = bob[..., 0, 0].real + bob[..., 1, 1].real
     low = int(probability.argmin())
     if probability.flat[low] < DEGENERATE_PROBABILITY:
@@ -235,7 +258,10 @@ def _simulate(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
     n = len(rho_in)
     rho_c = np.einsum("nij,nkl->nikjl", rho_in, _werner_states(epsilon)).reshape(n, 8, 8)
     probabilities, bob = _project_bell(rho_c)
-    u_r = _base_unitaries(chi, theta, phi, psi)[:, None] @ _SIGMA_R
+    # U0 sigma_r for all r and tuples in one GEMM: rows (n, i) of U0, (2N, 2),
+    # times the sigma_r side by side, (2, 8), whose column (r, j) is U_r[i, j].
+    u_r = (_base_unitaries(chi, theta, phi, psi).reshape(2 * n, 2)
+           @ _SIGMA_R_ROW).reshape(n, 2, 4, 2).swapaxes(1, 2)
     teleported = u_r @ bob @ u_r.conj().swapaxes(-1, -2)
     # Tr[T_r rho_in] = sum_ij T_r[i, j] rho_in[j, i]
     fidelities = (teleported * rho_in.swapaxes(-1, -2)[:, None]).sum(axis=(-2, -1)).real

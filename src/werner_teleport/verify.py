@@ -13,8 +13,9 @@ chunk on the chunk's columns (the fidelity, and the conditional state once
 per Bell index), and once per (gamma, epsilon) grid in the grid checks;
 the simulation never calls them. Memory is the seeded draw, 64 B per sample
 (eight float64 parameters), plus a working set fixed by the chunk size,
-whatever ``samples`` is. The draws stay up front because ``_draw_tuples``
-draws column by column: drawing chunk by chunk would change every tuple.
+about 3.1 kB per tuple of a chunk (0.8 MB), whatever ``samples`` is. The
+draws stay up front because ``_draw_tuples`` draws column by column:
+drawing chunk by chunk would change every tuple.
 """
 
 from __future__ import annotations
@@ -66,9 +67,16 @@ class CheckResult:
         return text
 
 
-# Tuples per kernel call. The kernel's peak working set is about 2.4 kB per
-# tuple (tracemalloc, 1000 tuples), so about 0.6 MB per call.
+# Tuples per kernel call. The kernel's peak working set is about 3.1 kB per
+# tuple (tracemalloc, 1000 tuples), so about 0.8 MB per call.
 _CHUNK = 256
+
+# vec(sigma_r X sigma_r^+) = kron(sigma_r, conj(sigma_r)) vec(X) with
+# row-major vec, so a stack of row vectors vec(X), (N, 4), times this (4, 12)
+# matrix gives the r = 1..3 rotations side by side.
+_CONJUGATION = np.concatenate(
+    [np.kron(s, s.conj()).T for s in correction_branch_operators()[1:]], axis=1)
+_CONJUGATION.setflags(write=False)
 
 # Points per axis of the (gamma, epsilon) mesh of the quadrature and minimax
 # checks.
@@ -131,7 +139,6 @@ def run_verification(seed: int, samples: int, *,
     rng = np.random.default_rng(seed)
     tuples = _draw_tuples(rng, samples)
 
-    sigma_r = np.stack(correction_branch_operators()[1:])
     oracle = _Worst(1e-10)
     probs = _Worst(1e-12)
     formula = _Worst(1e-12)
@@ -171,7 +178,8 @@ def run_verification(seed: int, samples: int, *,
             formula.update_all(
                 np.abs(bob[:checked] - expected).max(axis=(-2, -1)),
                 lambda k: where(k // 4, f"conditional state r={k % 4}"))
-            rotated = sigma_r @ bob[:checked, :1] @ sigma_r.conj().swapaxes(-1, -2)
+            rotated = (bob[:checked, 0].reshape(checked, 4)
+                       @ _CONJUGATION).reshape(checked, 3, 2, 2)
             conj.update_all(
                 np.abs(bob[:checked, 1:] - rotated).max(axis=(-2, -1)),
                 lambda k: where(k // 3, f"conjugation relation r={k % 3 + 1}"))

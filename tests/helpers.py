@@ -5,6 +5,8 @@ import math
 import numpy as np
 
 from werner_teleport.analytics import _fidelity_core
+from werner_teleport.protocol import _BELL_KRAUS, _SIGMA_R, _base_unitaries
+from werner_teleport.states import _information_states, _werner_states
 
 
 def random_density(rng, dim):
@@ -26,6 +28,26 @@ def fidelity_reference(a, b, g, e, th, ph, ps):
         + g * g * e * np.cos(th / 2) ** 2 * np.cos(2 * ph) * np.sin(a) ** 2
         - g * g * e * np.sin(th / 2) ** 2 * np.sin(a) ** 2 * np.cos(2 * (b + ps))
     )
+
+
+def simulate_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
+    """`protocol._simulate` as stacked matmuls, one small product per matrix.
+
+    Transcribes the kernel as it was before its constant-operand products
+    became whole-chunk GEMMs: K_r^+ rho_c K_r and U0 sigma_r are each
+    broadcast over (N, 4) stacks. Every output entry is the same dot
+    product, so the two must agree bit for bit.
+    """
+    rho_in = _information_states(alpha, beta, gamma)
+    n = len(rho_in)
+    rho_c = np.einsum("nij,nkl->nikjl", rho_in, _werner_states(epsilon)).reshape(n, 8, 8)
+    bob = _BELL_KRAUS.conj().swapaxes(-1, -2) @ rho_c[:, None] @ _BELL_KRAUS
+    probabilities = bob[..., 0, 0].real + bob[..., 1, 1].real
+    bob = bob / probabilities[..., None, None]
+    u_r = _base_unitaries(chi, theta, phi, psi)[:, None] @ _SIGMA_R
+    teleported = u_r @ bob @ u_r.conj().swapaxes(-1, -2)
+    fidelities = (teleported * rho_in.swapaxes(-1, -2)[:, None]).sum(axis=(-2, -1)).real
+    return rho_in, probabilities, bob, fidelities
 
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])

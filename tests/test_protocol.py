@@ -32,7 +32,7 @@ from werner_teleport.states import (
     werner_state,
 )
 
-from helpers import fidelity_reference
+from helpers import fidelity_reference, simulate_reference
 
 
 def _random_params(rng):
@@ -269,6 +269,11 @@ CORNERS = [(alpha, gamma, epsilon) for alpha in (0.0, math.pi)
            for gamma in (0.0, 1.0) for epsilon in (0.0, 1.0)]
 
 
+def _corner_tuples():
+    return np.array([(alpha, 1.3, gamma, epsilon, 0.4, 1.1, 0.7, 0.2)
+                     for alpha, gamma, epsilon in CORNERS])
+
+
 @pytest.mark.parametrize("alpha, gamma, epsilon", CORNERS)
 def test_run_protocol_records_match_bsm_project_at_corners(alpha, gamma, epsilon):
     info = InformationState(alpha, 1.3, gamma)
@@ -313,9 +318,7 @@ def test_kernel_rows_match_run_protocol_on_seeded_tuples():
 
 
 def test_kernel_rows_match_run_protocol_at_corners():
-    params = np.array([(alpha, 1.3, gamma, epsilon, 0.4, 1.1, 0.7, 0.2)
-                       for alpha, gamma, epsilon in CORNERS])
-    _assert_kernel_rows_match_scalar_api(params)
+    _assert_kernel_rows_match_scalar_api(_corner_tuples())
 
 
 def test_kernel_degenerate_branch_names_its_index():
@@ -327,12 +330,55 @@ def test_kernel_degenerate_branch_names_its_index():
         protocol._project_bell(np.stack([good, bad]))
 
 
+def _assert_kernel_equals_reference(params):
+    got = protocol._simulate(*params.T)
+    expected = simulate_reference(*params.T)
+    for name, a, b in zip(("rho_in", "probabilities", "bob", "fidelities"), got, expected):
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("n", [1, 3, 255, 256, 1000])
+@pytest.mark.parametrize("seed", [7, 42, 71])
+def test_kernel_gemms_equal_stacked_matmul_reference(seed, n):
+    # the whole-chunk GEMMs sum each entry as the per-matrix products did
+    from werner_teleport.verify import _draw_tuples
+    _assert_kernel_equals_reference(_draw_tuples(np.random.default_rng(seed), n))
+
+
+def test_kernel_gemms_equal_stacked_matmul_reference_at_corners():
+    _assert_kernel_equals_reference(_corner_tuples())
+
+
+@pytest.mark.parametrize("r", BELL_INDICES)
+def test_project_bell_subset_equals_its_column_of_the_full_projection(r):
+    from werner_teleport.verify import _draw_tuples
+    params = np.vstack([_draw_tuples(np.random.default_rng(42), 100), _corner_tuples()])
+    rho_in = _information_states(*params[:, :3].T)
+    rho_c = np.stack([np.kron(rho, werner_state(WernerResource(e)))
+                      for rho, e in zip(rho_in, params[:, 3])])
+    probability, bob = protocol._project_bell(rho_c)
+    p_r, bob_r = protocol._project_bell(rho_c, [r])
+    assert p_r.shape == (len(params), 1) and bob_r.shape == (len(params), 1, 2, 2)
+    assert np.array_equal(p_r[:, 0], probability[:, r])
+    assert np.array_equal(bob_r[:, 0], bob[:, r])
+
+
+def test_verify_conjugation_gemm_equals_sigma_r_sandwich():
+    from werner_teleport.verify import _CONJUGATION, _draw_tuples
+    params = np.vstack([_draw_tuples(np.random.default_rng(42), 300), _corner_tuples()])
+    bob0 = protocol._simulate(*params.T)[2][:, 0]
+    rotated = (bob0.reshape(-1, 4) @ _CONJUGATION).reshape(-1, 3, 2, 2)
+    sigma_r = correction_branch_operators()
+    for r in (1, 2, 3):
+        expected = sigma_r[r] @ bob0 @ sigma_r[r].conj().T
+        assert np.array_equal(rotated[:, r - 1], expected)
+
+
 def test_conditional_state_formula_on_stacks_agrees_with_scalar_calls():
     from werner_teleport.verify import _draw_tuples
     rows = _draw_tuples(np.random.default_rng(79), 10**4)
-    corners = np.array([(alpha, 1.3, gamma, epsilon, 0.4, 1.1, 0.7, 0.2)
-                        for alpha, gamma, epsilon in CORNERS])
-    rows = np.vstack([rows, corners])
+    rows = np.vstack([rows, _corner_tuples()])
     rho_in = _information_states(rows[:, 0], rows[:, 1], rows[:, 2])
     epsilon = rows[:, 3]
     for r in BELL_INDICES:
