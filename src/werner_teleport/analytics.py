@@ -119,7 +119,7 @@ class ClassicalThreshold:
 
 def _fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi):
     # Unchecked, broadcasts over numpy arrays; hot path for every grid.
-    a_term, b_term, c_term = _beta_reduced_terms(alpha, gamma, epsilon, theta, phi)
+    a_term, b_term, c_term = _beta_reduced_terms(alpha, _row_factors(gamma, epsilon, theta, phi))
     return a_term + b_term * np.sin(beta + psi) + c_term * np.cos(2.0 * (beta + psi))
 
 
@@ -263,15 +263,26 @@ def _zoom_min(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
     return best_x, best_f, hi - lo
 
 
-def _beta_reduced_terms(alpha, gamma, epsilon, theta, phi):
-    # F(alpha, beta) = A(alpha) + B(alpha) sin(beta+psi) + C(alpha) cos(2(beta+psi))
-    sin_a_sq = np.sin(alpha) ** 2
+def _row_factors(gamma, epsilon, theta, phi):
+    # The alpha-free factors of F, one set per correction row:
+    # eps cos(theta), gamma ge cos^2(theta/2) cos(2 phi), 0.5 ge sin(theta)
+    # sin(phi) and -0.5 gamma ge sin^2(theta/2), with ge = gamma eps. Each is
+    # the left end of its product in F, so the split keeps every float.
     ge = gamma * epsilon
-    a_term = 0.5 * (1.0 + epsilon * np.cos(theta) * np.cos(alpha) ** 2
-                    + gamma * ge * np.cos(0.5 * theta) ** 2 * np.cos(2.0 * phi) * sin_a_sq)
-    b_term = 0.5 * ge * np.sin(theta) * np.sin(phi) * np.sin(2.0 * alpha)
-    c_term = -0.5 * gamma * ge * np.sin(0.5 * theta) ** 2 * sin_a_sq
-    return a_term, b_term, c_term
+    return (epsilon * np.cos(theta),
+            gamma * ge * np.cos(0.5 * theta) ** 2 * np.cos(2.0 * phi),
+            0.5 * ge * np.sin(theta) * np.sin(phi),
+            -0.5 * gamma * ge * np.sin(0.5 * theta) ** 2)
+
+
+def _beta_reduced_terms(alpha, rows):
+    # F(alpha, beta) = A(alpha) + B(alpha) sin(beta+psi) + C(alpha) cos(2(beta+psi))
+    # from the row factors of _row_factors (a tuple, or an array stacked on
+    # its first axis).
+    a_cos_row, a_sin_row, b_row, c_row = rows
+    sin_a_sq = np.sin(alpha) ** 2
+    a_term = 0.5 * (1.0 + a_cos_row * np.cos(alpha) ** 2 + a_sin_row * sin_a_sq)
+    return a_term, b_row * np.sin(2.0 * alpha), c_row * sin_a_sq
 
 
 def _worst_sin(b_term, c_term):
@@ -279,21 +290,26 @@ def _worst_sin(b_term, c_term):
     # elementwise. C is never positive, so the quadratic is convex (C < 0),
     # with its minimum at the clamped vertex, or linear (C == 0), with its
     # minimum at the edge opposite the sign of B. The vertex is written over
-    # the edge in place; an np.where costs ~15% on scalar profile calls.
-    s = np.array(-np.copysign(1.0, b_term))
+    # the edge and clamped in place; an np.where costs ~15% on scalar
+    # profile calls.
+    s = np.asarray(-np.copysign(1.0, b_term))
     np.divide(b_term, 4.0 * c_term, out=s, where=c_term < 0.0)
-    return np.clip(s, -1.0, 1.0, out=s)
+    np.maximum(s, -1.0, out=s)
+    return np.minimum(s, 1.0, out=s)
 
 
-def _information_profile(alpha, gamma, epsilon, theta, phi):
-    """min over beta of F, elementwise in alpha.
+def _information_profile(alpha, rows):
+    """min over beta of F, elementwise in alpha, at the row factors
+    ``rows`` of :func:`_row_factors`.
 
     With s = sin(beta+psi), the beta part B s + C cos(2(beta+psi)) equals
     the quadratic B s + C (1 - 2 s^2) on s in [-1, 1], evaluated at its
     minimizer from :func:`_worst_sin`. The result does not involve psi at
-    all.
+    all. The caller computes the row factors: :func:`_worst_cases` once
+    per batched search, the coarse scan of :func:`minimax_search` once for
+    its whole grid, so a zoom pass computes only the alpha part.
     """
-    a_term, b_term, c_term = _beta_reduced_terms(alpha, gamma, epsilon, theta, phi)
+    a_term, b_term, c_term = _beta_reduced_terms(alpha, rows)
     s = _worst_sin(b_term, c_term)
     # Summed in this order: near-flat profiles break alpha ties on round-off.
     return a_term + (b_term * s + c_term * (1.0 - 2.0 * s * s))
@@ -304,7 +320,7 @@ def _best_beta(alpha: float, gamma: float, epsilon: float, theta: float,
     # The minimizing beta for one alpha. The value depends on beta only
     # through sin(beta+psi), so minima come in mirror pairs; ties resolve
     # to the smaller beta, and a fully flat profile reports 0.
-    _, b_term, c_term = _beta_reduced_terms(alpha, gamma, epsilon, theta, phi)
+    _, b_term, c_term = _beta_reduced_terms(alpha, _row_factors(gamma, epsilon, theta, phi))
     two_pi = 2.0 * math.pi
     if b_term == 0.0 and c_term == 0.0:
         return 0.0
@@ -324,8 +340,13 @@ def _worst_cases(gamma: float, epsilon: float, theta: np.ndarray,
     # minimum outside its lowest eigenspace. A local minimum in alpha of
     # min_beta F, poles included, is one of F on the sphere; the other dips
     # of the profile are mirror twins alpha <-> pi - alpha of the lowest.
+    # The alpha-free row factors are computed here, once per call, as one
+    # (4, n, 1) array; each zoom pass takes the open rows' factors by one
+    # index and computes only the alpha part.
+    rows = np.stack(_row_factors(gamma, epsilon, theta[:, None], phi[:, None]))
+
     def profile_rows(a: np.ndarray, live: np.ndarray) -> np.ndarray:
-        return _information_profile(a, gamma, epsilon, theta[live, None], phi[live, None])
+        return _information_profile(a, rows[:, live])
 
     alphas, values, _ = _zoom_min(profile_rows, np.zeros(theta.size),
                                   np.full(theta.size, math.pi), _INNER_GRID - 1)
@@ -345,7 +366,8 @@ def min_over_information(gamma: float, epsilon: float,
     Only the lowest grid point is refined, because every local minimum of
     the profile is a global one; the other grid-local dips are its mirror
     twins alpha <-> pi - alpha. Ties keep the point found first, so a flat
-    profile reports alpha = 0.
+    profile reports alpha = 0. The alpha-free factors of F at the correction
+    are computed once, before the zoom, and every pass reuses them.
 
     This is the one-row case of the batched search that
     :func:`minimax_search` runs over many corrections at once.
@@ -383,9 +405,10 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     corrections = np.linspace(0.0, math.pi, _OUTER_GRID)
     alphas = np.linspace(0.0, math.pi, _INNER_GRID)
 
-    # Coarse stage: inner grid minima of the beta-reduced profile.
-    profile = _information_profile(alphas[None, None, :], gamma, epsilon,
-                                   corrections[:, None, None], corrections[None, :, None])
+    # Coarse stage: inner grid minima of the beta-reduced profile, with the
+    # row factors of the whole grid computed once.
+    rows = _row_factors(gamma, epsilon, corrections[:, None, None], corrections[None, :, None])
+    profile = _information_profile(alphas[None, None, :], rows)
     it, ip = divmod(int(np.argmax(profile.min(axis=2))), _OUTER_GRID)
     current = [float(corrections[it]), float(corrections[ip])]
 

@@ -229,9 +229,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY_FAILED
 
 
+def _join_signed_values(argv: list[str]) -> list[str]:
+    # argparse reads a word such as -inf, -nan or -1e-3 as an option, not as
+    # the value of the option before it (only forms like -5 and -0.5 pass),
+    # and fails before any range check. Writing "--psi -inf" as "--psi=-inf"
+    # gives such a value to its option, so it reaches the domain table.
+    joined: list[str] = []
+    for position, word in enumerate(argv):
+        if word == "--":
+            return joined + argv[position:]
+        if (joined and joined[-1].startswith("--") and "=" not in joined[-1]
+                and word.startswith("-") and _is_float(word)):
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    return joined
+
+
+def _is_float(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
     handler = {"run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify}[args.command]
     try:
         return handler(args)

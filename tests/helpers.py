@@ -30,6 +30,37 @@ def fidelity_reference(a, b, g, e, th, ph, ps):
     )
 
 
+def beta_reduced_terms_reference(alpha, gamma, epsilon, theta, phi):
+    """A, B and C of F = A + B sin(beta+psi) + C cos(2(beta+psi)).
+
+    Transcribes `analytics._beta_reduced_terms` as it was before its
+    alpha-free factors moved to `analytics._row_factors`: one expression per
+    term, with the same products in the same left-to-right order, so the
+    split terms must agree bit for bit.
+    """
+    sin_a_sq = np.sin(alpha) ** 2
+    ge = gamma * epsilon
+    a_term = 0.5 * (1.0 + epsilon * np.cos(theta) * np.cos(alpha) ** 2
+                    + gamma * ge * np.cos(0.5 * theta) ** 2 * np.cos(2.0 * phi) * sin_a_sq)
+    b_term = 0.5 * ge * np.sin(theta) * np.sin(phi) * np.sin(2.0 * alpha)
+    c_term = -0.5 * gamma * ge * np.sin(0.5 * theta) ** 2 * sin_a_sq
+    return a_term, b_term, c_term
+
+
+def information_profile_reference(alpha, gamma, epsilon, theta, phi):
+    """min over beta of F, from `beta_reduced_terms_reference`.
+
+    Transcribes `analytics._information_profile` and `analytics._worst_sin`
+    as they were before the split, with the worst sin(beta+psi) clamped by
+    `np.clip`, so the two must agree bit for bit.
+    """
+    a_term, b_term, c_term = beta_reduced_terms_reference(alpha, gamma, epsilon, theta, phi)
+    s = np.array(-np.copysign(1.0, b_term))
+    np.divide(b_term, 4.0 * c_term, out=s, where=c_term < 0.0)
+    s = np.clip(s, -1.0, 1.0, out=s)
+    return a_term + (b_term * s + c_term * (1.0 - 2.0 * s * s))
+
+
 def simulate_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
     """`protocol._simulate` as stacked matmuls, one small product per matrix.
 

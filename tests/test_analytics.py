@@ -19,7 +19,13 @@ from werner_teleport.analytics import (
 )
 from werner_teleport.protocol import UnitaryAngles
 
-from helpers import fidelity_reference, sphere_average_reference, worst_case_reference
+from helpers import (
+    beta_reduced_terms_reference,
+    fidelity_reference,
+    information_profile_reference,
+    sphere_average_reference,
+    worst_case_reference,
+)
 
 _unit = st.floats(0, 1)
 
@@ -381,18 +387,29 @@ def zoom_brackets(monkeypatch):
     return brackets
 
 
-@pytest.fixture
-def profile_calls(monkeypatch):
-    """Count the array calls of the beta-reduced alpha profile."""
+def _count_calls(monkeypatch, name):
+    """Record the shape of the first argument of every call of analytics.<name>."""
     calls = []
-    profile = analytics._information_profile
+    function = getattr(analytics, name)
 
     def counting(*args):
         calls.append(np.shape(args[0]))
-        return profile(*args)
+        return function(*args)
 
-    monkeypatch.setattr(analytics, "_information_profile", counting)
+    monkeypatch.setattr(analytics, name, counting)
     return calls
+
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """Count the array calls of the beta-reduced alpha profile."""
+    return _count_calls(monkeypatch, "_information_profile")
+
+
+@pytest.fixture
+def row_factor_calls(monkeypatch):
+    """Count the evaluations of the alpha-free row factors."""
+    return _count_calls(monkeypatch, "_row_factors")
 
 
 def test_min_over_information_exact_plateau_polished_once(zoom_brackets):
@@ -417,7 +434,7 @@ def test_zoom_min_tied_dip_bracket_covers_both_cells():
 
     def profile(a, live):
         passes.append((a.min(), a.max()))
-        return analytics._information_profile(a, 0.5, 0.8, 0.0, 0.0)
+        return analytics._information_profile(a, analytics._row_factors(0.5, 0.8, 0.0, 0.0))
 
     alphas, values, _ = analytics._zoom_min(profile, [0.0], [math.pi], 33)
     step = math.pi / 33
@@ -450,11 +467,59 @@ def test_alpha_profile_has_no_local_minimum_above_the_worst_case():
     corners = [(gamma, epsilon, theta, 0.7) for gamma in (0.0, 1.0)
                for epsilon in (0.0, 1.0) for theta in (0.0, math.pi)]
     for gamma, epsilon, theta, phi in general + corners:
-        profile = analytics._information_profile(alphas, gamma, epsilon, theta, phi)
+        rows = analytics._row_factors(gamma, epsilon, theta, phi)
+        profile = analytics._information_profile(alphas, rows)
         padded = np.pad(profile, 1, constant_values=np.inf)
         dips = profile[(profile <= padded[:-2]) & (profile <= padded[2:])]
         exact = worst_case_reference(gamma, epsilon, theta, phi)
         assert dips.size and np.abs(dips - exact).max() < 1e-6, (gamma, epsilon, theta, phi)
+
+
+def _assert_split_is_bitwise(alpha, gamma, epsilon, theta, phi, rows=None):
+    # A, B, C and the profile from the row/alpha split against the
+    # single-expression reference, byte for byte, so signed zeros count
+    rows = analytics._row_factors(gamma, epsilon, theta, phi) if rows is None else rows
+    got = (*analytics._beta_reduced_terms(alpha, rows),
+           analytics._information_profile(alpha, rows))
+    want = (*beta_reduced_terms_reference(alpha, gamma, epsilon, theta, phi),
+            information_profile_reference(alpha, gamma, epsilon, theta, phi))
+    for name, g, w in zip("ABCP", got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", [13, 29, 47])
+def test_split_terms_equal_single_expression_reference(seed):
+    # Fails if a product of F is reassociated or reordered: the row part must
+    # be the left end of each product, in the same order as before the split.
+    rng = np.random.default_rng(seed)
+    alpha, theta, phi = rng.uniform(0, math.pi, (3, 2000))
+    gamma, epsilon = rng.uniform(0, 1, (2, 2000))
+    _assert_split_is_bitwise(alpha, gamma, epsilon, theta, phi)
+    g, e = float(gamma[0]), float(epsilon[0])
+    # the zoom's layout: (n, 1) rows stacked as (4, n, 1), open rows by index
+    live = np.sort(rng.choice(2000, 300, replace=False))
+    rows = np.stack(analytics._row_factors(g, e, theta[:, None], phi[:, None]))
+    alphas = rng.uniform(0, math.pi, (300, 33))
+    _assert_split_is_bitwise(alphas, g, e, theta[live, None], phi[live, None], rows[:, live])
+    # the coarse scan's layout and a scalar call
+    grid = np.linspace(0, math.pi, 33)
+    _assert_split_is_bitwise(grid[None, None, :], g, e, grid[:, None, None], grid[None, :, None])
+    _assert_split_is_bitwise(float(alpha[0]), g, e, float(theta[0]), float(phi[0]))
+
+
+def test_split_terms_equal_reference_in_degenerate_regimes():
+    # epsilon = 0, gamma in {0, 1}, alpha and theta at 0 and pi, where the
+    # products hold exact and signed zeros
+    axes = ([0.0, 0.8, math.pi / 2, math.pi],  # alpha
+            [0.0, 0.4, 1.0],  # gamma
+            [0.0, 0.7, 1.0],  # epsilon
+            [0.0, 1.1, math.pi],  # theta
+            [0.0, 1.3, math.pi / 2, math.pi])  # phi
+    points = [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
+    _assert_split_is_bitwise(*points)
+    for alpha, gamma, epsilon, theta, phi in zip(*(a.tolist() for a in points)):
+        _assert_split_is_bitwise(alpha, gamma, epsilon, theta, phi)
 
 
 # ------------------------------------------------------ minimax search
@@ -528,8 +593,15 @@ def test_minimax_matches_nested_brute_force():
 _PROFILE_CALLS = {(0.3, 0.0): 106, (1.0, 0.4): 118, (0.7, 0.9): 121, (0.0, 0.5): 121}
 
 
+# _row_factors evaluations per search: one for the coarse scan, one per
+# batched inner search (1 + 2 * 7 outer zoom passes) and one for the
+# argmin's beta; never one per inner zoom pass
+_ROW_FACTOR_CALLS = 1 + (1 + 2 * 7) + 1
+
+
 @pytest.mark.parametrize("gamma, epsilon", list(_PROFILE_CALLS))
-def test_minimax_golden_call_budget(zoom_brackets, profile_calls, gamma, epsilon):
+def test_minimax_golden_call_budget(zoom_brackets, profile_calls, row_factor_calls,
+                                    gamma, epsilon):
     # flat points (epsilon = 0, gamma = 1) once cost 4326 and 2339 scalar
     # golden-section searches against 134 at a general point, and the scalar
     # search about 4000 profile calls. The ascent now zooms each of (theta,
@@ -539,6 +611,7 @@ def test_minimax_golden_call_budget(zoom_brackets, profile_calls, gamma, epsilon
     result = minimax_search(gamma, epsilon)
     assert result.iterations == 239
     assert len(profile_calls) == _PROFILE_CALLS[gamma, epsilon]
+    assert len(row_factor_calls) == _ROW_FACTOR_CALLS
     # two outer zooms, and one [0, pi] bracket per inner row
     assert len(zoom_brackets) == 2 + result.iterations
 

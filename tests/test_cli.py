@@ -56,6 +56,11 @@ RANGE_ERRORS = [
     ("--beta", "nan", "--beta must lie in [0, 2) (units of pi), got nan"),
     ("--gamma", "nan", "--gamma must lie in [0, 1], got nan"),
     ("--chi", "nan", "--chi must lie in [0, 2) (units of pi), got nan"),
+    # signed words that argparse alone would read as options
+    ("--psi", "-inf", "--psi must lie in [0, 1] (units of pi), got -inf"),
+    ("--gamma", "-nan", "--gamma must lie in [0, 1], got nan"),
+    ("--psi", "-1e-3", "--psi must lie in [0, 1] (units of pi), got -0.001"),
+    ("--gamma", "-1e-3", "--gamma must lie in [0, 1], got -0.001"),
 ]
 
 
@@ -68,18 +73,31 @@ def test_run_range_errors_exit_2_and_name_the_flag(capsys, flag, value, message)
     assert captured.err == f"error: {message}\n"
 
 
-def test_run_negative_word_value_is_taken_for_an_option(capsys):
-    # "-inf" as its own word looks like an option to argparse, which stops
-    # before the range table with its own message; "--psi=-inf" reaches the
-    # table. The exit code is 2 either way.
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run", "--psi", "-inf"])
-    err = capsys.readouterr().err
-    assert excinfo.value.code == 2
-    assert "argument --psi: expected one argument" in err
-    assert main(["run", "--psi=-inf"]) == 2
-    assert capsys.readouterr().err == (
-        "error: --psi must lie in [0, 1] (units of pi), got -inf\n")
+# The other forms of the signed values above: joined by "=", after an
+# abbreviated flag, or after other flags.
+SIGNED_FORMS = [
+    (["--psi=-inf"], "--psi must lie in [0, 1] (units of pi), got -inf"),
+    (["--ps", "-inf"], "--psi must lie in [0, 1] (units of pi), got -inf"),
+    (["--gamma=-nan"], "--gamma must lie in [0, 1], got nan"),
+    (["--psi=-1e-3"], "--psi must lie in [0, 1] (units of pi), got -0.001"),
+    (["--alpha", "0.5", "--gamma", "-1e-3"], "--gamma must lie in [0, 1], got -0.001"),
+]
+
+
+@pytest.mark.parametrize("words,message", SIGNED_FORMS,
+                         ids=[" ".join(words) for words, _ in SIGNED_FORMS])
+def test_run_signed_value_reaches_the_range_check_in_every_form(capsys, words, message):
+    assert main(["run", *words]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_run_missing_value_is_still_an_argparse_error(capsys):
+    # a following flag or "--" is not a value
+    for words in (["--psi", "--gamma", "0.5"], ["--psi", "--", "-1"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", *words])
+        assert excinfo.value.code == 2
+        assert "argument --psi: expected one argument" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ sweep
