@@ -23,16 +23,11 @@ the kernel builds its states from parameters that its callers range-check
 (the dataclasses of :func:`run_protocol`, the seeded draws of ``verify``)
 and validates nothing.
 
-Every product with a constant operand is a 2-D GEMM over the whole stack,
-so the number of BLAS calls does not grow with N: the Bell projection is
-one GEMM for K_r^+ rho_c and one per Bell index for the right factor K_r,
-and U0 sigma_r is one GEMM for all four r. The constants' entries are 0,
-+-1, +-i and +-1/sqrt(2), and each output entry is the same dot product
-over the same inner dimension as in a per-matrix product, so the results
-are bit-identical to it. The conjugation U_r rho_Bob U_r^+ and the
-probability-weighted mean stay stacked per-tuple matmuls: every tuple
-has its own operands, so there is no shared factor to batch, and an
-elementwise rewrite would sum in another order and change the last bits.
+The Bell projection is one GEMM over the stack for K_r^+ rho_c and one per
+Bell index for K_r, each entry the same dot product as per matrix. The
+fidelity is the cyclic trace Tr[rho_Bob_r sigma_r^T M sigma_r] with M =
+U0^+ rho_in U0, one product per tuple: each sigma_r is a real signed
+permutation, so sigma_r^T M sigma_r is an exact signed gather of M.
 """
 
 from __future__ import annotations
@@ -82,9 +77,13 @@ DEGENERATE_PROBABILITY = 1e-15
 
 _SIGMA_R = np.stack([identity, sigma_z, sigma_x, 1j * sigma_y])
 _SIGMA_R.setflags(write=False)
-# The four sigma_r side by side, (2, 8): column block r is sigma_r.
-_SIGMA_R_ROW = np.concatenate(_SIGMA_R, axis=1)
-_SIGMA_R_ROW.setflags(write=False)
+# sigma_r has one nonzero per column i, s_r(i) = +-1 in row p_r(i), so entry (i, j) of
+# (sigma_r^T M sigma_r)^T is _SIGN = s_r(i) s_r(j) times _PERM = entry 2 p_r(j) + p_r(i) of M.
+_ROW, _COLUMN_SIGN = np.abs(_SIGMA_R).argmax(axis=1), _SIGMA_R.real.sum(axis=1)
+_PERM = 2 * _ROW[:, None, :] + _ROW[:, :, None]
+_SIGN = _COLUMN_SIGN[:, :, None] * _COLUMN_SIGN[:, None, :]
+_PERM.setflags(write=False)
+_SIGN.setflags(write=False)
 
 # K_r = |B_r> (x) I_2 stacked over r; row 2a + c of K_r is B_r[a] delta_cd.
 _BELL_KRAUS = np.einsum("ra,cd->racd", _BELL_VECTORS, identity).reshape(4, 8, 2)
@@ -250,21 +249,22 @@ def _simulate(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
     """The protocol on N parameter tuples, each argument an array of length N.
 
     Returns rho_in (N, 2, 2), the outcome probabilities (N, 4), Bob's
-    conditional states (N, 4, 2, 2) and the per-outcome fidelities
-    Tr[U_r rho_Bob_r U_r^+ rho_in] (N, 4). Nothing is validated, and the
-    closed form is never called.
+    conditional states (N, 4, 2, 2) and the fidelities Tr[U_r rho_Bob_r U_r^+
+    rho_in] (N, 4), summed as Tr[rho_Bob_r sigma_r^T M sigma_r]. Nothing is
+    validated, the closed form is never called, and row i depends on tuple i
+    alone, bit for bit, whatever N is.
     """
     rho_in = _information_states(alpha, beta, gamma)
     n = len(rho_in)
     rho_c = np.einsum("nij,nkl->nikjl", rho_in, _werner_states(epsilon)).reshape(n, 8, 8)
     probabilities, bob = _project_bell(rho_c)
-    # U0 sigma_r for all r and tuples in one GEMM: rows (n, i) of U0, (2N, 2),
-    # times the sigma_r side by side, (2, 8), whose column (r, j) is U_r[i, j].
-    u_r = (_base_unitaries(chi, theta, phi, psi).reshape(2 * n, 2)
-           @ _SIGMA_R_ROW).reshape(n, 2, 4, 2).swapaxes(1, 2)
-    teleported = u_r @ bob @ u_r.conj().swapaxes(-1, -2)
-    # Tr[T_r rho_in] = sum_ij T_r[i, j] rho_in[j, i]
-    fidelities = (teleported * rho_in.swapaxes(-1, -2)[:, None]).sum(axis=(-2, -1)).real
+    u0 = _base_unitaries(chi, theta, phi, psi)
+    m = u0.conj().swapaxes(-1, -2) @ rho_in @ u0
+    # (sigma_r^T M sigma_r)^T for every r, a C-ordered (N, 4, 2, 2) gather:
+    # a product with another layout may be summed in another order.
+    rotated = np.take(m.reshape(n, 4), _PERM, axis=1)
+    rotated *= _SIGN
+    fidelities = (bob * rotated).sum(axis=(-2, -1)).real
     return rho_in, probabilities, bob, fidelities
 
 

@@ -66,8 +66,11 @@ def simulate_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
 
     Transcribes the kernel as it was before its constant-operand products
     became whole-chunk GEMMs: K_r^+ rho_c K_r and U0 sigma_r are each
-    broadcast over (N, 4) stacks. Every output entry is the same dot
-    product, so the two must agree bit for bit.
+    broadcast over (N, 4) stacks. Every entry of rho_in, the probabilities
+    and Bob's states is the same dot product, so those must agree bit for
+    bit. The fidelities are the conjugation Tr[U_r rho_Bob_r U_r^+ rho_in],
+    which the kernel sums as a cyclic trace in another order, so they agree
+    to round-off only (`cyclic_fidelities_reference` is their exact pin).
     """
     rho_in = _information_states(alpha, beta, gamma)
     n = len(rho_in)
@@ -79,6 +82,24 @@ def simulate_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
     teleported = u_r @ bob @ u_r.conj().swapaxes(-1, -2)
     fidelities = (teleported * rho_in.swapaxes(-1, -2)[:, None]).sum(axis=(-2, -1)).real
     return rho_in, probabilities, bob, fidelities
+
+
+def cyclic_fidelities_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
+    """`protocol._simulate`'s fidelities with sigma_r^T M sigma_r as matmuls.
+
+    F_r = Tr[rho_Bob_r sigma_r^T M sigma_r] with M = U0^+ rho_in U0. The
+    kernel gathers sigma_r^T M sigma_r from M's entries with a sign table;
+    here it is the explicit product through `_SIGMA_R`, exact because each
+    sigma_r has one entry +-1 per row and column, transposed and made
+    C-contiguous so the trace sums in the kernel's order. The two must
+    agree bit for bit.
+    """
+    rho_in, _, bob, _ = simulate_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi)
+    u0 = _base_unitaries(chi, theta, phi, psi)
+    m = u0.conj().swapaxes(-1, -2) @ rho_in @ u0
+    rotated = _SIGMA_R.swapaxes(-1, -2) @ m[:, None] @ _SIGMA_R
+    rotated = np.ascontiguousarray(rotated.swapaxes(-1, -2))
+    return (bob * rotated).sum(axis=(-2, -1)).real
 
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])

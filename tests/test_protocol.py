@@ -32,7 +32,7 @@ from werner_teleport.states import (
     werner_state,
 )
 
-from helpers import fidelity_reference, simulate_reference
+from helpers import cyclic_fidelities_reference, fidelity_reference, simulate_reference
 
 
 def _random_params(rng):
@@ -330,12 +330,20 @@ def test_kernel_degenerate_branch_names_its_index():
         protocol._project_bell(np.stack([good, bad]))
 
 
+_OUTPUTS = ("rho_in", "probabilities", "bob", "fidelities")
+
+
 def _assert_kernel_equals_reference(params):
+    # rho_in, the probabilities and Bob's states are the per-matrix products'
+    # bits; the fidelities, a cyclic trace summed in another order than the
+    # conjugation, are within 4 eps of it (2.5 eps seen on 2 x 10^5 tuples)
     got = protocol._simulate(*params.T)
     expected = simulate_reference(*params.T)
-    for name, a, b in zip(("rho_in", "probabilities", "bob", "fidelities"), got, expected):
+    for name, a, b in zip(_OUTPUTS[:3], got, expected):
         assert a.shape == b.shape, name
         assert np.array_equal(a, b), name
+    assert got[3].shape == expected[3].shape
+    assert np.abs(got[3] - expected[3]).max() <= 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("n", [1, 3, 255, 256, 1000])
@@ -348,6 +356,38 @@ def test_kernel_gemms_equal_stacked_matmul_reference(seed, n):
 
 def test_kernel_gemms_equal_stacked_matmul_reference_at_corners():
     _assert_kernel_equals_reference(_corner_tuples())
+
+
+@pytest.mark.parametrize("n", [1, 3, 256, 1000, 6000])
+@pytest.mark.parametrize("seed", [7, 42, 71])
+def test_kernel_fidelities_equal_cyclic_matmul_reference(seed, n):
+    from werner_teleport.verify import _draw_tuples
+    params = np.vstack([_draw_tuples(np.random.default_rng(seed), n), _corner_tuples()])
+    got = protocol._simulate(*params.T)[3]
+    assert got.tobytes() == cyclic_fidelities_reference(*params.T).tobytes()
+
+
+def test_signed_gather_equals_sigma_r_sandwich():
+    # the kernel's (4, 2, 2) index and sign tables give (sigma_r^+ M sigma_r)^T
+    rng = np.random.default_rng(19)
+    m = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    gathered = np.take(m.reshape(-1, 4), protocol._PERM, axis=1) * protocol._SIGN
+    for r, sigma in enumerate(correction_branch_operators()):
+        expected = (sigma.conj().T @ m @ sigma).swapaxes(-1, -2)
+        assert np.array_equal(gathered[:, r], expected), r
+
+
+def test_kernel_rows_do_not_depend_on_the_stack_size():
+    # 6000 tuples put the kernel's (N, 4, 2, 2) temporaries above numpy's
+    # 256 KiB threshold for eliding temporaries, where an operand that is not
+    # C-ordered can change the order in which the trace is summed
+    from werner_teleport.verify import _draw_tuples
+    params = _draw_tuples(np.random.default_rng(83), 6000)
+    stacked = protocol._simulate(*params.T)
+    for i in np.linspace(0, len(params) - 1, 300).astype(int).tolist():
+        single = protocol._simulate(*params[i:i + 1].T)
+        for name, a, b in zip(_OUTPUTS, stacked, single):
+            assert a[i].tobytes() == b[0].tobytes(), (name, i)
 
 
 @pytest.mark.parametrize("r", BELL_INDICES)

@@ -15,6 +15,20 @@ from werner_teleport.verify import (
 ORACLE = "closed-form fidelity vs density-matrix simulation"
 
 
+FAST_CHECKS_SEED_42 = """\
+[PASS] closed-form fidelity vs density-matrix simulation: worst deviation 6.661e-16 (tolerance 1e-10)
+[PASS] outcome probabilities are 1/4 and sum to 1: worst deviation 7.772e-16 (tolerance 1e-12)
+[PASS] projected conditional states vs ladder-basis formula: worst deviation 3.331e-16 (tolerance 1e-12)
+[PASS] sigma_r conjugation relation between branches: worst deviation 0.000e+00 (tolerance 1e-12)
+[PASS] ordering chain masfi <= f_av_max <= f_max with 1/2 floor: worst deviation 1.110e-16 (tolerance 1e-12)"""
+
+
+def test_fast_check_lines_of_the_end_to_end_command():
+    # the five fast checks of `werner-teleport verify --seed 42 --samples 10000`
+    results = run_verification(42, 10000, run_quadrature=False, run_minimax=False)
+    assert "\n".join(result.line() for result in results) == FAST_CHECKS_SEED_42
+
+
 def test_all_checks_pass_on_small_sample():
     results = run_verification(seed=7, samples=40, run_minimax=False)
     assert len(results) == 6
