@@ -77,8 +77,8 @@ DEGENERATE_PROBABILITY = 1e-15
 
 _SIGMA_R = np.stack([identity, sigma_z, sigma_x, 1j * sigma_y])
 _SIGMA_R.setflags(write=False)
-# sigma_r has one nonzero per column i, s_r(i) = +-1 in row p_r(i), so entry (i, j) of
-# (sigma_r^T M sigma_r)^T is _SIGN = s_r(i) s_r(j) times _PERM = entry 2 p_r(j) + p_r(i) of M.
+# Column i of sigma_r has one nonzero, s_r(i) = +-1 in row p_r(i), so entry (i, j) of
+# (sigma_r^T M sigma_r)^T is _SIGN[r, i, j] = s_r(i) s_r(j) times M.flat[_PERM[r, i, j]].
 _ROW, _COLUMN_SIGN = np.abs(_SIGMA_R).argmax(axis=1), _SIGMA_R.real.sum(axis=1)
 _PERM = 2 * _ROW[:, None, :] + _ROW[:, :, None]
 _SIGN = _COLUMN_SIGN[:, :, None] * _COLUMN_SIGN[:, None, :]
