@@ -230,36 +230,35 @@ def _sphere_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
-def _zoom_min(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
+def _zoom_min(f: Callable[[np.ndarray], np.ndarray], lo, hi,
               k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimum of f on each row's bracket [lo[i], hi[i]] by k-ary zoom.
 
-    Each pass evaluates k + 1 evenly spaced points of every open bracket in
-    one call, f(x, live), where x is (len(live), k + 1) and live holds the
-    indices of the open rows; each bracket then shrinks to its best point
-    plus or minus one sub-step. A row closes once its bracket is no wider
-    than REFINE_TOL, so a row's result does not depend on the other rows.
-    Returns per row the best point seen during the search, its value and
-    the final bracket width. Ties keep the earlier point, so the result is
-    deterministic.
+    Each pass evaluates k + 1 evenly spaced points of every bracket in one
+    call, f(x) with x of shape (rows, k + 1); each open bracket then shrinks
+    to its best point plus or minus one sub-step. A row closes once its
+    bracket is no wider than REFINE_TOL, after at least one pass; a closed
+    row is still evaluated but masked out of every update, so a row's
+    result does not depend on the other rows. Returns per row the best
+    point seen during the search, its value and the final bracket width.
+    Ties keep the earlier point, so the result is deterministic.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     fractions = np.arange(k + 1) / k
     best_x, best_f = lo.copy(), np.full(lo.shape, np.inf)
-    live = np.arange(lo.size)
-    while live.size:
-        low, high = lo[live], hi[live]
-        sub = (high - low) / k
-        x = low[:, None] + (high - low)[:, None] * fractions
-        x[:, -1] = high  # keeps every point inside the bracket
-        fx = f(x, live)
+    each_row, live = np.arange(lo.size), np.ones(lo.shape, dtype=bool)
+    while live.any():
+        sub = (hi - lo) / k
+        x = lo[:, None] + (hi - lo)[:, None] * fractions
+        x[:, -1] = hi  # keeps every point inside the bracket
+        fx = f(x)
         pick = np.argmin(fx, axis=1)
-        xi, fi = x[np.arange(live.size), pick], fx[np.arange(live.size), pick]
-        better = fi < best_f[live]
-        best_x[live[better]], best_f[live[better]] = xi[better], fi[better]
-        lo[live] = low = np.maximum(low, xi - sub)
-        hi[live] = high = np.minimum(high, xi + sub)
-        live = live[high - low > REFINE_TOL]
+        xi, fi = x[each_row, pick], fx[each_row, pick]
+        better = live & (fi < best_f)
+        best_x[better], best_f[better] = xi[better], fi[better]
+        lo = np.where(live, np.maximum(lo, xi - sub), lo)
+        hi = np.where(live, np.minimum(hi, xi + sub), hi)
+        live &= hi - lo > REFINE_TOL
     return best_x, best_f, hi - lo
 
 
@@ -277,8 +276,7 @@ def _row_factors(gamma, epsilon, theta, phi):
 
 def _beta_reduced_terms(alpha, rows):
     # F(alpha, beta) = A(alpha) + B(alpha) sin(beta+psi) + C(alpha) cos(2(beta+psi))
-    # from the row factors of _row_factors (a tuple, or an array stacked on
-    # its first axis).
+    # from the tuple of row factors of _row_factors.
     a_cos_row, a_sin_row, b_row, c_row = rows
     sin_a_sq = np.sin(alpha) ** 2
     a_term = 0.5 * (1.0 + a_cos_row * np.cos(alpha) ** 2 + a_sin_row * sin_a_sq)
@@ -340,16 +338,13 @@ def _worst_cases(gamma: float, epsilon: float, theta: np.ndarray,
     # minimum outside its lowest eigenspace. A local minimum in alpha of
     # min_beta F, poles included, is one of F on the sphere; the other dips
     # of the profile are mirror twins alpha <-> pi - alpha of the lowest.
-    # The alpha-free row factors are computed here, once per call, as one
-    # (4, n, 1) array; each zoom pass takes the open rows' factors by one
-    # index and computes only the alpha part.
-    rows = np.stack(_row_factors(gamma, epsilon, theta[:, None], phi[:, None]))
-
-    def profile_rows(a: np.ndarray, live: np.ndarray) -> np.ndarray:
-        return _information_profile(a, rows[:, live])
-
-    alphas, values, _ = _zoom_min(profile_rows, np.zeros(theta.size),
-                                  np.full(theta.size, math.pi), _INNER_GRID - 1)
+    # The alpha-free row factors are computed here, once per call, as a
+    # tuple of (n, 1) arrays that every zoom pass broadcasts against its
+    # (n, 33) alphas, so a pass computes only the alpha part.
+    rows = _row_factors(gamma, epsilon, theta[:, None], phi[:, None])
+    alphas, values, _ = _zoom_min(lambda a: _information_profile(a, rows),
+                                  np.zeros(theta.size), np.full(theta.size, math.pi),
+                                  _INNER_GRID - 1)
     return values, alphas
 
 
@@ -430,7 +425,7 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     for _ in range(6):
         improved = False
         for ci in range(2):
-            def negated(x: np.ndarray, _live: np.ndarray, _ci: int = ci) -> np.ndarray:
+            def negated(x: np.ndarray, _ci: int = ci) -> np.ndarray:
                 points = np.repeat([current], x.size, axis=0)
                 points[:, _ci] = x.ravel()
                 return -outer_values(points).reshape(x.shape)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .density import (
     DensityMatrixError,
-    kron,
+    _frozen,
     sigma_y,
     validate_density,
 )
@@ -39,6 +39,9 @@ __all__ = [
 BELL_INDICES = (0, 1, 2, 3)
 
 _TWO_PI = 2.0 * math.pi
+
+# The spin flip sigma_y (x) sigma_y of the Wootters concurrence.
+_SPIN_FLIP = _frozen(np.kron(sigma_y, sigma_y))
 
 
 # Domain of each protocol parameter: name -> (upper bound, half-open). Every
@@ -181,8 +184,7 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     rho = validate_density(np.asarray(rho, dtype=complex))
     if rho.shape != (4, 4):
         raise DensityMatrixError(f"expected a two-qubit (4x4) state, got {rho.shape}")
-    yy = kron(sigma_y, sigma_y)
-    rho_tilde = yy @ rho.conj() @ yy
+    rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     evals = np.linalg.eigvals(rho @ rho_tilde)
     # Spectrum is nonnegative real up to round-off; clip before the sqrt.
     lams = np.sort(np.sqrt(np.clip(evals.real, 0.0, None)))[::-1]

@@ -353,7 +353,7 @@ def test_min_over_information_matches_exact_worst_case():
         assert abs(got - worst_case_reference(gamma, epsilon, theta, phi)) < 1e-12
 
 
-def test_batched_worst_cases_rows_match_min_over_information():
+def test_batched_worst_cases_rows_match_min_over_information(profile_calls):
     # min_over_information is the one-row case of the batched inner search,
     # and a row's result does not depend on the rows beside it
     rng = np.random.default_rng(83)
@@ -364,6 +364,19 @@ def test_batched_worst_cases_rows_match_min_over_information():
         for theta, phi, value, alpha in zip(thetas, phis, values, alphas):
             alone = min_over_information(gamma, epsilon, UnitaryAngles(0, theta, phi, 0))
             assert (alone.value, alone.alpha) == (value, alpha)
+    # two rows that close on different passes: the row that closes first
+    # must stay frozen while its batch-mate refines on
+    gamma, epsilon = 1.0, 0.9251836852355549
+    thetas = np.array([0.373509292307204, 1.2812868663347492])
+    phis = np.array([2.699528319227331, 2.3685781076413974])
+    alone, passes = [], []
+    for theta, phi in zip(thetas, phis):
+        profile_calls.clear()
+        alone.append(min_over_information(gamma, epsilon, UnitaryAngles(0, theta, phi, 0)))
+        passes.append(len(profile_calls))
+    assert passes == [7, 8]
+    values, alphas = analytics._worst_cases(gamma, epsilon, thetas, phis)
+    assert [(a.value, a.alpha) for a in alone] == list(zip(values, alphas))
 
 
 def test_min_over_information_psi_independent():
@@ -432,7 +445,7 @@ def test_zoom_min_tied_dip_bracket_covers_both_cells():
     # grid points of the first pass; the second pass must span both
     passes = []
 
-    def profile(a, live):
+    def profile(a):
         passes.append((a.min(), a.max()))
         return analytics._information_profile(a, analytics._row_factors(0.5, 0.8, 0.0, 0.0))
 
@@ -444,6 +457,25 @@ def test_zoom_min_tied_dip_bracket_covers_both_cells():
     assert abs(values[0] - 0.6) < 1e-12
     # a quadratic minimum pins its argument only to about sqrt(eps)
     assert abs(alphas[0] - math.pi / 2) < 1e-7
+
+
+def test_zoom_min_evaluates_a_narrow_bracket_once():
+    # a bracket born no wider than REFINE_TOL still gets the first pass: it
+    # reports its point and that point's value, never inf, whether alone or
+    # beside a wide bracket that refines on
+    def parabola(x):
+        return (x - 0.3) ** 2
+
+    x, fx, width = analytics._zoom_min(parabola, [0.5], [0.5], 16)
+    assert (x[0], fx[0], width[0]) == (0.5, parabola(0.5), 0.0)
+    lo, hi = [0.5, 0.0], [0.5 + analytics.REFINE_TOL / 2, 1.0]
+    x, fx, width = analytics._zoom_min(parabola, lo, hi, 16)
+    assert (x[0], fx[0]) == (0.5, parabola(0.5))
+    assert width[0] <= analytics.REFINE_TOL / 2
+    for i in range(2):
+        alone = analytics._zoom_min(parabola, lo[i:i + 1], hi[i:i + 1], 16)
+        assert (x[i], fx[i], width[i]) == tuple(a[0] for a in alone)
+    assert abs(x[1] - 0.3) < 1e-9
 
 
 def test_min_over_information_refines_one_of_two_mirror_twins(zoom_brackets):
@@ -497,11 +529,11 @@ def test_split_terms_equal_single_expression_reference(seed):
     gamma, epsilon = rng.uniform(0, 1, (2, 2000))
     _assert_split_is_bitwise(alpha, gamma, epsilon, theta, phi)
     g, e = float(gamma[0]), float(epsilon[0])
-    # the zoom's layout: (n, 1) rows stacked as (4, n, 1), open rows by index
-    live = np.sort(rng.choice(2000, 300, replace=False))
-    rows = np.stack(analytics._row_factors(g, e, theta[:, None], phi[:, None]))
+    # the zoom's layout: a tuple of (n, 1) row factors against (n, 33) alphas
+    rows = analytics._row_factors(g, e, theta[:300, None], phi[:300, None])
+    assert isinstance(rows, tuple) and {np.shape(r) for r in rows} == {(300, 1)}
     alphas = rng.uniform(0, math.pi, (300, 33))
-    _assert_split_is_bitwise(alphas, g, e, theta[live, None], phi[live, None], rows[:, live])
+    _assert_split_is_bitwise(alphas, g, e, theta[:300, None], phi[:300, None], rows)
     # the coarse scan's layout and a scalar call
     grid = np.linspace(0, math.pi, 33)
     _assert_split_is_bitwise(grid[None, None, :], g, e, grid[:, None, None], grid[None, :, None])
@@ -552,6 +584,48 @@ def test_minimax_matches_formula_on_grid():
         for epsilon in np.linspace(0, 1, 4):
             g, e = float(gamma), float(epsilon)
             assert abs(minimax_search(g, e).value - masfi(g, e)) < 1e-6
+
+
+# minimax_search on verify's 5x5 (gamma, epsilon) grid, bit for bit: value
+# and argmin (alpha, beta) as float.hex. Every point ends at the identity
+# correction after 239 outer evaluations with the same widest final bracket.
+_MINIMAX_GRID = {
+    (0.0, 0.0): ("0x1.0000000000000p-1", "0x0.0p+0", "0x0.0p+0"),
+    (0.0, 0.25): ("0x1.0000000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (0.0, 0.5): ("0x1.0000000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (0.0, 0.75): ("0x1.0000000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (0.0, 1.0): ("0x1.0000000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (0.25, 0.0): ("0x1.0000000000000p-1", "0x0.0p+0", "0x0.0p+0"),
+    (0.25, 0.25): ("0x1.0400000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (0.25, 0.5): ("0x1.0800000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (0.25, 0.75): ("0x1.0c00000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (0.25, 1.0): ("0x1.1000000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (0.5, 0.0): ("0x1.0000000000000p-1", "0x0.0p+0", "0x0.0p+0"),
+    (0.5, 0.25): ("0x1.1000000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (0.5, 0.5): ("0x1.2000000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (0.5, 0.75): ("0x1.3000000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (0.5, 1.0): ("0x1.4000000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (0.75, 0.0): ("0x1.0000000000000p-1", "0x0.0p+0", "0x0.0p+0"),
+    (0.75, 0.25): ("0x1.2400000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (0.75, 0.5): ("0x1.4800000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (0.75, 0.75): ("0x1.6c00000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (0.75, 1.0): ("0x1.9000000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
+    (1.0, 0.0): ("0x1.0000000000000p-1", "0x0.0p+0", "0x0.0p+0"),
+    (1.0, 0.25): ("0x1.3ffffffffffffp-1", "0x1.5fdbbe9bba775p-5", "0x0.0p+0"),
+    (1.0, 0.5): ("0x1.7ffffffffffffp-1", "0x1.c463abeccb2bbp-11", "0x0.0p+0"),
+    (1.0, 0.75): ("0x1.bffffffffffffp-1", "0x1.2d97c7f3321d2p-2", "0x0.0p+0"),
+    (1.0, 1.0): ("0x1.fffffffffffffp-1", "0x1.2d97c7f3321d2p-2", "0x0.0p+0"),
+}
+_MINIMAX_BRACKET = "0x1.921fb54442d18p-32"
+
+
+def test_minimax_pinned_bit_for_bit_on_verify_grid():
+    for (gamma, epsilon), want in _MINIMAX_GRID.items():
+        result = minimax_search(gamma, epsilon)
+        assert (result.value.hex(), *(a.hex() for a in result.argmin)) == want, (gamma, epsilon)
+        assert [a.hex() for a in result.argmax] == ["0x0.0p+0"] * 3
+        assert result.iterations == 239
+        assert result.tolerance_achieved.hex() == _MINIMAX_BRACKET
 
 
 def test_minimax_argmin_on_equator_for_mixed_input():
