@@ -38,11 +38,9 @@ from .protocol import (
     run_protocol,
 )
 from .analytics import (
-    ClassicalThreshold,
     InformationMinimum,
     MinimaxResult,
     average_fidelity_numeric,
-    classical_threshold,
     f_av_max,
     f_max,
     fidelity_closed_form,
@@ -82,11 +80,9 @@ __all__ = [
     "composite",
     "conditional_state_formula",
     "run_protocol",
-    "ClassicalThreshold",
     "InformationMinimum",
     "MinimaxResult",
     "average_fidelity_numeric",
-    "classical_threshold",
     "f_av_max",
     "f_max",
     "fidelity_closed_form",

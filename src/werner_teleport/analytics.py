@@ -13,9 +13,10 @@ numbers are extremes of F over the input at fixed purity: the worst case
 maximized over Bob's correction (``masfi``), the Bloch-sphere average at
 the optimal correction (``f_av_max``), and the absolute ceiling
 (``f_max``). Each closed form here is paired with an independent numeric
-route (nested grid search refined by batched zooms, one per correction
-for the worst case over the input; Gauss-Legendre quadrature) so they can
-be cross-validated.
+route so they can be cross-validated: ``masfi`` with a grid search over
+Bob's correction refined by zooms, whose inner worst case over the input
+is exact (the lowest eigenvalue of a 3x3 form, in closed form), and
+``f_av_max`` with Gauss-Legendre quadrature.
 
 The closed forms (``fidelity_closed_form``, ``masfi``, ``f_av_max``,
 ``f_max``, ``fidelity_gap``) take floats or numpy arrays, which broadcast
@@ -47,13 +48,11 @@ __all__ = [
     "REFINE_TOL",
     "InformationMinimum",
     "MinimaxResult",
-    "ClassicalThreshold",
     "fidelity_closed_form",
     "masfi",
     "f_max",
     "f_av_max",
     "fidelity_gap",
-    "classical_threshold",
     "average_fidelity_numeric",
     "min_over_information",
     "minimax_search",
@@ -62,17 +61,13 @@ __all__ = [
 # Zoom brackets are shrunk to this width before the search stops.
 REFINE_TOL = 1e-9
 
-# Points per axis of the alpha grid, the first pass of every inner search,
-# and of the coarse (theta, phi) scan that seeds the outer ascent.
-_INNER_GRID = 33
+# Points per axis of the coarse (theta, phi) scan that seeds the outer ascent.
 _OUTER_GRID = 33
 
-# Sub-steps per zoom pass: each pass evaluates k + 1 points of every bracket
-# in one array call and keeps the best point plus or minus one sub-step, so a
-# bracket shrinks by k/2 per pass (by k when the best point is an edge).
-# The inner zoom takes _INNER_GRID - 1 sub-steps, since its first pass is the
-# alpha grid; an outer point is a whole inner search, so the outer zoom takes
-# fewer points per pass.
+# Sub-steps per outer zoom pass: each pass evaluates k + 1 points of the
+# bracket in one array call and keeps the best point plus or minus one
+# sub-step, so the bracket shrinks by k/2 per pass (by k when the best point
+# is an edge).
 _ZOOM_K_OUTER = 16
 
 
@@ -90,10 +85,10 @@ class MinimaxResult:
 
     ``argmax`` is (theta, phi, psi) with psi = 0: the worst case over the
     input cannot depend on psi, so it is not searched.
-    ``iterations`` counts evaluations of the outer objective (each one a
-    full inner minimization); ``tolerance_achieved`` is the widest final
-    zoom bracket among the outer refinements: each outer coordinate is
-    pinned to within that width around the reported point.
+    ``iterations`` counts evaluations of the outer objective (each one an
+    exact worst case over the input); ``tolerance_achieved`` is the widest
+    final zoom bracket among the outer refinements: each outer coordinate
+    is pinned to within that width around the reported point.
     """
 
     value: float
@@ -101,20 +96,6 @@ class MinimaxResult:
     argmax: tuple[float, float, float]
     iterations: int
     tolerance_achieved: float
-
-
-@dataclass(frozen=True)
-class ClassicalThreshold:
-    """Resource weights above which teleportation beats the classical 2/3.
-
-    ``average``: the sphere-averaged fidelity exceeds 2/3 for
-    epsilon > 1/(1 + 2 gamma^2). ``masfi``: the assured fidelity reaches
-    2/3 only for epsilon >= 1/(3 gamma^2), which is attainable (<= 1) only
-    when gamma > 1/sqrt(3); below that it exceeds 1 (inf at gamma = 0).
-    """
-
-    average: float
-    masfi: float
 
 
 def _fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi):
@@ -179,17 +160,6 @@ def fidelity_gap(gamma: float, epsilon: float) -> float | np.ndarray:
     gamma = _require_range(gamma, "gamma")
     epsilon = _require_range(epsilon, "epsilon")
     return (1.0 - gamma * gamma) * epsilon / 6.0
-
-
-def classical_threshold(gamma: float) -> ClassicalThreshold:
-    """Resource weights where the quantum protocol overtakes the classical
-    bound, for both the averaged and the assured fidelity."""
-    gamma = _require_scalar(gamma, "gamma")
-    g2 = gamma * gamma
-    return ClassicalThreshold(
-        average=1.0 / (1.0 + 2.0 * g2),
-        masfi=(1.0 / (3.0 * g2)) if g2 > 0.0 else math.inf,
-    )
 
 
 def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles,
@@ -283,97 +253,69 @@ def _beta_reduced_terms(alpha, rows):
     return a_term, b_row * np.sin(2.0 * alpha), c_row * sin_a_sq
 
 
-def _worst_sin(b_term, c_term):
-    # The s = sin(beta+psi) in [-1, 1] minimizing B s + C (1 - 2 s^2),
-    # elementwise. C is never positive, so the quadratic is convex (C < 0),
-    # with its minimum at the clamped vertex, or linear (C == 0), with its
-    # minimum at the edge opposite the sign of B. The vertex is written over
-    # the edge and clamped in place; an np.where costs ~15% on scalar
-    # profile calls.
-    s = np.asarray(-np.copysign(1.0, b_term))
-    np.divide(b_term, 4.0 * c_term, out=s, where=c_term < 0.0)
-    np.maximum(s, -1.0, out=s)
-    return np.minimum(s, 1.0, out=s)
-
-
-def _information_profile(alpha, rows):
-    """min over beta of F, elementwise in alpha, at the row factors
-    ``rows`` of :func:`_row_factors`.
-
-    With s = sin(beta+psi), the beta part B s + C cos(2(beta+psi)) equals
-    the quadratic B s + C (1 - 2 s^2) on s in [-1, 1], evaluated at its
-    minimizer from :func:`_worst_sin`. The result does not involve psi at
-    all. The caller computes the row factors: :func:`_worst_cases` once
-    per batched search, the coarse scan of :func:`minimax_search` once for
-    its whole grid, so a zoom pass computes only the alpha part.
-    """
-    a_term, b_term, c_term = _beta_reduced_terms(alpha, rows)
-    s = _worst_sin(b_term, c_term)
-    # Summed in this order: near-flat profiles break alpha ties on round-off.
-    return a_term + (b_term * s + c_term * (1.0 - 2.0 * s * s))
-
-
-def _best_beta(alpha: float, gamma: float, epsilon: float, theta: float,
-               phi: float, psi: float) -> float:
-    # The minimizing beta for one alpha. The value depends on beta only
-    # through sin(beta+psi), so minima come in mirror pairs; ties resolve
-    # to the smaller beta, and a fully flat profile reports 0.
-    _, b_term, c_term = _beta_reduced_terms(alpha, _row_factors(gamma, epsilon, theta, phi))
-    two_pi = 2.0 * math.pi
-    if b_term == 0.0 and c_term == 0.0:
-        return 0.0
-    u = math.asin(float(_worst_sin(b_term, c_term)))
-    return min((u - psi) % two_pi, (math.pi - u - psi) % two_pi)
-
-
 def _worst_cases(gamma: float, epsilon: float, theta: np.ndarray,
-                 phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Worst case over the input for each row of corrections (theta[i],
-    # phi[i]) as (values, alphas), by one zoom per row over [0, pi] whose
-    # first pass is the alpha grid. Refining the lowest grid point alone is
-    # enough, since every local minimum of the alpha profile is a global
-    # one. In the channel form (Bowen & Bose, PRL 87, 267901, 2001),
-    # F = (1 + eps n.Q n)/2 over unit Bloch directions n, with the symmetric
-    # Q = D sym(R) D, and a quadratic form on the unit sphere has no local
-    # minimum outside its lowest eigenspace. A local minimum in alpha of
-    # min_beta F, poles included, is one of F on the sphere; the other dips
-    # of the profile are mirror twins alpha <-> pi - alpha of the lowest.
-    # The alpha-free row factors are computed here, once per call, as a
-    # tuple of (n, 1) arrays that every zoom pass broadcasts against its
-    # (n, 33) alphas, so a pass computes only the alpha part.
-    rows = _row_factors(gamma, epsilon, theta[:, None], phi[:, None])
-    alphas, values, _ = _zoom_min(lambda a: _information_profile(a, rows),
-                                  np.zeros(theta.size), np.full(theta.size, math.pi),
-                                  _INNER_GRID - 1)
-    return values, alphas
+                 phi: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    # Exact worst case over the input at each correction (theta, phi),
+    # elementwise over their broadcast shape, as (values, form). In the
+    # channel form (Bowen & Bose, PRL 87, 267901, 2001), F = (1 + n.M n)/2
+    # over unit Bloch directions n = (sin a cos(b+psi), sin a sin(b+psi),
+    # cos a), with the symmetric M = eps D sym(R) D, so the worst case is
+    # (1 + lambda_min(M))/2. From the row factors, M = xx on x alone plus the
+    # (y, z) block [[yy, yz], [yz, zz]]. The block's lower eigenvalue is
+    # min(yy, zz) - yz^2 / (|h| + hypot(h, yz)), h = (yy - zz)/2: written
+    # this way it cancels nothing (mean - hypot(h, yz) is an ulp off when
+    # yz = 0, enough to move the outer ascent). The divisor is 0 only where
+    # yz is, so it is replaced there, with no 0/0. form holds (xx, yy, zz,
+    # yz, block) for _argmin.
+    a_cos, a_sin, b, c = _row_factors(gamma, epsilon, theta, phi)
+    xx, yy, zz, yz = a_sin + 2.0 * c, a_sin - 2.0 * c, a_cos, 2.0 * b
+    h = 0.5 * (yy - zz)
+    gap = np.abs(h) + np.hypot(h, yz)
+    block = np.minimum(yy, zz) - yz * yz / np.where(gap > 0.0, gap, 1.0)
+    return 0.5 * (1.0 + np.minimum(xx, block)), (xx, yy, zz, yz, block)
+
+
+def _argmin(xx: float, yy: float, zz: float, yz: float, block: float,
+            psi: float) -> tuple[float, float]:
+    # (alpha, beta) of a lowest eigenvector n of M, from one row of the form
+    # of _worst_cases. n and -n are both minima, and so is every n of a
+    # degenerate eigenspace; the rule picks one: a flat F (M a multiple of
+    # the identity) reports (0, 0); else n = +-x when xx is no higher than
+    # the block, the equator at b+psi in {0, pi}, the smaller beta; else the
+    # block's eigenvector (n_y, n_z) = (sin a, cos a) with n_y >= 0 (n_z >= 0
+    # when n_y = 0), at b+psi = pi/2, whose angle satisfies 2a = atan2(-yz, h).
+    two_pi = 2.0 * math.pi
+    if xx == yy == zz and yz == 0.0:
+        return 0.0, 0.0
+    if xx <= block:
+        return 0.5 * math.pi, min(-psi % two_pi, (math.pi - psi) % two_pi)
+    alpha = 0.5 * math.atan2(-yz, 0.5 * (yy - zz))  # -0.0 + 0.0 is 0.0
+    return (alpha + math.pi if alpha < 0.0 else alpha + 0.0), (0.5 * math.pi - psi) % two_pi
 
 
 def min_over_information(gamma: float, epsilon: float,
                          angles: UnitaryAngles) -> InformationMinimum:
     """Worst-case fidelity over the input state at a fixed correction.
 
-    The minimum over beta is taken in closed form for each alpha (the beta
-    dependence is a quadratic in sin(beta+psi)), leaving a one-dimensional
-    profile in alpha. One zoom over [0, pi] minimizes it: the first pass
-    evaluates a 33-point mesh, and every pass keeps its best point plus or
-    minus one sub-step and evaluates 33 evenly spaced points of that
-    bracket at once, until the bracket is no wider than ``REFINE_TOL``.
-    Only the lowest grid point is refined, because every local minimum of
-    the profile is a global one; the other grid-local dips are its mirror
-    twins alpha <-> pi - alpha. Ties keep the point found first, so a flat
-    profile reports alpha = 0. The alpha-free factors of F at the correction
-    are computed once, before the zoom, and every pass reuses them.
+    Exact, as a closed-form eigenvalue: at a fixed correction F is
+    (1 + n.M n)/2 over unit Bloch directions n of the input, with M a
+    symmetric 3x3 matrix (Bowen & Bose, PRL 87, 267901, 2001), so its
+    minimum over the input is (1 + lambda_min(M))/2. With n at azimuth
+    beta + psi, M is x on its own plus a 2x2 (y, z) block, whose lower
+    eigenvalue has a closed form. The reported (alpha, beta) is a lowest
+    eigenvector, picked by one rule: a flat F reports (0, 0); an x
+    eigenvector the equator at beta + psi in {0, pi}, the smaller beta; a
+    block eigenvector beta + psi = pi/2 and the alpha with sin(alpha) >= 0,
+    so an exact pole is alpha = 0.
 
-    This is the one-row case of the batched search that
-    :func:`minimax_search` runs over many corrections at once.
+    This is the one-row case of the batched worst case that
+    :func:`minimax_search` takes over many corrections at once.
     """
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
-    theta, phi = angles.theta, angles.phi
-    values, alphas = _worst_cases(gamma, epsilon, np.array([theta]), np.array([phi]))
-    alpha = float(alphas[0])
-    return InformationMinimum(value=float(values[0]), alpha=alpha,
-                              beta=_best_beta(alpha, gamma, epsilon, theta, phi, angles.psi))
+    values, form = _worst_cases(gamma, epsilon, np.array([angles.theta]), np.array([angles.phi]))
+    alpha, beta = _argmin(*(float(f[0]) for f in form), angles.psi)
+    return InformationMinimum(value=float(values[0]), alpha=alpha, beta=beta)
 
 
 def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
@@ -382,40 +324,33 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     Nested search in the order the problem is posed: the inner level
     minimizes F over the input state (alpha, beta), the outer level
     maximizes that minimum over (theta, phi); psi, on which the worst case
-    cannot depend, is reported as 0. A coarse 33 x 33 scan (inner minima
-    taken on the raw alpha mesh of the beta-reduced profile) seeds a
-    coordinate-wise ascent. Each coordinate is refined by a zoom over one
-    grid step on each side of the current point: a pass evaluates 17 angles
-    at once, each the fully refined inner minimum of
-    :func:`min_over_information` and all of them one batched inner search,
-    and keeps the best angle plus or minus one sub-step, until the bracket
-    is no wider than ``REFINE_TOL``. Each inner search is one zoom per
-    row, as in :func:`min_over_information`. The ascent moves only to a
-    strictly better point. The result must agree with :func:`masfi` to
-    much better than 1e-6.
+    cannot depend, is reported as 0. The inner level is exact, the closed
+    form of :func:`min_over_information`, taken for many corrections in one
+    array call. A coarse 33 x 33 scan of it seeds a coordinate-wise ascent.
+    Each coordinate is refined by a zoom over one grid step on each side of
+    the current point: a pass evaluates 17 angles at once and keeps the
+    best angle plus or minus one sub-step, until the bracket is no wider
+    than ``REFINE_TOL``. The ascent moves only to a strictly better point.
+    The result must agree with :func:`masfi` to much better than 1e-6.
     """
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
 
     corrections = np.linspace(0.0, math.pi, _OUTER_GRID)
-    alphas = np.linspace(0.0, math.pi, _INNER_GRID)
-
-    # Coarse stage: inner grid minima of the beta-reduced profile, with the
-    # row factors of the whole grid computed once.
-    rows = _row_factors(gamma, epsilon, corrections[:, None, None], corrections[None, :, None])
-    profile = _information_profile(alphas[None, None, :], rows)
-    it, ip = divmod(int(np.argmax(profile.min(axis=2))), _OUTER_GRID)
+    coarse, _ = _worst_cases(gamma, epsilon, corrections[:, None], corrections[None, :])
+    it, ip = divmod(int(np.argmax(coarse)), _OUTER_GRID)
     current = [float(corrections[it]), float(corrections[ip])]
 
     evaluations = 0
-    seen: dict[tuple[float, float], tuple[float, float]] = {}  # (value, alpha) per point
+    seen: dict[tuple[float, float], tuple[float, ...]] = {}  # (value, *form) per point
 
     def outer_values(points: np.ndarray) -> np.ndarray:
-        # inner minima at (theta, phi) rows, as one batched search
+        # worst cases at (theta, phi) rows, as one array call
         nonlocal evaluations
         evaluations += len(points)
-        values, argmins = _worst_cases(gamma, epsilon, points[:, 0], points[:, 1])
-        seen.update(zip(map(tuple, points.tolist()), zip(values.tolist(), argmins.tolist())))
+        values, form = _worst_cases(gamma, epsilon, points[:, 0], points[:, 1])
+        seen.update(zip(map(tuple, points.tolist()),
+                        zip(values.tolist(), *(f.tolist() for f in form))))
         return values
 
     best_v = float(outer_values(np.array([current]))[0])
@@ -440,10 +375,10 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
         if not improved:
             break
 
-    value, alpha = seen[current[0], current[1]]  # the ascent only moves to evaluated points
+    value, *form = seen[current[0], current[1]]  # the ascent only moves to evaluated points
     return MinimaxResult(
         value=value,
-        argmin=(alpha, _best_beta(alpha, gamma, epsilon, current[0], current[1], 0.0)),
+        argmin=_argmin(*form, 0.0),
         argmax=(current[0], current[1], 0.0),
         iterations=evaluations,
         tolerance_achieved=widest_bracket,

@@ -48,17 +48,51 @@ def beta_reduced_terms_reference(alpha, gamma, epsilon, theta, phi):
 
 
 def information_profile_reference(alpha, gamma, epsilon, theta, phi):
-    """min over beta of F, from `beta_reduced_terms_reference`.
+    """min over beta of F, from `beta_reduced_terms_reference`."""
+    return worst_over_beta(*beta_reduced_terms_reference(alpha, gamma, epsilon, theta, phi))
 
-    Transcribes `analytics._information_profile` and `analytics._worst_sin`
-    as they were before the split, with the worst sin(beta+psi) clamped by
-    `np.clip`, so the two must agree bit for bit.
+
+def worst_over_beta(a_term, b_term, c_term):
+    """min over beta of A + B sin(beta+psi) + C cos(2(beta+psi)), elementwise.
+
+    With s = sin(beta+psi), the beta part is the quadratic B s + C (1 - 2 s^2)
+    on s in [-1, 1]. C is never positive, so its minimum is the vertex
+    B / (4 C) clamped to [-1, 1] where C < 0, and the edge opposite the sign
+    of B where C == 0. The result does not involve psi.
     """
-    a_term, b_term, c_term = beta_reduced_terms_reference(alpha, gamma, epsilon, theta, phi)
     s = np.array(-np.copysign(1.0, b_term))
     np.divide(b_term, 4.0 * c_term, out=s, where=c_term < 0.0)
     s = np.clip(s, -1.0, 1.0, out=s)
     return a_term + (b_term * s + c_term * (1.0 - 2.0 * s * s))
+
+
+def zoomed_worst_case_reference(gamma, epsilon, theta, phi, points=65):
+    """Worst case of F over the input by a grid in alpha refined by zooms.
+
+    A numeric route for the package's closed-form worst case that shares no
+    code with it: F is minimized over beta in closed form by
+    `information_profile_reference`, then over alpha in [0, pi] on `points`
+    evenly spaced points, and the lowest point is refined by passes of
+    `points` evenly spaced points over one grid step on each side of it,
+    until the bracket is no wider than 1e-10. The bracket always holds a
+    local minimum of the profile, and every local minimum is a global one
+    (`test_alpha_profile_has_no_local_minimum_above_the_worst_case`).
+    Broadcasts over the four arguments and returns an array of their shape.
+    """
+    args = [np.asarray(a, dtype=float) for a in (gamma, epsilon, theta, phi)]
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    gamma, epsilon, theta, phi = (np.broadcast_to(a, shape).reshape(-1, 1) for a in args)
+    lo, hi = np.zeros_like(theta), np.full_like(theta, math.pi)
+    fractions = np.linspace(0.0, 1.0, points)
+    rows = np.arange(theta.shape[0])
+    while True:
+        alphas = lo + (hi - lo) * fractions
+        profile = information_profile_reference(alphas, gamma, epsilon, theta, phi)
+        pick = np.argmin(profile, axis=1)
+        if (hi - lo).max() <= 1e-10:
+            return profile[rows, pick].reshape(shape)
+        best, sub = alphas[rows, pick][:, None], (hi - lo) / (points - 1)
+        lo, hi = np.maximum(best - sub, 0.0), np.minimum(best + sub, math.pi)
 
 
 def simulate_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from werner_teleport import analytics
 from werner_teleport.analytics import (
     average_fidelity_numeric,
-    classical_threshold,
     f_av_max,
     f_max,
     fidelity_closed_form,
@@ -25,6 +25,8 @@ from helpers import (
     information_profile_reference,
     sphere_average_reference,
     worst_case_reference,
+    worst_over_beta,
+    zoomed_worst_case_reference,
 )
 
 _unit = st.floats(0, 1)
@@ -147,20 +149,6 @@ def test_gap_is_difference_of_closed_forms():
             assert abs(fidelity_gap(g, e) - (f_av_max(g, e) - masfi(g, e))) < 1e-12
 
 
-def test_classical_threshold_values():
-    assert abs(classical_threshold(1.0).average - 1 / 3) < 1e-15
-    assert classical_threshold(0.0).average == 1.0
-    assert abs(classical_threshold(1 / math.sqrt(2)).average - 0.5) < 1e-15
-
-
-def test_classical_threshold_masfi_branch():
-    assert abs(classical_threshold(1.0).masfi - 1 / 3) < 1e-15
-    assert classical_threshold(0.0).masfi == math.inf
-    # unattainable below gamma = 1/sqrt(3)
-    assert classical_threshold(0.5).masfi > 1.0
-    assert classical_threshold(0.9).masfi < 1.0
-
-
 @pytest.mark.parametrize("func", [masfi, f_av_max, fidelity_gap])
 def test_two_parameter_extremes_reject_out_of_range(func):
     with pytest.raises(ValueError):
@@ -172,8 +160,6 @@ def test_two_parameter_extremes_reject_out_of_range(func):
 def test_one_parameter_extremes_reject_out_of_range():
     with pytest.raises(ValueError):
         f_max(1.01)
-    with pytest.raises(ValueError):
-        classical_threshold(-0.2)
 
 
 @given(gamma=_unit, epsilon=_unit)
@@ -353,30 +339,35 @@ def test_min_over_information_matches_exact_worst_case():
         assert abs(got - worst_case_reference(gamma, epsilon, theta, phi)) < 1e-12
 
 
-def test_batched_worst_cases_rows_match_min_over_information(profile_calls):
-    # min_over_information is the one-row case of the batched inner search,
+def test_batched_worst_cases_rows_match_min_over_information():
+    # min_over_information is the one-row case of the batched worst case,
     # and a row's result does not depend on the rows beside it
     rng = np.random.default_rng(83)
     thetas, phis = rng.uniform(0, math.pi, (2, 17))
     thetas[:4] = phis[:4] = (0.0, math.pi, 1e-9, 0.0)
     for gamma, epsilon in ((0.6, 0.7), (1.0, 0.4), (0.3, 0.0), (0.0, 1.0)):
-        values, alphas = analytics._worst_cases(gamma, epsilon, thetas, phis)
-        for theta, phi, value, alpha in zip(thetas, phis, values, alphas):
+        values, form = analytics._worst_cases(gamma, epsilon, thetas, phis)
+        for i, (theta, phi) in enumerate(zip(thetas, phis)):
             alone = min_over_information(gamma, epsilon, UnitaryAngles(0, theta, phi, 0))
-            assert (alone.value, alone.alpha) == (value, alpha)
-    # two rows that close on different passes: the row that closes first
-    # must stay frozen while its batch-mate refines on
-    gamma, epsilon = 1.0, 0.9251836852355549
-    thetas = np.array([0.373509292307204, 1.2812868663347492])
-    phis = np.array([2.699528319227331, 2.3685781076413974])
-    alone, passes = [], []
-    for theta, phi in zip(thetas, phis):
-        profile_calls.clear()
-        alone.append(min_over_information(gamma, epsilon, UnitaryAngles(0, theta, phi, 0)))
-        passes.append(len(profile_calls))
-    assert passes == [7, 8]
-    values, alphas = analytics._worst_cases(gamma, epsilon, thetas, phis)
-    assert [(a.value, a.alpha) for a in alone] == list(zip(values, alphas))
+            row = [float(f[i]) for f in form]
+            assert alone == (values[i], *analytics._argmin(*row, 0.0))
+
+
+def test_worst_cases_match_zoomed_profile_reference():
+    # The numeric route for the closed-form worst case: a grid in alpha over
+    # the beta-reduced profile, refined by zooms, shares no code with it
+    rng = np.random.default_rng(97)
+    gamma, epsilon = rng.uniform(0, 1, (2, 1000))
+    theta, phi = rng.uniform(0, math.pi, (2, 1000))
+    corners = np.array([(g, e, t, 0.7) for g in (0.0, 1.0) for e in (0.0, 1.0)
+                        for t in (0.0, math.pi)])
+    gamma, epsilon, theta, phi = (np.concatenate([a, c]) for a, c in
+                                  zip((gamma, epsilon, theta, phi), corners.T))
+    values, _ = analytics._worst_cases(gamma, epsilon, theta, phi)
+    zoomed = zoomed_worst_case_reference(gamma, epsilon, theta, phi)
+    exact = np.array([worst_case_reference(*row) for row in zip(gamma, epsilon, theta, phi)])
+    assert np.abs(values - zoomed).max() < 1e-12
+    assert np.abs(exact - zoomed).max() < 1e-12
 
 
 def test_min_over_information_psi_independent():
@@ -413,33 +404,6 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.fixture
-def profile_calls(monkeypatch):
-    """Count the array calls of the beta-reduced alpha profile."""
-    return _count_calls(monkeypatch, "_information_profile")
-
-
-@pytest.fixture
-def row_factor_calls(monkeypatch):
-    """Count the evaluations of the alpha-free row factors."""
-    return _count_calls(monkeypatch, "_row_factors")
-
-
-def test_min_over_information_exact_plateau_polished_once(zoom_brackets):
-    # epsilon = 0 makes the profile exactly constant: one bracket, and ties
-    # keep the first grid point
-    result = min_over_information(0.3, 0.0, UnitaryAngles(0, 1, 2, 3))
-    assert zoom_brackets == [(0.0, math.pi)]
-    assert (result.value, result.alpha) == (0.5, 0.0)
-
-
-def test_min_over_information_roundoff_plateau_polished_once(zoom_brackets):
-    # gamma = 1 near the identity: flat up to round-off, still one bracket
-    result = min_over_information(1.0, 0.7, UnitaryAngles(0, 1e-9, 1e-9, 0))
-    assert len(zoom_brackets) == 1
-    assert abs(result.value - 0.85) < 1e-15
-
-
 def test_zoom_min_tied_dip_bracket_covers_both_cells():
     # with an odd number of sub-steps the equator minimum falls between two
     # grid points of the first pass; the second pass must span both
@@ -447,7 +411,7 @@ def test_zoom_min_tied_dip_bracket_covers_both_cells():
 
     def profile(a):
         passes.append((a.min(), a.max()))
-        return analytics._information_profile(a, analytics._row_factors(0.5, 0.8, 0.0, 0.0))
+        return information_profile_reference(a, 0.5, 0.8, 0.0, 0.0)
 
     alphas, values, _ = analytics._zoom_min(profile, [0.0], [math.pi], 33)
     step = math.pi / 33
@@ -478,19 +442,10 @@ def test_zoom_min_evaluates_a_narrow_bracket_once():
     assert abs(x[1] - 0.3) < 1e-9
 
 
-def test_min_over_information_refines_one_of_two_mirror_twins(zoom_brackets):
-    # the alpha profile has two dips here, mirror twins alpha <-> pi - alpha
-    # of the same depth; one zoom over [0, pi] refines only the lower grid one
-    gamma, epsilon, theta, phi = 0.8, 0.9, 2.0, 1.2
-    result = min_over_information(gamma, epsilon, UnitaryAngles(0, theta, phi, 0))
-    assert zoom_brackets == [(0.0, math.pi)]
-    assert abs(result.value - worst_case_reference(gamma, epsilon, theta, phi)) < 1e-12
-
-
 def test_alpha_profile_has_no_local_minimum_above_the_worst_case():
-    # The premise of the one-zoom inner search: F is a quadratic form on the
-    # unit sphere of Bloch directions, so every local minimum of the profile
-    # is a global one. On a fine grid with hard edges, every sample no higher
+    # The premise of zoomed_worst_case_reference: F is a quadratic form on
+    # the unit sphere of Bloch directions, so every local minimum of the
+    # profile is a global one. On a fine grid with hard edges, every sample no higher
     # than both neighbours sits within the grid's resolution of the exact
     # worst case.
     alphas = np.linspace(0, math.pi, 4097)
@@ -499,8 +454,7 @@ def test_alpha_profile_has_no_local_minimum_above_the_worst_case():
     corners = [(gamma, epsilon, theta, 0.7) for gamma in (0.0, 1.0)
                for epsilon in (0.0, 1.0) for theta in (0.0, math.pi)]
     for gamma, epsilon, theta, phi in general + corners:
-        rows = analytics._row_factors(gamma, epsilon, theta, phi)
-        profile = analytics._information_profile(alphas, rows)
+        profile = information_profile_reference(alphas, gamma, epsilon, theta, phi)
         padded = np.pad(profile, 1, constant_values=np.inf)
         dips = profile[(profile <= padded[:-2]) & (profile <= padded[2:])]
         exact = worst_case_reference(gamma, epsilon, theta, phi)
@@ -508,11 +462,11 @@ def test_alpha_profile_has_no_local_minimum_above_the_worst_case():
 
 
 def _assert_split_is_bitwise(alpha, gamma, epsilon, theta, phi, rows=None):
-    # A, B, C and the profile from the row/alpha split against the
+    # A, B, C and the profile over beta from the row/alpha split against the
     # single-expression reference, byte for byte, so signed zeros count
     rows = analytics._row_factors(gamma, epsilon, theta, phi) if rows is None else rows
-    got = (*analytics._beta_reduced_terms(alpha, rows),
-           analytics._information_profile(alpha, rows))
+    terms = analytics._beta_reduced_terms(alpha, rows)
+    got = (*terms, worst_over_beta(*terms))
     want = (*beta_reduced_terms_reference(alpha, gamma, epsilon, theta, phi),
             information_profile_reference(alpha, gamma, epsilon, theta, phi))
     for name, g, w in zip("ABCP", got, want):
@@ -611,10 +565,10 @@ _MINIMAX_GRID = {
     (0.75, 0.75): ("0x1.6c00000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
     (0.75, 1.0): ("0x1.9000000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
     (1.0, 0.0): ("0x1.0000000000000p-1", "0x0.0p+0", "0x0.0p+0"),
-    (1.0, 0.25): ("0x1.3ffffffffffffp-1", "0x1.5fdbbe9bba775p-5", "0x0.0p+0"),
-    (1.0, 0.5): ("0x1.7ffffffffffffp-1", "0x1.c463abeccb2bbp-11", "0x0.0p+0"),
-    (1.0, 0.75): ("0x1.bffffffffffffp-1", "0x1.2d97c7f3321d2p-2", "0x0.0p+0"),
-    (1.0, 1.0): ("0x1.fffffffffffffp-1", "0x1.2d97c7f3321d2p-2", "0x0.0p+0"),
+    (1.0, 0.25): ("0x1.4000000000000p-1", "0x0.0p+0", "0x0.0p+0"),
+    (1.0, 0.5): ("0x1.8000000000000p-1", "0x0.0p+0", "0x0.0p+0"),
+    (1.0, 0.75): ("0x1.c000000000000p-1", "0x0.0p+0", "0x0.0p+0"),
+    (1.0, 1.0): ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
 }
 _MINIMAX_BRACKET = "0x1.921fb54442d18p-32"
 
@@ -662,57 +616,127 @@ def test_minimax_matches_nested_brute_force():
         assert exact < searched + 1e-12
 
 
-# _information_profile array calls per search, pinned exactly so that one
-# extra zoom pass fails
-_PROFILE_CALLS = {(0.3, 0.0): 106, (1.0, 0.4): 118, (0.7, 0.9): 121, (0.0, 0.5): 121}
+# _worst_cases calls per search: one for the coarse scan, one at its best
+# point and one per outer zoom pass, 7 passes for each of (theta, phi) from
+# a grid point on the theta = 0 edge, 17 angles a pass
+_WORST_CASE_CALLS = 1 + 1 + 2 * 7
 
 
-# _row_factors evaluations per search: one for the coarse scan, one per
-# batched inner search (1 + 2 * 7 outer zoom passes) and one for the
-# argmin's beta; never one per inner zoom pass
-_ROW_FACTOR_CALLS = 1 + (1 + 2 * 7) + 1
-
-
-@pytest.mark.parametrize("gamma, epsilon", list(_PROFILE_CALLS))
-def test_minimax_golden_call_budget(zoom_brackets, profile_calls, row_factor_calls,
-                                    gamma, epsilon):
+@pytest.mark.parametrize("gamma, epsilon", [(0.3, 0.0), (1.0, 0.4), (0.7, 0.9), (0.0, 0.5)])
+def test_minimax_golden_call_budget(monkeypatch, zoom_brackets, gamma, epsilon):
     # flat points (epsilon = 0, gamma = 1) once cost 4326 and 2339 scalar
-    # golden-section searches against 134 at a general point, and the scalar
-    # search about 4000 profile calls. The ascent now zooms each of (theta,
-    # phi) over 17 angles a pass, 7 passes from a grid point on the theta = 0
-    # edge: 1 + 2 * 7 * 17 evaluations, each pass one batched inner search of
-    # 7 or 8 zoom calls, the first on the alpha grid.
+    # golden-section searches against 134 at a general point; every point
+    # now costs 1 + 2 * 7 * 17 evaluations in the same number of array calls
+    calls = _count_calls(monkeypatch, "_worst_cases")
     result = minimax_search(gamma, epsilon)
     assert result.iterations == 239
-    assert len(profile_calls) == _PROFILE_CALLS[gamma, epsilon]
-    assert len(row_factor_calls) == _ROW_FACTOR_CALLS
-    # two outer zooms, and one [0, pi] bracket per inner row
-    assert len(zoom_brackets) == 2 + result.iterations
+    assert len(calls) == _WORST_CASE_CALLS
+    assert len(zoom_brackets) == 2  # the two outer zooms, none inside
+    assert abs(result.value - masfi(gamma, epsilon)) <= 2.0 ** -53
+
+
+def test_minimax_cost_and_value_on_seeded_points():
+    # The worst case is exact, so every search costs the same and ends at
+    # masfi to an ulp (2^-53 on [1/2, 1)), flat points included. The block eigenvalue written as
+    # mean - hypot(h, yz) instead is an ulp low at yz = 0, which sends the
+    # ascent after a better point that is not there (iterations 511).
+    rng = np.random.default_rng(17)
+    points = [tuple(p) for p in rng.uniform(0, 1, (300, 2)).tolist()]
+    for x in np.linspace(0, 1, 23).tolist():
+        points += [(x, 0.0), (1.0, x), (0.0, x)]
+    for gamma, epsilon in points:
+        result = minimax_search(gamma, epsilon)
+        assert result.iterations == 239, (gamma, epsilon)
+        assert abs(result.value - masfi(gamma, epsilon)) <= 2.0 ** -53, (gamma, epsilon)
 
 
 def test_minimax_never_searches_psi(monkeypatch):
     # the worst case over beta cannot depend on psi, so psi stays at 0: the
-    # batched inner search takes (theta, phi) rows only, it evaluates every
-    # outer point once, and the argmin's beta is taken at psi = 0
-    rows, psis = [], []
-    inner, best_beta = analytics._worst_cases, analytics._best_beta
+    # coarse scan is one (33, 1) x (1, 33) call, every later call takes
+    # (theta, phi) rows only, and the argmin's beta is taken at psi = 0
+    shapes, psis = [], []
+    inner, argmin = analytics._worst_cases, analytics._argmin
 
     def recording(gamma, epsilon, theta, phi):
-        assert np.shape(theta) == np.shape(phi) == (len(theta),)
-        rows.append(len(theta))
+        shapes.append((np.shape(theta), np.shape(phi)))
         return inner(gamma, epsilon, theta, phi)
 
-    def beta_at(alpha, gamma, epsilon, theta, phi, psi):
-        psis.append(psi)
-        return best_beta(alpha, gamma, epsilon, theta, phi, psi)
+    def argmin_at(*form):
+        psis.append(form[-1])
+        return argmin(*form)
 
     def unexpected(*args, **kwargs):
         raise AssertionError("minimax_search called the scalar inner search")
 
     monkeypatch.setattr(analytics, "_worst_cases", recording)
-    monkeypatch.setattr(analytics, "_best_beta", beta_at)
+    monkeypatch.setattr(analytics, "_argmin", argmin_at)
     monkeypatch.setattr(analytics, "min_over_information", unexpected)
     result = minimax_search(0.7, 0.9)
-    assert sum(rows) == result.iterations
+    assert shapes[0] == ((33, 1), (1, 33))
+    assert all(t == p and len(t) == 1 for t, p in shapes[1:])
+    assert sum(t[0] for t, _ in shapes[1:]) == result.iterations
     assert psis == [0.0]
     assert result.argmax[2] == 0.0
+
+
+# (gamma, epsilon, theta, phi, psi) -> the (alpha, beta) the argmin rule
+# reports, or None where only the value and F at the argmin are checked
+_DEGENERATE_REGIMES = {
+    # epsilon = 0: F = 1/2 everywhere, reported as (0, 0) whatever psi
+    # (test_min_over_information_flat_landscape has psi = 3)
+    (0.0, 0.0, 0.0, 0.0, 0.0): (0.0, 0.0),
+    (1.0, 0.0, math.pi, math.pi, math.pi): (0.0, 0.0),
+    # gamma = 0: the x-y plane is degenerate; at theta <= pi/2 its minimum
+    # is the equator, at theta > pi/2 the pole n = +z
+    (0.0, 0.8, 0.0, 0.0, 0.0): (math.pi / 2, 0.0),
+    (0.0, 0.8, 1.2, 0.5, 0.0): (math.pi / 2, 0.0),
+    (0.0, 0.8, math.pi / 2, 0.5, 0.0): (math.pi / 2, 0.0),
+    (0.0, 0.8, 2.5, 0.5, 0.0): (0.0, math.pi / 2),
+    # gamma = 1 at the identity: flat, whatever psi
+    (1.0, 0.7, 0.0, 0.0, 0.0): (0.0, 0.0),
+    (1.0, 0.7, 0.0, 0.0, 2.0): (0.0, 0.0),
+    # gamma = 1 away from the identity
+    (1.0, 0.7, 1e-9, 1e-9, 0.0): None,
+    (1.0, 0.7, 0.0, 1.1, 0.0): None,
+    (1.0, 0.7, 2.0, 0.4, 0.0): None,
+    (1.0, 0.7, math.pi, 0.0, 0.0): None,
+    # theta = 0 keeps the minimum on the equator; theta = pi moves it to a
+    # pole, n = +z where phi = 0 and n = -z (alpha = pi) where the round-off
+    # of sin(pi) tilts the block's eigenvector past the pole
+    (0.5, 0.8, 0.0, 0.0, 0.0): (math.pi / 2, 0.0),
+    (0.5, 0.8, 0.0, 1.0, 0.0): (math.pi / 2, 0.0),
+    (0.5, 0.8, math.pi, 0.0, 0.0): (0.0, math.pi / 2),
+    (0.5, 0.8, math.pi, 0.7, 0.0): (math.pi, math.pi / 2),
+    (0.5, 0.8, math.pi, math.pi, 0.0): None,
+    # psi != 0 moves beta alone: the equator's smaller beta, or pi/2 - psi
+    (0.5, 0.8, 0.0, 0.0, 1.3): (math.pi / 2, math.pi - 1.3),
+    (0.5, 0.8, 0.0, 1.0, 3.0): (math.pi / 2, math.pi - 3.0),
+    (0.5, 0.8, math.pi, 0.0, 1.3): (0.0, math.pi / 2 - 1.3),
+    (0.5, 0.8, math.pi, 0.0, 2.0): (0.0, 2.5 * math.pi - 2.0),
+    (0.8, 0.9, 2.0, 1.2, 2.5): None,
+}
+
+
+@pytest.mark.parametrize("point", list(_DEGENERATE_REGIMES))
+def test_min_over_information_degenerate_regimes(point):
+    gamma, epsilon, theta, phi, psi = point
+    result = min_over_information(gamma, epsilon, UnitaryAngles(0, theta, phi, psi))
+    assert abs(result.value - worst_case_reference(gamma, epsilon, theta, phi)) < 1e-12
+    at_argmin = fidelity_reference(result.alpha, result.beta, *point)
+    assert abs(at_argmin - result.value) < 1e-12
+    assert 0.0 <= result.alpha <= math.pi and 0.0 <= result.beta < 2 * math.pi
+    want = _DEGENERATE_REGIMES[point]
+    if want is not None:
+        assert result[1:] == pytest.approx(want, abs=1e-15)
+
+
+def test_flat_worst_cases_raise_no_warning():
+    # a flat F makes the block's eigenvalue shift 0/0; it must be guarded,
+    # not computed and discarded, since the suite runs RuntimeWarning as error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma, epsilon in ((0.6, 0.0), (1.0, 0.8)):
+            assert min_over_information(gamma, epsilon, UnitaryAngles()) == (
+                masfi(gamma, epsilon), 0.0, 0.0)
+            result = minimax_search(gamma, epsilon)
+            assert (result.value, result.argmin) == (masfi(gamma, epsilon), (0.0, 0.0))

@@ -306,7 +306,7 @@ VERIFY_SEED_9 = """\
 [PASS] sigma_r conjugation relation between branches: worst deviation 0.000e+00 (tolerance 1e-12)
 [PASS] ordering chain masfi <= f_av_max <= f_max with 1/2 floor: worst deviation 1.110e-16 (tolerance 1e-12)
 [PASS] sphere-average quadrature vs closed form: worst deviation 4.441e-16 (tolerance 1e-08)
-[PASS] nested min-max search vs assured-fidelity formula: worst deviation 1.110e-16 (tolerance 1e-06)
+[PASS] nested min-max search vs assured-fidelity formula: worst deviation 0.000e+00 (tolerance 1e-06)
 max |F_simulated - F_closed_form| = 3.331e-16
 all 7 checks passed
 """
