@@ -290,7 +290,8 @@ def _argmin(xx: float, yy: float, zz: float, yz: float, block: float,
     if xx <= block:
         return 0.5 * math.pi, min(-psi % two_pi, (math.pi - psi) % two_pi)
     alpha = 0.5 * math.atan2(-yz, 0.5 * (yy - zz))  # -0.0 + 0.0 is 0.0
-    return (alpha + math.pi if alpha < 0.0 else alpha + 0.0), (0.5 * math.pi - psi) % two_pi
+    beta = (0.5 * math.pi - psi) % two_pi  # 2 pi when psi is just above pi/2
+    return (alpha + math.pi if alpha < 0.0 else alpha + 0.0), (beta if beta < two_pi else 0.0)
 
 
 def min_over_information(gamma: float, epsilon: float,
