@@ -86,9 +86,11 @@ class MinimaxResult:
     ``argmax`` is (theta, phi, psi) with psi = 0: the worst case over the
     input cannot depend on psi, so it is not searched.
     ``iterations`` counts evaluations of the outer objective (each one an
-    exact worst case over the input); ``tolerance_achieved`` is the widest
-    final zoom bracket among the outer refinements: each outer coordinate
-    is pinned to within that width around the reported point.
+    exact worst case over the input) that the search made, those of a phi
+    zoom redone after theta moved included; ``tolerance_achieved`` is the
+    widest final zoom bracket among the outer refinements the ascent used:
+    each outer coordinate is pinned to within that width around the
+    reported point.
     """
 
     value: float
@@ -331,8 +333,13 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     Each coordinate is refined by a zoom over one grid step on each side of
     the current point: a pass evaluates 17 angles at once and keeps the
     best angle plus or minus one sub-step, until the bracket is no wider
-    than ``REFINE_TOL``. The ascent moves only to a strictly better point.
-    The result must agree with :func:`masfi` to much better than 1e-6.
+    than ``REFINE_TOL``. A round's theta and phi zooms run about the same
+    point, as the two rows of one zoom, so each pass is one array call on
+    34 points. When theta moves, the phi row was about the old theta; it is
+    dropped and phi is zoomed again about the new point, so the result is
+    that of zooming theta, then phi, one after the other. The ascent moves
+    only to a strictly better point. The result must agree with
+    :func:`masfi` to much better than 1e-6.
     """
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
@@ -343,40 +350,56 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     current = [float(corrections[it]), float(corrections[ip])]
 
     evaluations = 0
-    seen: dict[tuple[float, float], tuple[float, ...]] = {}  # (value, *form) per point
+    records: list[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]] = []  # per call
 
     def outer_values(points: np.ndarray) -> np.ndarray:
         # worst cases at (theta, phi) rows, as one array call
         nonlocal evaluations
         evaluations += len(points)
         values, form = _worst_cases(gamma, epsilon, points[:, 0], points[:, 1])
-        seen.update(zip(map(tuple, points.tolist()),
-                        zip(values.tolist(), *(f.tolist() for f in form))))
+        records.append((points, values, form))
         return values
+
+    def zoom(coords: tuple[int, ...]) -> dict[int, tuple[float, float, float]]:
+        # each coordinate of coords zoomed about current, as the rows of one
+        # zoom: {coordinate: (best angle, its value, final bracket width)}
+        rows = np.arange(len(coords))
+
+        def negated(x: np.ndarray) -> np.ndarray:
+            points = np.empty((*x.shape, 2))
+            points[...] = current
+            points[rows, :, coords] = x
+            return -outer_values(points.reshape(-1, 2)).reshape(x.shape)
+
+        lo = [max(0.0, current[ci] - step) for ci in coords]
+        hi = [min(math.pi, current[ci] + step) for ci in coords]
+        x, fx, width = _zoom_min(negated, lo, hi, _ZOOM_K_OUTER)
+        return dict(zip(coords, zip(x.tolist(), (-fx).tolist(), width.tolist())))
 
     best_v = float(outer_values(np.array([current]))[0])
     step = math.pi / (_OUTER_GRID - 1)
     widest_bracket = 0.0
 
     for _ in range(6):
+        found = zoom((0, 1))
         improved = False
         for ci in range(2):
-            def negated(x: np.ndarray, _ci: int = ci) -> np.ndarray:
-                points = np.repeat([current], x.size, axis=0)
-                points[:, _ci] = x.ravel()
-                return -outer_values(points).reshape(x.shape)
-
-            x, fx, width = _zoom_min(negated, [max(0.0, current[ci] - step)],
-                                     [min(math.pi, current[ci] + step)], _ZOOM_K_OUTER)
-            widest_bracket = max(widest_bracket, float(width[0]))
-            if -fx[0] > best_v:
-                current[ci] = float(x[0])
-                best_v = float(-fx[0])
+            if ci == 1 and improved:
+                found = zoom((1,))  # the phi row was about the old theta
+            x, v, width = found[ci]
+            widest_bracket = max(widest_bracket, width)
+            if v > best_v:
+                current[ci], best_v = x, v
                 improved = True
         if not improved:
             break
 
-    value, *form = seen[current[0], current[1]]  # the ascent only moves to evaluated points
+    # the ascent only moves to evaluated points; the last match is looked up
+    for points, values, form in reversed(records):
+        hits = np.flatnonzero((points == current).all(axis=1))
+        if hits.size:
+            value, *form = (float(f[hits[-1]]) for f in (values, *form))
+            break
     return MinimaxResult(
         value=value,
         argmin=_argmin(*form, 0.0),

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from werner_teleport import analytics
 from werner_teleport.analytics import _fidelity_core
 from werner_teleport.protocol import _BELL_KRAUS, _SIGMA_R, _base_unitaries
 from werner_teleport.states import _information_states, _werner_states
@@ -93,6 +94,67 @@ def zoomed_worst_case_reference(gamma, epsilon, theta, phi, points=65):
             return profile[rows, pick].reshape(shape)
         best, sub = alphas[rows, pick][:, None], (hi - lo) / (points - 1)
         lo, hi = np.maximum(best - sub, 0.0), np.minimum(best + sub, math.pi)
+
+
+def sequential_minimax_reference(gamma, epsilon):
+    """`analytics.minimax_search` as a plain sequential coordinate ascent.
+
+    Transcribes the search with one `_zoom_min` per coordinate: the coarse
+    33 x 33 scan, then per round a zoom of theta about the current point and
+    then a zoom of phi about the point theta left, with a `break` on a round
+    with no move, and a dict of every evaluated point for the final lookup.
+    `_worst_cases`, `_zoom_min` and `_argmin` are read from the module at
+    call time, so a test that swaps one of them out swaps it here too. The
+    package search must give the same value, argmin, argmax and
+    `tolerance_achieved` bit for bit; its `iterations` may also count the
+    phi rows it drops when theta moves.
+    """
+    corrections = np.linspace(0.0, math.pi, analytics._OUTER_GRID)
+    coarse, _ = analytics._worst_cases(gamma, epsilon, corrections[:, None],
+                                       corrections[None, :])
+    it, ip = divmod(int(np.argmax(coarse)), analytics._OUTER_GRID)
+    current = [float(corrections[it]), float(corrections[ip])]
+    seen = {}
+
+    def outer_values(points):
+        values, form = analytics._worst_cases(gamma, epsilon, points[:, 0], points[:, 1])
+        seen.update(zip(map(tuple, points.tolist()),
+                        zip(values.tolist(), *(f.tolist() for f in form))))
+        return values
+
+    best_v = float(outer_values(np.array([current]))[0])
+    evaluations = 1
+    step = math.pi / (analytics._OUTER_GRID - 1)
+    widest_bracket = 0.0
+    for _ in range(6):
+        improved = False
+        for ci in range(2):
+            def negated(x, _ci=ci):
+                nonlocal evaluations
+                evaluations += x.size
+                points = np.repeat([current], x.size, axis=0)
+                points[:, _ci] = x.ravel()
+                return -outer_values(points).reshape(x.shape)
+
+            x, fx, width = analytics._zoom_min(
+                negated, [max(0.0, current[ci] - step)],
+                [min(math.pi, current[ci] + step)], analytics._ZOOM_K_OUTER)
+            widest_bracket = max(widest_bracket, float(width[0]))
+            if -fx[0] > best_v:
+                current[ci] = float(x[0])
+                best_v = float(-fx[0])
+                improved = True
+        if not improved:
+            break
+
+    value, *form = seen[current[0], current[1]]
+    return analytics.MinimaxResult(
+        value=value,
+        argmin=analytics._argmin(*form, 0.0),
+        argmax=(current[0], current[1], 0.0),
+        iterations=evaluations,
+        tolerance_achieved=widest_bracket,
+    )
 
 
 def simulate_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi):

@@ -23,6 +23,7 @@ from helpers import (
     beta_reduced_terms_reference,
     fidelity_reference,
     information_profile_reference,
+    sequential_minimax_reference,
     sphere_average_reference,
     worst_case_reference,
     worst_over_beta,
@@ -617,21 +618,22 @@ def test_minimax_matches_nested_brute_force():
 
 
 # _worst_cases calls per search: one for the coarse scan, one at its best
-# point and one per outer zoom pass, 7 passes for each of (theta, phi) from
-# a grid point on the theta = 0 edge, 17 angles a pass
-_WORST_CASE_CALLS = 1 + 1 + 2 * 7
+# point and one per outer zoom pass, 7 passes from the grid point (0, 0),
+# each on 34 points, since a round's theta and phi zooms are the two rows of
+# one zoom and theta never moves from there
+_WORST_CASE_CALLS = 1 + 1 + 7
 
 
 @pytest.mark.parametrize("gamma, epsilon", [(0.3, 0.0), (1.0, 0.4), (0.7, 0.9), (0.0, 0.5)])
 def test_minimax_golden_call_budget(monkeypatch, zoom_brackets, gamma, epsilon):
     # flat points (epsilon = 0, gamma = 1) once cost 4326 and 2339 scalar
     # golden-section searches against 134 at a general point; every point
-    # now costs 1 + 2 * 7 * 17 evaluations in the same number of array calls
+    # now costs 1 + 7 * 2 * 17 evaluations in the same number of array calls
     calls = _count_calls(monkeypatch, "_worst_cases")
     result = minimax_search(gamma, epsilon)
     assert result.iterations == 239
     assert len(calls) == _WORST_CASE_CALLS
-    assert len(zoom_brackets) == 2  # the two outer zooms, none inside
+    assert len(zoom_brackets) == 2  # theta and phi, two rows of one zoom
     assert abs(result.value - masfi(gamma, epsilon)) <= 2.0 ** -53
 
 
@@ -649,6 +651,86 @@ def test_minimax_cost_and_value_on_seeded_points():
         result = minimax_search(gamma, epsilon)
         assert result.iterations == 239, (gamma, epsilon)
         assert abs(result.value - masfi(gamma, epsilon)) <= 2.0 ** -53, (gamma, epsilon)
+
+
+def test_minimax_matches_sequential_ascent_on_real_points():
+    # every real point starts at the identity and never moves, so the paired
+    # zooms must give the whole result of the sequential ascent, iterations
+    # included
+    rng = np.random.default_rng(23)
+    points = list(_MINIMAX_GRID) + [tuple(p) for p in rng.uniform(0, 1, (40, 2)).tolist()]
+    for gamma, epsilon in points:
+        result, want = minimax_search(gamma, epsilon), sequential_minimax_reference(gamma, epsilon)
+        assert result.value.hex() == want.value.hex(), (gamma, epsilon)
+        assert result == want, (gamma, epsilon)
+
+
+def _synthetic_worst_cases(theta_star, phi_star, cross):
+    """A smooth outer landscape with its maximum at (theta_star, phi_star).
+
+    Stands in for analytics._worst_cases. The form is one no real point
+    gives (no flat rows, yz = -theta, yy = phi), so _argmin's alpha, 0.5
+    atan2(theta, phi / 2), depends on which point the search ends at.
+    """
+    def worst_cases(gamma, epsilon, theta, phi):
+        dt, dp = theta - theta_star, phi - phi_star
+        values = 0.9 - dt * dt - dp * dp - cross * dt * dp
+        zeros = np.zeros_like(values)
+        return values, (zeros + 2.0, zeros + phi, zeros, zeros - theta, zeros)
+    return worst_cases
+
+
+_ON_GRID = math.pi / 2  # linspace(0, pi, 33)[16]
+
+
+@pytest.mark.parametrize("theta_star, phi_star, cross, moves", [
+    (1.0, _ON_GRID, 0.0, "theta"),  # theta moves, so the phi row is dropped
+    (_ON_GRID, 2.0, 0.0, "phi"),  # only phi moves; the phi row is kept
+    (1.0, 2.0, 0.5, "both"),  # both move in round 1, so round 2 runs
+])
+def test_minimax_paired_zooms_match_sequential_ascent_when_moving(
+        monkeypatch, theta_star, phi_star, cross, moves):
+    # no real point moves off the coarse scan's (0, 0), so these landscapes
+    # stand in for the worst case to reach the paths where the ascent moves
+    assert np.linspace(0.0, math.pi, 33)[16] == _ON_GRID
+    monkeypatch.setattr(analytics, "_worst_cases",
+                        _synthetic_worst_cases(theta_star, phi_star, cross))
+    want = sequential_minimax_reference(0.5, 0.5)
+
+    zooms = []  # (rows, passes) per _zoom_min call
+    search = analytics._zoom_min
+
+    def recording(f, lo, hi, k):
+        passes = []
+
+        def counted(x):
+            passes.append(x.shape)
+            return f(x)
+
+        zooms.append((len(lo), passes))
+        return search(counted, lo, hi, k)
+
+    monkeypatch.setattr(analytics, "_zoom_min", recording)
+    result = minimax_search(0.5, 0.5)
+
+    assert result.value.hex() == want.value.hex()
+    assert [a.hex() for a in result.argmin] == [a.hex() for a in want.argmin]
+    assert [a.hex() for a in result.argmax] == [a.hex() for a in want.argmax]
+    assert result.tolerance_achieved.hex() == want.tolerance_achieved.hex()
+    # a two-row zoom followed by a one-row zoom had its phi row dropped
+    dropped = sum(17 * len(passes) for (rows, passes), (after, _) in zip(zooms, zooms[1:])
+                  if rows == 2 and after == 1)
+    assert result.iterations == want.iterations + dropped
+
+    grid_theta, grid_phi = (a == _ON_GRID for a in result.argmax[:2])
+    assert abs(result.argmax[0] - theta_star) < 1e-8 and abs(result.argmax[1] - phi_star) < 1e-8
+    rounds = sum(rows == 2 for rows, _ in zooms)
+    if moves == "theta":
+        assert grid_phi and dropped > 0 and rounds == 2
+    elif moves == "phi":
+        assert grid_theta and dropped == 0 and rounds == 2
+    else:
+        assert dropped > 0 and rounds >= 3
 
 
 def test_minimax_never_searches_psi(monkeypatch):

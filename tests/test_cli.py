@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -168,6 +169,44 @@ def test_sweep_unwritable_path_exits_3(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 3
     assert "cannot write" in captured.err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_sweep_write_error_part_way_exits_3(capsys):
+    # /dev/full takes the file open and fails the first buffered write, after
+    # the header and part of the first row have been handed to the writer
+    code = main(["sweep", "--quantity", "masfi", "--gamma-grid", "0:1:101",
+                 "--epsilon-grid", "0:1:101", "--out", "/dev/full"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write /dev/full: ")
+
+
+_LARGEST_SWEEP = """\
+import resource, sys
+from werner_teleport.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = main(["sweep", "--quantity", "masfi", "--format", "jsonl", "--gamma-grid", "0:1:1001",
+             "--epsilon-grid", "0:1:1001", "--out", sys.argv[1]])
+print(code, before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_largest_sweep_to_file_holds_less_than_its_text(tmp_path):
+    # The largest sweep's JSON lines are 57 MB. Built whole and then written,
+    # the text took about twice its size (118 MB over the imports' peak);
+    # written row by row, the sweep adds its value grids (24 MB) and one row.
+    target = tmp_path / "max.jsonl"
+    proc = subprocess.run([sys.executable, "-c", _LARGEST_SWEEP, str(target)],
+                          capture_output=True, text=True, check=True)
+    code, before_kib, peak_kib = map(int, proc.stdout.split())
+    text_bytes = target.stat().st_size
+    target.unlink()
+    assert code == 0
+    assert text_bytes > 50e6
+    assert (peak_kib - before_kib) * 1024 < text_bytes
 
 
 def test_sweep_invalid_quantity_is_usage_error(capsys):
