@@ -23,11 +23,14 @@ the kernel builds its states from parameters that its callers range-check
 (the dataclasses of :func:`run_protocol`, the seeded draws of ``verify``)
 and validates nothing.
 
-The Bell projection is one GEMM over the stack for K_r^+ rho_c and one per
-Bell index for K_r, each entry the same dot product as per matrix. The
-fidelity is the cyclic trace Tr[rho_Bob_r sigma_r^T M sigma_r] with M =
-U0^+ rho_in U0, one product per tuple: each sigma_r is a real signed
-permutation, so sigma_r^T M sigma_r is an exact signed gather of M.
+The kernel writes the composite rho_in (x) W straight into the layout of
+the projection's GEMM operand. The Bell projection is then two products:
+one GEMM over the stack for K_r^+ rho_c, and one stacked product that
+applies K_r for all four Bell indices, each entry the same dot product as
+per matrix. The fidelity is the cyclic trace Tr[rho_Bob_r sigma_r^T M
+sigma_r] with M = U0^+ rho_in U0, one product per tuple: each sigma_r is a
+real signed permutation, so sigma_r^T M sigma_r is an exact signed gather
+of M.
 """
 
 from __future__ import annotations
@@ -164,31 +167,42 @@ def composite(info: np.ndarray, resource: np.ndarray) -> np.ndarray:
     return np.kron(info, resource)
 
 
+def _require_bell_index(r) -> None:
+    # An int or numpy integer in BELL_INDICES; a bool or a float equal to one
+    # (True == 1, 1.0 == 1) is refused, not taken as an index.
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r not in BELL_INDICES:
+        raise ValueError(f"Bell index must be one of {BELL_INDICES}, got {r}")
+
+
 def _project_bell(rho_c: np.ndarray,
                   r: list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(p_r, K_r^+ rho_c K_r / p_r) for a stack ``rho_c`` of shape (N, 8, 8).
 
     ``r`` lists the Bell indices (all four by default); the results have
-    shapes (N, len(r)) and (N, len(r), 2, 2). ``rho_c`` is not checked.
-    Raises if some p_r is degenerate (below 1e-15).
+    shapes (N, len(r)) and (N, len(r), 2, 2), both C-ordered. ``rho_c`` is
+    not checked. Raises if some p_r is degenerate (below 1e-15).
     """
     indices = list(BELL_INDICES) if r is None else r
     n, m = len(rho_c), len(indices)
     # K_r^+ rho_c for every r and tuple in one GEMM, (2m, 8) @ (8, 8N) with
-    # the tuples side by side; row (r, i), column (n, j) of the product.
+    # the tuples side by side; row (r, i), column (n, j) of the product. The
+    # operand is a view, not a copy, when rho_c.transpose(1, 0, 2) is
+    # C-contiguous, as _simulate builds it.
     left = (_BELL_KRAUS_ADJOINT[indices].reshape(2 * m, 8)
             @ rho_c.transpose(1, 0, 2).reshape(8, 8 * n)).reshape(m, 2 * n, 8)
-    bob = np.empty((n, m, 2, 2), dtype=complex)
-    for k, index in enumerate(indices):
-        # (K_r^+ rho_c) K_r for all tuples at once: rows (i, n) of (2N, 8)
-        bob[:, k] = (left[k] @ _BELL_KRAUS[index]).reshape(2, n, 2).swapaxes(0, 1)
+    # (K_r^+ rho_c) K_r for every r in one stacked product of m (2N, 8) @ (8, 2)
+    # GEMMs, rows (i, n), copied into C order (N, m, 2, 2): the cyclic trace of
+    # _simulate sums in the order of this layout.
+    bob = np.ascontiguousarray(
+        (left @ _BELL_KRAUS[indices]).reshape(m, 2, n, 2).transpose(2, 0, 1, 3))
     probability = bob[..., 0, 0].real + bob[..., 1, 1].real
     low = int(probability.argmin())
     if probability.flat[low] < DEGENERATE_PROBABILITY:
         raise DensityMatrixError(
             f"degenerate Bell outcome r={indices[low % len(indices)]}: "
             f"probability {probability.flat[low]:.3e}")
-    return probability, bob / probability[..., None, None]
+    bob /= probability[..., None, None]
+    return probability, bob
 
 
 def bsm_project(composite_state: np.ndarray, r: int) -> BsmOutcome:
@@ -203,8 +217,7 @@ def bsm_project(composite_state: np.ndarray, r: int) -> BsmOutcome:
     if composite_state.shape != (8, 8):
         raise DensityMatrixError(
             f"expected a three-qubit (8x8) composite, got {composite_state.shape}")
-    if r not in BELL_INDICES:
-        raise ValueError(f"Bell index must be one of {BELL_INDICES}, got {r}")
+    _require_bell_index(r)
     probability, bob = _project_bell(composite_state[None], [r])
     return BsmOutcome(r=r, probability=float(probability[0, 0]), bob_state=bob[0, 0])
 
@@ -227,8 +240,7 @@ def conditional_state_formula(info: np.ndarray, epsilon: float | np.ndarray,
     that broadcasts against its leading axes; the result is then a stack
     of conditional states, one per input.
     """
-    if r not in BELL_INDICES:
-        raise ValueError(f"Bell index must be one of {BELL_INDICES}, got {r}")
+    _require_bell_index(r)
     epsilon = np.asarray(_require_range(epsilon, "epsilon"))[..., None, None]
     info = np.asarray(info, dtype=complex)
     i_plus, i_minus, r_plus, r_minus = ladder_operators()
@@ -256,8 +268,13 @@ def _simulate(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
     """
     rho_in = _information_states(alpha, beta, gamma)
     n = len(rho_in)
-    rho_c = np.einsum("nij,nkl->nikjl", rho_in, _werner_states(epsilon)).reshape(n, 8, 8)
-    probabilities, bob = _project_bell(rho_c)
+    # rho_in (x) W, entry (4i + k, 4j + l) = rho_in[i, j] W[k, l], written by
+    # one broadcast product in the (8, N, 8) layout of _project_bell's GEMM
+    # operand and passed as its (N, 8, 8) view
+    rho_c = np.empty((2, 4, n, 2, 4), dtype=complex)
+    np.multiply(rho_in.transpose(1, 0, 2)[:, None, :, :, None],
+                _werner_states(epsilon).transpose(1, 0, 2)[None, :, :, None, :], out=rho_c)
+    probabilities, bob = _project_bell(rho_c.reshape(8, n, 8).transpose(1, 0, 2))
     u0 = _base_unitaries(chi, theta, phi, psi)
     m = u0.conj().swapaxes(-1, -2) @ rho_in @ u0
     # (sigma_r^T M sigma_r)^T for every r, a C-ordered (N, 4, 2, 2) gather:

@@ -157,9 +157,10 @@ def run_verification(seed: int, samples: int, *,
         alpha, beta, gamma, epsilon, _, theta, phi, psi = chunk.T
         rho_in, probabilities, bob, fidelities = _simulate(*chunk.T)
         simulated = _mean_fidelity(probabilities, fidelities)
-        f_closed = np.broadcast_to(
-            np.asarray(closed(alpha, beta, gamma, epsilon, theta, phi, psi), dtype=float),
-            simulated.shape)
+        f_closed = np.asarray(closed(alpha, beta, gamma, epsilon, theta, phi, psi),
+                              dtype=float)
+        if f_closed.shape != simulated.shape:
+            f_closed = np.broadcast_to(f_closed, simulated.shape)
         oracle.update_all(
             np.abs(simulated - f_closed),
             lambda i: where(i, f"simulated={float(simulated[i])!r} "
@@ -199,9 +200,18 @@ def run_verification(seed: int, samples: int, *,
 
 
 def _mesh(points: int) -> tuple[np.ndarray, np.ndarray]:
-    # the points x points (gamma, epsilon) grid on [0, 1]^2, gamma outer
+    # the points x points (gamma, epsilon) grid on [0, 1]^2, gamma outer,
+    # as two read-only arrays
     axis = np.linspace(0.0, 1.0, points)
-    return np.meshgrid(axis, axis, indexing="ij")
+    grid = np.meshgrid(axis, axis, indexing="ij")
+    for coordinate in grid:
+        coordinate.setflags(write=False)
+    return grid
+
+
+# The meshes of the grid checks and of the ordering check, built once.
+_GRID_MESH = _mesh(_GRID_POINTS)
+_ORDERING_MESH = _mesh(11)
 
 
 def _cell(gamma: np.ndarray, epsilon: np.ndarray, k: int) -> str:
@@ -213,7 +223,7 @@ def _grid_check(name: str, tolerance: float,
                 closed: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> CheckResult:
     # A numeric route, one call per point of the _GRID_POINTS mesh, against
     # one array call of its closed form on the whole mesh.
-    gamma, epsilon = _mesh(_GRID_POINTS)
+    gamma, epsilon = _GRID_MESH
     found = np.array([numeric(g, e) for g, e in zip(gamma.flat, epsilon.flat)])
     analytic = closed(gamma, epsilon).ravel()
     tracker = _Worst(tolerance)
@@ -227,7 +237,7 @@ def _ordering_check() -> CheckResult:
     # masfi <= f_av_max <= f_max with both lower quantities >= 1/2; the
     # "deviation" is how far any inequality is violated. At gamma = 1 the
     # chain holds with equality, so round-off clearance is needed.
-    gamma, epsilon = _mesh(11)
+    gamma, epsilon = _ORDERING_MESH
     lo, mid, hi = masfi(gamma, epsilon), f_av_max(gamma, epsilon), f_max(epsilon)
     violation = np.maximum.reduce([lo - mid, mid - hi, 0.5 - lo, 0.5 - mid,
                                    np.zeros_like(lo)])

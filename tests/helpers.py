@@ -7,7 +7,7 @@ import numpy as np
 from werner_teleport import analytics
 from werner_teleport.analytics import _fidelity_core
 from werner_teleport.protocol import _BELL_KRAUS, _SIGMA_R, _base_unitaries
-from werner_teleport.states import _information_states, _werner_states
+from werner_teleport.states import _DOMAINS, _information_states, _werner_states
 
 
 def random_density(rng, dim):
@@ -15,6 +15,29 @@ def random_density(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+def require_range_reference(value, name):
+    """`states._require_range` with the entrywise array test alone.
+
+    The range check as it was before its two-reduction fast path: an array
+    is tested entry by entry, and the first entry that fails, in row-major
+    order, gets the message a scalar would get. The two must agree on every
+    input, in result, dtype and error.
+    """
+    hi, open_upper = _DOMAINS[name]
+    if type(value) is not float and isinstance(value, np.ndarray) and value.ndim:
+        inside = (value >= 0.0) & ((value < hi) if open_upper else (value <= hi))
+        if inside.all():
+            return value.astype(float, copy=False)
+        value = value.flat[np.argmin(inside)]
+    value = float(value)
+    if 0.0 <= value and (value < hi if open_upper else value <= hi):
+        return value
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    bracket = ")" if open_upper else "]"
+    raise ValueError(f"{name} must lie in [0.0, {hi}{bracket}, got {value}")
 
 
 def fidelity_reference(a, b, g, e, th, ph, ps):

@@ -154,6 +154,29 @@ def test_bsm_rejects_bad_index_and_shape():
         bsm_project(negative, 0)
 
 
+@pytest.mark.parametrize("r", [True, False, np.bool_(True), 1.0, np.float64(2.0), 4, -1])
+def test_bell_index_refuses_bools_floats_and_out_of_range(r):
+    # True == 1 and 1.0 == 1, so membership in BELL_INDICES alone let them in
+    rho_in = information_state(InformationState(0.7, 0.3, 0.8))
+    rho_c = composite(rho_in, werner_state(WernerResource(0.6)))
+    message = rf"Bell index must be one of \(0, 1, 2, 3\), got {r}$"
+    with pytest.raises(ValueError, match=message):
+        bsm_project(rho_c, r)
+    with pytest.raises(ValueError, match=message):
+        conditional_state_formula(rho_in, 0.6, r)
+
+
+@pytest.mark.parametrize("r", [np.int64(1), np.int32(2), np.uint8(3), np.intp(0)])
+def test_bell_index_takes_numpy_integers(r):
+    rho_in = information_state(InformationState(0.7, 0.3, 0.8))
+    rho_c = composite(rho_in, werner_state(WernerResource(0.6)))
+    outcome, expected = bsm_project(rho_c, r), bsm_project(rho_c, int(r))
+    assert outcome.probability == expected.probability
+    assert np.array_equal(outcome.bob_state, expected.bob_state)
+    assert np.array_equal(conditional_state_formula(rho_in, 0.6, r),
+                          conditional_state_formula(rho_in, 0.6, int(r)))
+
+
 # ----------------------------------------------------- correction unitary
 
 def correction_unitary(r, angles):
@@ -388,6 +411,34 @@ def test_kernel_rows_do_not_depend_on_the_stack_size():
         single = protocol._simulate(*params[i:i + 1].T)
         for name, a, b in zip(_OUTPUTS, stacked, single):
             assert a[i].tobytes() == b[0].tobytes(), (name, i)
+
+
+def test_simulate_builds_the_composite_in_the_projection_gemm_layout(monkeypatch):
+    # _simulate writes rho_in (x) W as (8, N, 8), so the (8, 8N) operand of
+    # _project_bell's GEMM is a view, not a copy of the stack; Bob's states
+    # come back C-ordered, the layout the cyclic trace sums in
+    from werner_teleport.verify import _draw_tuples
+    params = np.vstack([_draw_tuples(np.random.default_rng(5), 300), _corner_tuples()])
+    calls = []
+    project = protocol._project_bell
+
+    def recording(rho_c, r=None):
+        result = project(rho_c, r)
+        calls.append((rho_c, r, result))
+        return result
+
+    monkeypatch.setattr(protocol, "_project_bell", recording)
+    _, probabilities, bob, _ = protocol._simulate(*params.T)
+    (rho_c, r, (p_returned, bob_returned)), = calls
+    assert r is None and rho_c.shape == (len(params), 8, 8)
+    assert rho_c.transpose(1, 0, 2).flags.c_contiguous
+    operand = rho_c.transpose(1, 0, 2).reshape(8, 8 * len(params))
+    assert np.shares_memory(operand, rho_c)
+    assert bob_returned.flags.c_contiguous and p_returned.flags.c_contiguous
+    assert bob is bob_returned and probabilities is p_returned
+    expected = np.stack([np.kron(rho, werner_state(WernerResource(e)))
+                         for rho, e in zip(_information_states(*params[:, :3].T), params[:, 3])])
+    assert np.array_equal(rho_c, expected)
 
 
 @pytest.mark.parametrize("r", BELL_INDICES)

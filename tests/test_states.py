@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from werner_teleport import cli
@@ -25,7 +25,7 @@ from werner_teleport.states import (
 )
 from werner_teleport.verify import _draw_tuples
 
-from helpers import random_density
+from helpers import random_density, require_range_reference
 
 
 # ------------------------------------------------- information state
@@ -202,6 +202,63 @@ def test_require_range_array_in_range_is_returned_as_floats():
     assert _require_range(values, "gamma") is values
     ints = _require_range(np.array([0, 1]), "gamma")
     assert ints.dtype == float and ints.tolist() == [0.0, 1.0]
+
+
+def _range_outcome(check, value, name):
+    # what a range check gives: its result, or its exception's type and text
+    try:
+        return check(value, name)
+    except Exception as error:  # compared, not handled
+        return type(error), str(error)
+
+
+@st.composite
+def _range_arrays(draw):
+    # 1-D and 2-D arrays (empty ones too) whose entries mix in-domain values,
+    # NaN, +-inf, -0.0, the exact upper bound and its neighbours, in float64,
+    # float32 or int64
+    name = draw(st.sampled_from(["gamma", "beta", "alpha"]))
+    hi = _DOMAINS[name][0]
+    shape = draw(st.sampled_from([(0,), (1,), (5,), (0, 3), (3, 0), (1, 1), (3, 4)]))
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
+    if dtype is np.int64:
+        entries = st.integers(-2, 8)
+    else:
+        entries = st.one_of(
+            st.floats(-0.5 * hi, 1.5 * hi),
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, hi,
+                             math.nextafter(hi, math.inf), math.nextafter(hi, 0.0),
+                             -5e-324]))
+    values = draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=dtype).reshape(shape), name
+
+
+_GAMMA_HI, _BETA_HI = _DOMAINS["gamma"][0], _DOMAINS["beta"][0]
+
+
+@given(case=_range_arrays())
+@example(case=(np.array([0.0, -0.0, _GAMMA_HI]), "gamma"))  # closed bound: in
+@example(case=(np.array([0.0, -0.0, _BETA_HI]), "beta"))  # half-open bound: out
+@example(case=(np.array([[0.5, -0.0], [math.nan, math.inf]]), "gamma"))
+@example(case=(np.array([0.5, -math.inf]), "beta"))
+@example(case=(np.array([]), "gamma"))
+@example(case=(np.empty((0, 2), dtype=np.int64), "beta"))
+@example(case=(np.array([0, 1, 2]), "gamma"))
+@example(case=(np.array([0, 6]), "beta"))
+@example(case=(np.array([0.5, None], dtype=object), "gamma"))  # not numeric: same error
+@example(case=(np.array(["0.5"]), "gamma"))
+@example(case=(np.array([True, False]), "gamma"))
+@settings(max_examples=500)
+def test_require_range_arrays_match_the_entrywise_reference(case):
+    value, name = case
+    got = _range_outcome(_require_range, value, name)
+    expected = _range_outcome(require_range_reference, value, name)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == expected.dtype
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert (got is value) == (expected is value)
 
 
 def test_require_scalar_rejects_arrays():
