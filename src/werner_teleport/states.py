@@ -66,8 +66,9 @@ def _require_range(value, name: str):
     hi, open_upper = _DOMAINS[name]
     # Python floats skip the array test, which would cost them half again.
     if type(value) is not float and isinstance(value, np.ndarray) and value.ndim:
-        # Two reductions decide a numeric array in range (NaN propagates to
-        # both); the entrywise test below only runs to find the first bad entry.
+        # Two reductions pass a non-empty numeric array in range (NaN
+        # propagates to both); the entrywise test below takes every other
+        # array and names the first bad entry.
         if value.size and value.dtype.kind in "fiu" and value.min() >= 0.0 and (
                 value.max() < hi if open_upper else value.max() <= hi):
             return value.astype(float, copy=False)
