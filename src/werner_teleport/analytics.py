@@ -85,12 +85,11 @@ class MinimaxResult:
 
     ``argmax`` is (theta, phi, psi) with psi = 0: the worst case over the
     input cannot depend on psi, so it is not searched.
-    ``iterations`` counts evaluations of the outer objective (each one an
-    exact worst case over the input) that the search made, those of a phi
-    zoom redone after theta moved included; ``tolerance_achieved`` is the
-    widest final zoom bracket among the outer refinements the ascent used:
-    each outer coordinate is pinned to within that width around the
-    reported point.
+    ``iterations`` counts evaluations of the outer objective (each an exact
+    worst case over the input), a phi zoom redone after theta moved and the
+    one read of ``value`` and ``argmin`` at the final point included;
+    ``tolerance_achieved`` is the widest final zoom bracket the ascent used:
+    each outer coordinate is pinned to within that width around ``argmax``.
     """
 
     value: float
@@ -173,10 +172,14 @@ def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles
     rule in beta. Independent of the closed form in :func:`f_av_max`, which
     it must reproduce at theta = phi = 0. The rule depends on the node count
     alone, so it is built once per count and shared, read-only, by every
-    later call with that count.
+    later call with that count. ``nodes`` is an integer >= 8 (or a whole
+    float such as 64.0), never a bool.
     """
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
+    if isinstance(nodes, bool) or not (isinstance(nodes, (int, np.integer))
+                                       or isinstance(nodes, float) and nodes.is_integer()):
+        raise ValueError(f"nodes must be an integer, got {nodes!r}")
     nodes = int(nodes)
     if nodes < 8:
         raise ValueError(f"nodes must be >= 8, got {nodes}")
@@ -296,6 +299,14 @@ def _argmin(xx: float, yy: float, zz: float, yz: float, block: float,
     return (alpha + math.pi if alpha < 0.0 else alpha + 0.0), (beta if beta < two_pi else 0.0)
 
 
+def _worst_case_at(gamma: float, epsilon: float, theta: float, phi: float,
+                   psi: float) -> InformationMinimum:
+    # one correction's worst case and its argmin, as a one-row _worst_cases call
+    values, form = _worst_cases(gamma, epsilon, np.array([theta]), np.array([phi]))
+    alpha, beta = _argmin(*(float(f[0]) for f in form), psi)
+    return InformationMinimum(value=float(values[0]), alpha=alpha, beta=beta)
+
+
 def min_over_information(gamma: float, epsilon: float,
                          angles: UnitaryAngles) -> InformationMinimum:
     """Worst-case fidelity over the input state at a fixed correction.
@@ -316,9 +327,7 @@ def min_over_information(gamma: float, epsilon: float,
     """
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
-    values, form = _worst_cases(gamma, epsilon, np.array([angles.theta]), np.array([angles.phi]))
-    alpha, beta = _argmin(*(float(f[0]) for f in form), angles.psi)
-    return InformationMinimum(value=float(values[0]), alpha=alpha, beta=beta)
+    return _worst_case_at(gamma, epsilon, angles.theta, angles.phi, angles.psi)
 
 
 def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
@@ -338,8 +347,9 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     34 points. When theta moves, the phi row was about the old theta; it is
     dropped and phi is zoomed again about the new point, so the result is
     that of zooming theta, then phi, one after the other. The ascent moves
-    only to a strictly better point. The result must agree with
-    :func:`masfi` to much better than 1e-6.
+    only to a strictly better point. ``value`` and ``argmin`` are read once,
+    at the final point with psi = 0, as :func:`min_over_information` reads
+    them. The result must agree with :func:`masfi` to much better than 1e-6.
     """
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
@@ -348,17 +358,9 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     coarse, _ = _worst_cases(gamma, epsilon, corrections[:, None], corrections[None, :])
     it, ip = divmod(int(np.argmax(coarse)), _OUTER_GRID)
     current = [float(corrections[it]), float(corrections[ip])]
-
+    best_v = float(coarse[it, ip])
+    step = math.pi / (_OUTER_GRID - 1)
     evaluations = 0
-    records: list[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]] = []  # per call
-
-    def outer_values(points: np.ndarray) -> np.ndarray:
-        # worst cases at (theta, phi) rows, as one array call
-        nonlocal evaluations
-        evaluations += len(points)
-        values, form = _worst_cases(gamma, epsilon, points[:, 0], points[:, 1])
-        records.append((points, values, form))
-        return values
 
     def zoom(coords: tuple[int, ...]) -> dict[int, tuple[float, float, float]]:
         # each coordinate of coords zoomed about current, as the rows of one
@@ -366,20 +368,20 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
         rows = np.arange(len(coords))
 
         def negated(x: np.ndarray) -> np.ndarray:
+            nonlocal evaluations
+            evaluations += x.size
             points = np.empty((*x.shape, 2))
             points[...] = current
             points[rows, :, coords] = x
-            return -outer_values(points.reshape(-1, 2)).reshape(x.shape)
+            points = points.reshape(-1, 2)
+            return -_worst_cases(gamma, epsilon, points[:, 0], points[:, 1])[0].reshape(x.shape)
 
         lo = [max(0.0, current[ci] - step) for ci in coords]
         hi = [min(math.pi, current[ci] + step) for ci in coords]
         x, fx, width = _zoom_min(negated, lo, hi, _ZOOM_K_OUTER)
         return dict(zip(coords, zip(x.tolist(), (-fx).tolist(), width.tolist())))
 
-    best_v = float(outer_values(np.array([current]))[0])
-    step = math.pi / (_OUTER_GRID - 1)
     widest_bracket = 0.0
-
     for _ in range(6):
         found = zoom((0, 1))
         improved = False
@@ -394,16 +396,11 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
         if not improved:
             break
 
-    # the ascent only moves to evaluated points; the last match is looked up
-    for points, values, form in reversed(records):
-        hits = np.flatnonzero((points == current).all(axis=1))
-        if hits.size:
-            value, *form = (float(f[hits[-1]]) for f in (values, *form))
-            break
+    final = _worst_case_at(gamma, epsilon, current[0], current[1], 0.0)
     return MinimaxResult(
-        value=value,
-        argmin=_argmin(*form, 0.0),
+        value=final.value,
+        argmin=(final.alpha, final.beta),
         argmax=(current[0], current[1], 0.0),
-        iterations=evaluations,
+        iterations=evaluations + 1,  # the final read is one evaluation
         tolerance_achieved=widest_bracket,
     )

@@ -238,11 +238,14 @@ def conditional_state_formula(info: np.ndarray, epsilon: float | np.ndarray,
 
     ``info`` may be a stack of shape (..., 2, 2) and ``epsilon`` an array
     that broadcasts against its leading axes; the result is then a stack
-    of conditional states, one per input.
+    of conditional states, one per input. Any other shape of ``info``
+    raises :class:`DensityMatrixError`.
     """
     _require_bell_index(r)
     epsilon = np.asarray(_require_range(epsilon, "epsilon"))[..., None, None]
     info = np.asarray(info, dtype=complex)
+    if info.shape[-2:] != (2, 2):
+        raise DensityMatrixError(f"expected a 2x2 input or a stack of them, got shape {info.shape}")
     i_plus, i_minus, r_plus, r_minus = ladder_operators()
     # entries of each input as (..., 1, 1) arrays that scale the 2x2 operators
     p00, p01 = info[..., :1, :1], info[..., :1, 1:]

@@ -220,9 +220,17 @@ def test_average_converges_at_general_angles():
     assert abs(coarse - fine) < 1e-9
 
 
-def test_average_rejects_few_nodes():
-    with pytest.raises(ValueError):
-        average_fidelity_numeric(0.5, 0.5, UnitaryAngles(), 7)
+@pytest.mark.parametrize("nodes, message", [
+    (7, "nodes must be >= 8, got 7"),
+    (np.int64(7), "nodes must be >= 8, got 7"),
+    (8.9, "nodes must be an integer, got 8.9"),  # once truncated to 8
+    ("64", "nodes must be an integer, got '64'"),
+    (np.float64(16.5), r"nodes must be an integer, got (np\.float64\()?16\.5"),
+    (True, "nodes must be an integer, got True"),  # once refused as 1
+], ids=["7", "int64-7", "8.9", "str-64", "float64-16.5", "True"])
+def test_average_rejects_few_nodes(nodes, message):
+    with pytest.raises(ValueError, match=message):
+        average_fidelity_numeric(0.5, 0.5, UnitaryAngles(), nodes)
 
 
 _QUADRATURE_CORNERS = [(gamma, epsilon, UnitaryAngles(0.0, theta, phi, 0.0))
@@ -653,6 +661,14 @@ def test_minimax_cost_and_value_on_seeded_points():
         assert abs(result.value - masfi(gamma, epsilon)) <= 2.0 ** -53, (gamma, epsilon)
 
 
+def _reports_min_over_information(gamma, epsilon, result):
+    # the search's value and argmin are min_over_information's at its argmax,
+    # bit for bit
+    theta, phi, _ = result.argmax
+    want = min_over_information(gamma, epsilon, UnitaryAngles(theta=theta, phi=phi))
+    return [x.hex() for x in (result.value, *result.argmin)] == [x.hex() for x in want]
+
+
 def test_minimax_matches_sequential_ascent_on_real_points():
     # every real point starts at the identity and never moves, so the paired
     # zooms must give the whole result of the sequential ascent, iterations
@@ -663,6 +679,7 @@ def test_minimax_matches_sequential_ascent_on_real_points():
         result, want = minimax_search(gamma, epsilon), sequential_minimax_reference(gamma, epsilon)
         assert result.value.hex() == want.value.hex(), (gamma, epsilon)
         assert result == want, (gamma, epsilon)
+        assert _reports_min_over_information(gamma, epsilon, result), (gamma, epsilon)
 
 
 def _synthetic_worst_cases(theta_star, phi_star, cross):
@@ -717,6 +734,7 @@ def test_minimax_paired_zooms_match_sequential_ascent_when_moving(
     assert [a.hex() for a in result.argmin] == [a.hex() for a in want.argmin]
     assert [a.hex() for a in result.argmax] == [a.hex() for a in want.argmax]
     assert result.tolerance_achieved.hex() == want.tolerance_achieved.hex()
+    assert _reports_min_over_information(0.5, 0.5, result)
     # a two-row zoom followed by a one-row zoom had its phi row dropped
     dropped = sum(17 * len(passes) for (rows, passes), (after, _) in zip(zooms, zooms[1:])
                   if rows == 2 and after == 1)

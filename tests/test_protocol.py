@@ -490,3 +490,21 @@ def test_conditional_state_formula_rejects_bad_index():
     info = information_state(InformationState(0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         conditional_state_formula(info, 0.5, -1)
+
+
+@pytest.mark.parametrize("info", [np.eye(3) / 3, np.eye(4) / 4, np.array([0.5, 0.5])],
+                         ids=["3x3", "4x4", "1-D"])
+def test_conditional_state_formula_rejects_non_qubit_shapes(info):
+    # a 3x3 once gave a 2x2 from its top-left block, a 4x4 a broadcast error
+    # and a 1-D input an IndexError
+    with pytest.raises(DensityMatrixError, match="expected a 2x2 input"):
+        conditional_state_formula(info, 0.5, 0)
+
+
+def test_conditional_state_formula_takes_qubits_and_their_stacks():
+    info = information_state(InformationState(0.5, 0.5, 0.5))
+    single = conditional_state_formula(info, 0.5, 1)
+    assert single.shape == (2, 2)
+    stacked = conditional_state_formula(np.stack([info] * 3), 0.5, 1)
+    assert stacked.shape == (3, 2, 2)
+    assert all(np.array_equal(state, single) for state in stacked)
