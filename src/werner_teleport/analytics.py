@@ -14,8 +14,8 @@ maximized over Bob's correction (``masfi``), the Bloch-sphere average at
 the optimal correction (``f_av_max``), and the absolute ceiling
 (``f_max``). Each closed form here is paired with an independent numeric
 route so they can be cross-validated: ``masfi`` with a grid search over
-Bob's correction refined by zooms, whose inner worst case over the input
-is exact (the lowest eigenvalue of a 3x3 form, in closed form), and
+Bob's correction refined by a 2-D zoom, whose inner worst case over the
+input is exact (the lowest eigenvalue of a 3x3 form, in closed form), and
 ``f_av_max`` with Gauss-Legendre quadrature.
 
 The closed forms (``fidelity_closed_form``, ``masfi``, ``f_av_max``,
@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,14 +61,14 @@ __all__ = [
 # Zoom brackets are shrunk to this width before the search stops.
 REFINE_TOL = 1e-9
 
-# Points per axis of the coarse (theta, phi) scan that seeds the outer ascent.
+# Points per axis of the coarse (theta, phi) scan that seeds the outer zoom.
 _OUTER_GRID = 33
 
-# Sub-steps per outer zoom pass: each pass evaluates k + 1 points of the
-# bracket in one array call and keeps the best point plus or minus one
-# sub-step, so the bracket shrinks by k/2 per pass (by k when the best point
-# is an edge).
-_ZOOM_K_OUTER = 16
+# Sub-steps per side of each outer zoom pass: a pass evaluates the
+# (k + 1) x (k + 1) grid of the (theta, phi) bracket in one array call and
+# keeps the pass's best point plus or minus one sub-step, so each side
+# shrinks by k/2 per pass (by k when the best point is on its edge).
+_ZOOM_K = 16
 
 
 class InformationMinimum(NamedTuple):
@@ -86,10 +86,10 @@ class MinimaxResult:
     ``argmax`` is (theta, phi, psi) with psi = 0: the worst case over the
     input cannot depend on psi, so it is not searched.
     ``iterations`` counts evaluations of the outer objective (each an exact
-    worst case over the input), a phi zoom redone after theta moved and the
-    one read of ``value`` and ``argmin`` at the final point included;
-    ``tolerance_achieved`` is the widest final zoom bracket the ascent used:
-    each outer coordinate is pinned to within that width around ``argmax``.
+    worst case over the input), the one read of ``value`` and ``argmin`` at
+    the final point included; ``tolerance_achieved`` is the wider side of
+    the final zoom bracket: each outer coordinate is pinned to within that
+    width around ``argmax``.
     """
 
     value: float
@@ -205,38 +205,6 @@ def _sphere_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
-def _zoom_min(f: Callable[[np.ndarray], np.ndarray], lo, hi,
-              k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimum of f on each row's bracket [lo[i], hi[i]] by k-ary zoom.
-
-    Each pass evaluates k + 1 evenly spaced points of every bracket in one
-    call, f(x) with x of shape (rows, k + 1); each open bracket then shrinks
-    to its best point plus or minus one sub-step. A row closes once its
-    bracket is no wider than REFINE_TOL, after at least one pass; a closed
-    row is still evaluated but masked out of every update, so a row's
-    result does not depend on the other rows. Returns per row the best
-    point seen during the search, its value and the final bracket width.
-    Ties keep the earlier point, so the result is deterministic.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    fractions = np.arange(k + 1) / k
-    best_x, best_f = lo.copy(), np.full(lo.shape, np.inf)
-    each_row, live = np.arange(lo.size), np.ones(lo.shape, dtype=bool)
-    while live.any():
-        sub = (hi - lo) / k
-        x = lo[:, None] + (hi - lo)[:, None] * fractions
-        x[:, -1] = hi  # keeps every point inside the bracket
-        fx = f(x)
-        pick = np.argmin(fx, axis=1)
-        xi, fi = x[each_row, pick], fx[each_row, pick]
-        better = live & (fi < best_f)
-        best_x[better], best_f[better] = xi[better], fi[better]
-        lo = np.where(live, np.maximum(lo, xi - sub), lo)
-        hi = np.where(live, np.minimum(hi, xi + sub), hi)
-        live &= hi - lo > REFINE_TOL
-    return best_x, best_f, hi - lo
-
-
 def _row_factors(gamma, epsilon, theta, phi):
     # The alpha-free factors of F, one set per correction row:
     # eps cos(theta), gamma ge cos^2(theta/2) cos(2 phi), 0.5 ge sin(theta)
@@ -269,7 +237,7 @@ def _worst_cases(gamma: float, epsilon: float, theta: np.ndarray,
     # (y, z) block [[yy, yz], [yz, zz]]. The block's lower eigenvalue is
     # min(yy, zz) - yz^2 / (|h| + hypot(h, yz)), h = (yy - zz)/2: written
     # this way it cancels nothing (mean - hypot(h, yz) is an ulp off when
-    # yz = 0, enough to move the outer ascent). The divisor is 0 only where
+    # yz = 0, enough to move the outer search). The divisor is 0 only where
     # yz is, so it is replaced there, with no 0/0. form holds (xx, yy, zz,
     # yz, block) for _argmin.
     a_cos, a_sin, b, c = _row_factors(gamma, epsilon, theta, phi)
@@ -338,18 +306,15 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     maximizes that minimum over (theta, phi); psi, on which the worst case
     cannot depend, is reported as 0. The inner level is exact, the closed
     form of :func:`min_over_information`, taken for many corrections in one
-    array call. A coarse 33 x 33 scan of it seeds a coordinate-wise ascent.
-    Each coordinate is refined by a zoom over one grid step on each side of
-    the current point: a pass evaluates 17 angles at once and keeps the
-    best angle plus or minus one sub-step, until the bracket is no wider
-    than ``REFINE_TOL``. A round's theta and phi zooms run about the same
-    point, as the two rows of one zoom, so each pass is one array call on
-    34 points. When theta moves, the phi row was about the old theta; it is
-    dropped and phi is zoomed again about the new point, so the result is
-    that of zooming theta, then phi, one after the other. The ascent moves
-    only to a strictly better point. ``value`` and ``argmin`` are read once,
-    at the final point with psi = 0, as :func:`min_over_information` reads
-    them. The result must agree with :func:`masfi` to much better than 1e-6.
+    array call. A coarse 33 x 33 scan of it seeds one 2-D zoom over one grid
+    step on each side of its best point: a pass evaluates the 17 x 17 grid
+    of the (theta, phi) bracket in one array call, and each side then
+    shrinks to the pass's best point plus or minus one sub-step, until
+    neither side is wider than ``REFINE_TOL``. The best point seen moves
+    only to a strictly better point, so ties keep the earlier one. ``value``
+    and ``argmin`` are read once, at that point with psi = 0, as
+    :func:`min_over_information` reads them. The result must agree with
+    :func:`masfi` to much better than 1e-6.
     """
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
@@ -357,50 +322,31 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     corrections = np.linspace(0.0, math.pi, _OUTER_GRID)
     coarse, _ = _worst_cases(gamma, epsilon, corrections[:, None], corrections[None, :])
     it, ip = divmod(int(np.argmax(coarse)), _OUTER_GRID)
-    current = [float(corrections[it]), float(corrections[ip])]
-    best_v = float(coarse[it, ip])
+    best, best_v = corrections[[it, ip]], float(coarse[it, ip])
     step = math.pi / (_OUTER_GRID - 1)
-    evaluations = 0
-
-    def zoom(coords: tuple[int, ...]) -> dict[int, tuple[float, float, float]]:
-        # each coordinate of coords zoomed about current, as the rows of one
-        # zoom: {coordinate: (best angle, its value, final bracket width)}
-        rows = np.arange(len(coords))
-
-        def negated(x: np.ndarray) -> np.ndarray:
-            nonlocal evaluations
-            evaluations += x.size
-            points = np.empty((*x.shape, 2))
-            points[...] = current
-            points[rows, :, coords] = x
-            points = points.reshape(-1, 2)
-            return -_worst_cases(gamma, epsilon, points[:, 0], points[:, 1])[0].reshape(x.shape)
-
-        lo = [max(0.0, current[ci] - step) for ci in coords]
-        hi = [min(math.pi, current[ci] + step) for ci in coords]
-        x, fx, width = _zoom_min(negated, lo, hi, _ZOOM_K_OUTER)
-        return dict(zip(coords, zip(x.tolist(), (-fx).tolist(), width.tolist())))
-
-    widest_bracket = 0.0
-    for _ in range(6):
-        found = zoom((0, 1))
-        improved = False
-        for ci in range(2):
-            if ci == 1 and improved:
-                found = zoom((1,))  # the phi row was about the old theta
-            x, v, width = found[ci]
-            widest_bracket = max(widest_bracket, width)
-            if v > best_v:
-                current[ci], best_v = x, v
-                improved = True
-        if not improved:
+    lo, hi = np.maximum(best - step, 0.0), np.minimum(best + step, math.pi)
+    fractions = np.arange(_ZOOM_K + 1) / _ZOOM_K
+    evaluations = 1  # the final read
+    while True:
+        sub = (hi - lo) / _ZOOM_K
+        x = lo[:, None] + (hi - lo)[:, None] * fractions
+        x[:, -1] = hi  # keeps every point inside the bracket
+        values, _ = _worst_cases(gamma, epsilon, x[0][:, None], x[1][None, :])
+        evaluations += values.size
+        i, j = divmod(int(np.argmax(values)), _ZOOM_K + 1)
+        point = x[[0, 1], [i, j]]
+        if values[i, j] > best_v:
+            best, best_v = point, float(values[i, j])
+        lo, hi = np.maximum(lo, point - sub), np.minimum(hi, point + sub)
+        if (hi - lo).max() <= REFINE_TOL:
             break
 
-    final = _worst_case_at(gamma, epsilon, current[0], current[1], 0.0)
+    theta, phi = best.tolist()
+    final = _worst_case_at(gamma, epsilon, theta, phi, 0.0)
     return MinimaxResult(
         value=final.value,
         argmin=(final.alpha, final.beta),
-        argmax=(current[0], current[1], 0.0),
-        iterations=evaluations + 1,  # the final read is one evaluation
-        tolerance_achieved=widest_bracket,
+        argmax=(theta, phi, 0.0),
+        iterations=evaluations,
+        tolerance_achieved=float((hi - lo).max()),
     )

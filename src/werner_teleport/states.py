@@ -86,8 +86,11 @@ def _require_range(value, name: str):
 
 
 def _require_scalar(value, name: str) -> float:
-    # _require_range for parameters that do not broadcast: float() turns an
-    # array with more than one entry into a TypeError.
+    # _require_range for parameters that do not broadcast. An array with an
+    # axis is refused here, one entry or many: whether float() takes a
+    # one-entry array depends on the numpy release.
+    if isinstance(value, np.ndarray) and value.ndim:
+        raise TypeError(f"{name} must be a scalar, got an array of shape {value.shape}")
     return _require_range(float(value), name)
 
 

@@ -131,8 +131,11 @@ def run_verification(seed: int, samples: int, *,
     stands for every tuple of the chunk. ``formula_samples`` caps the
     tuples used for the entrywise conditional-state comparisons. The
     quadrature and minimax checks can be skipped when only the fast checks
-    are wanted.
+    are wanted. ``samples`` is an integer >= 1 (a numpy integer too, never a
+    bool or a float).
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     closed = closed_form if closed_form is not None else fidelity_closed_form

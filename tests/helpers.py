@@ -119,18 +119,42 @@ def zoomed_worst_case_reference(gamma, epsilon, theta, phi, points=65):
         lo, hi = np.maximum(best - sub, 0.0), np.minimum(best + sub, math.pi)
 
 
-def sequential_minimax_reference(gamma, epsilon):
-    """`analytics.minimax_search` as a plain sequential coordinate ascent.
+def _zoom_max_reference(f, lo, hi, k):
+    """Maximum of f on the bracket [lo, hi] by k-ary zoom.
 
-    Transcribes the search with one `_zoom_min` per coordinate: the coarse
-    33 x 33 scan, then per round a zoom of theta about the current point and
-    then a zoom of phi about the point theta left, with a `break` on a round
-    with no move, and a dict of every evaluated point for the final lookup.
-    `_worst_cases`, `_zoom_min` and `_argmin` are read from the module at
-    call time, so a test that swaps one of them out swaps it here too. The
-    package search must give the same value, argmin, argmax and
-    `tolerance_achieved` bit for bit; its `iterations` may also count the
-    phi rows it drops when theta moves.
+    Each pass evaluates k + 1 evenly spaced points of the bracket, the last
+    one exactly hi, and shrinks the bracket to the pass's best point plus or
+    minus one sub-step, until it is no wider than `analytics.REFINE_TOL`.
+    Returns the best point seen (ties keep the earlier point), its value and
+    the final bracket width.
+    """
+    fractions = np.arange(k + 1) / k
+    best_x, best_f = lo, -math.inf
+    while True:
+        sub = (hi - lo) / k
+        x = lo + (hi - lo) * fractions
+        x[-1] = hi
+        fx = f(x)
+        pick = int(np.argmax(fx))
+        if fx[pick] > best_f:
+            best_x, best_f = float(x[pick]), float(fx[pick])
+        lo, hi = max(lo, float(x[pick] - sub)), min(hi, float(x[pick] + sub))
+        if hi - lo <= analytics.REFINE_TOL:
+            return best_x, best_f, hi - lo
+
+
+def sequential_minimax_reference(gamma, epsilon):
+    """The outer correction search as a sequential coordinate ascent.
+
+    The coarse 33 x 33 scan, then per round a zoom of theta about the
+    current point (16 sub-steps over one grid step on each side) and then a
+    zoom of phi about the point theta left, with a `break` on a round with
+    no move, and a dict of every evaluated point for the final lookup.
+    `_worst_cases` and `_argmin` are read from the module at call time, so
+    a test that swaps one of them out swaps it here too. On every real point
+    `analytics.minimax_search` must give the same value, argmin, argmax and
+    `tolerance_achieved` bit for bit; `iterations` here counts the ascent's
+    evaluations, the seed point's included.
     """
     corrections = np.linspace(0.0, math.pi, analytics._OUTER_GRID)
     coarse, _ = analytics._worst_cases(gamma, epsilon, corrections[:, None],
@@ -152,20 +176,18 @@ def sequential_minimax_reference(gamma, epsilon):
     for _ in range(6):
         improved = False
         for ci in range(2):
-            def negated(x, _ci=ci):
+            def along(x, _ci=ci):
                 nonlocal evaluations
                 evaluations += x.size
                 points = np.repeat([current], x.size, axis=0)
-                points[:, _ci] = x.ravel()
-                return -outer_values(points).reshape(x.shape)
+                points[:, _ci] = x
+                return outer_values(points)
 
-            x, fx, width = analytics._zoom_min(
-                negated, [max(0.0, current[ci] - step)],
-                [min(math.pi, current[ci] + step)], analytics._ZOOM_K_OUTER)
-            widest_bracket = max(widest_bracket, float(width[0]))
-            if -fx[0] > best_v:
-                current[ci] = float(x[0])
-                best_v = float(-fx[0])
+            x, fx, width = _zoom_max_reference(
+                along, max(0.0, current[ci] - step), min(math.pi, current[ci] + step), 16)
+            widest_bracket = max(widest_bracket, width)
+            if fx > best_v:
+                current[ci], best_v = x, fx
                 improved = True
         if not improved:
             break

@@ -386,69 +386,17 @@ def test_min_over_information_psi_independent():
         assert abs(result.value - baseline.value) < 1e-12
 
 
-@pytest.fixture
-def zoom_brackets(monkeypatch):
-    """Record the initial (lo, hi) of every bracket row of every zoom."""
-    brackets = []
-    search = analytics._zoom_min
+def _worst_case_shapes(monkeypatch):
+    """Record the (theta, phi) shapes of every call of analytics._worst_cases."""
+    shapes = []
+    inner = analytics._worst_cases
 
-    def recording(f, lo, hi, k):
-        brackets.extend(zip(np.atleast_1d(lo).tolist(), np.atleast_1d(hi).tolist()))
-        return search(f, lo, hi, k)
+    def recording(gamma, epsilon, theta, phi):
+        shapes.append((np.shape(theta), np.shape(phi)))
+        return inner(gamma, epsilon, theta, phi)
 
-    monkeypatch.setattr(analytics, "_zoom_min", recording)
-    return brackets
-
-
-def _count_calls(monkeypatch, name):
-    """Record the shape of the first argument of every call of analytics.<name>."""
-    calls = []
-    function = getattr(analytics, name)
-
-    def counting(*args):
-        calls.append(np.shape(args[0]))
-        return function(*args)
-
-    monkeypatch.setattr(analytics, name, counting)
-    return calls
-
-
-def test_zoom_min_tied_dip_bracket_covers_both_cells():
-    # with an odd number of sub-steps the equator minimum falls between two
-    # grid points of the first pass; the second pass must span both
-    passes = []
-
-    def profile(a):
-        passes.append((a.min(), a.max()))
-        return information_profile_reference(a, 0.5, 0.8, 0.0, 0.0)
-
-    alphas, values, _ = analytics._zoom_min(profile, [0.0], [math.pi], 33)
-    step = math.pi / 33
-    assert passes[0] == (0.0, math.pi)
-    lo, hi = passes[1]
-    assert lo <= 16 * step + 1e-12 and hi >= 17 * step - 1e-12
-    assert abs(values[0] - 0.6) < 1e-12
-    # a quadratic minimum pins its argument only to about sqrt(eps)
-    assert abs(alphas[0] - math.pi / 2) < 1e-7
-
-
-def test_zoom_min_evaluates_a_narrow_bracket_once():
-    # a bracket born no wider than REFINE_TOL still gets the first pass: it
-    # reports its point and that point's value, never inf, whether alone or
-    # beside a wide bracket that refines on
-    def parabola(x):
-        return (x - 0.3) ** 2
-
-    x, fx, width = analytics._zoom_min(parabola, [0.5], [0.5], 16)
-    assert (x[0], fx[0], width[0]) == (0.5, parabola(0.5), 0.0)
-    lo, hi = [0.5, 0.0], [0.5 + analytics.REFINE_TOL / 2, 1.0]
-    x, fx, width = analytics._zoom_min(parabola, lo, hi, 16)
-    assert (x[0], fx[0]) == (0.5, parabola(0.5))
-    assert width[0] <= analytics.REFINE_TOL / 2
-    for i in range(2):
-        alone = analytics._zoom_min(parabola, lo[i:i + 1], hi[i:i + 1], 16)
-        assert (x[i], fx[i], width[i]) == tuple(a[0] for a in alone)
-    assert abs(x[1] - 0.3) < 1e-9
+    monkeypatch.setattr(analytics, "_worst_cases", recording)
+    return shapes
 
 
 def test_alpha_profile_has_no_local_minimum_above_the_worst_case():
@@ -551,7 +499,7 @@ def test_minimax_matches_formula_on_grid():
 
 # minimax_search on verify's 5x5 (gamma, epsilon) grid, bit for bit: value
 # and argmin (alpha, beta) as float.hex. Every point ends at the identity
-# correction after 239 outer evaluations with the same widest final bracket.
+# correction after 2024 outer evaluations with the same widest final bracket.
 _MINIMAX_GRID = {
     (0.0, 0.0): ("0x1.0000000000000p-1", "0x0.0p+0", "0x0.0p+0"),
     (0.0, 0.25): ("0x1.0000000000000p-1", "0x1.921fb54442d18p+0", "0x0.0p+0"),
@@ -587,7 +535,7 @@ def test_minimax_pinned_bit_for_bit_on_verify_grid():
         result = minimax_search(gamma, epsilon)
         assert (result.value.hex(), *(a.hex() for a in result.argmin)) == want, (gamma, epsilon)
         assert [a.hex() for a in result.argmax] == ["0x0.0p+0"] * 3
-        assert result.iterations == 239
+        assert result.iterations == 2024
         assert result.tolerance_achieved.hex() == _MINIMAX_BRACKET
 
 
@@ -625,23 +573,21 @@ def test_minimax_matches_nested_brute_force():
         assert exact < searched + 1e-12
 
 
-# _worst_cases calls per search: one for the coarse scan, one at its best
-# point and one per outer zoom pass, 7 passes from the grid point (0, 0),
-# each on 34 points, since a round's theta and phi zooms are the two rows of
-# one zoom and theta never moves from there
-_WORST_CASE_CALLS = 1 + 1 + 7
+# _worst_cases calls per search: one for the coarse scan, one per pass of
+# the 2-D zoom, 7 from the grid point (0, 0), each on 17 x 17 points, and
+# one read of value and argmin at the final point
+_WORST_CASE_CALLS = 1 + 7 + 1
 
 
 @pytest.mark.parametrize("gamma, epsilon", [(0.3, 0.0), (1.0, 0.4), (0.7, 0.9), (0.0, 0.5)])
-def test_minimax_golden_call_budget(monkeypatch, zoom_brackets, gamma, epsilon):
+def test_minimax_golden_call_budget(monkeypatch, gamma, epsilon):
     # flat points (epsilon = 0, gamma = 1) once cost 4326 and 2339 scalar
     # golden-section searches against 134 at a general point; every point
-    # now costs 1 + 7 * 2 * 17 evaluations in the same number of array calls
-    calls = _count_calls(monkeypatch, "_worst_cases")
+    # now costs 1 + 7 * 17^2 evaluations in the same number of array calls
+    calls = _worst_case_shapes(monkeypatch)
     result = minimax_search(gamma, epsilon)
-    assert result.iterations == 239
+    assert result.iterations == 2024
     assert len(calls) == _WORST_CASE_CALLS
-    assert len(zoom_brackets) == 2  # theta and phi, two rows of one zoom
     assert abs(result.value - masfi(gamma, epsilon)) <= 2.0 ** -53
 
 
@@ -649,15 +595,15 @@ def test_minimax_cost_and_value_on_seeded_points():
     # The worst case is exact, so every search costs the same and ends at
     # masfi to an ulp (2^-53 on [1/2, 1)), flat points included. The block
     # eigenvalue written as mean - hypot(h, yz) instead is an ulp low at
-    # yz = 0, which sends the ascent after a better point that is not there
-    # (iterations 511).
+    # yz = 0, which sends the zoom after a better point that is not there
+    # (iterations 2313).
     rng = np.random.default_rng(17)
     points = [tuple(p) for p in rng.uniform(0, 1, (300, 2)).tolist()]
     for x in np.linspace(0, 1, 23).tolist():
         points += [(x, 0.0), (1.0, x), (0.0, x)]
     for gamma, epsilon in points:
         result = minimax_search(gamma, epsilon)
-        assert result.iterations == 239, (gamma, epsilon)
+        assert result.iterations == 2024, (gamma, epsilon)
         assert abs(result.value - masfi(gamma, epsilon)) <= 2.0 ** -53, (gamma, epsilon)
 
 
@@ -669,16 +615,22 @@ def _reports_min_over_information(gamma, epsilon, result):
     return [x.hex() for x in (result.value, *result.argmin)] == [x.hex() for x in want]
 
 
+def _same_result(result, want):
+    # value, argmin, argmax and tolerance_achieved, bit for bit
+    def bits(r):
+        return [x.hex() for x in (r.value, *r.argmin, *r.argmax, r.tolerance_achieved)]
+    return bits(result) == bits(want)
+
+
 def test_minimax_matches_sequential_ascent_on_real_points():
-    # every real point starts at the identity and never moves, so the paired
-    # zooms must give the whole result of the sequential ascent, iterations
-    # included
+    # every real point starts at the identity and never moves, so the 2-D
+    # zoom must give the result of the coordinate ascent, bit for bit; only
+    # the number of evaluations differs
     rng = np.random.default_rng(23)
     points = list(_MINIMAX_GRID) + [tuple(p) for p in rng.uniform(0, 1, (40, 2)).tolist()]
     for gamma, epsilon in points:
         result, want = minimax_search(gamma, epsilon), sequential_minimax_reference(gamma, epsilon)
-        assert result.value.hex() == want.value.hex(), (gamma, epsilon)
-        assert result == want, (gamma, epsilon)
+        assert _same_result(result, want), (gamma, epsilon)
         assert _reports_min_over_information(gamma, epsilon, result), (gamma, epsilon)
 
 
@@ -700,67 +652,41 @@ def _synthetic_worst_cases(theta_star, phi_star, cross):
 _ON_GRID = math.pi / 2  # linspace(0, pi, 33)[16]
 
 
-@pytest.mark.parametrize("theta_star, phi_star, cross, moves", [
-    (1.0, _ON_GRID, 0.0, "theta"),  # theta moves, so the phi row is dropped
-    (_ON_GRID, 2.0, 0.0, "phi"),  # only phi moves; the phi row is kept
-    (1.0, 2.0, 0.5, "both"),  # both move in round 1, so round 2 runs
+@pytest.mark.parametrize("theta_star, phi_star, cross", [
+    (1.0, _ON_GRID, 0.0),  # off the coarse grid in theta only
+    (_ON_GRID, 2.0, 0.0),  # in phi only
+    (1.0, 2.0, 0.5),  # in both
+    # ridges: a coordinate ascent stops 1.5e-3 and 3.5e-2 short of these
+    (1.0, 2.0, -1.5),
+    (1.0, 2.0, 1.9),
 ])
-def test_minimax_paired_zooms_match_sequential_ascent_when_moving(
-        monkeypatch, theta_star, phi_star, cross, moves):
+def test_minimax_zoom_reaches_off_grid_maxima(monkeypatch, theta_star, phi_star, cross):
     # no real point moves off the coarse scan's (0, 0), so these landscapes
-    # stand in for the worst case to reach the paths where the ascent moves
+    # stand in for the worst case to reach maxima between grid points
     assert np.linspace(0.0, math.pi, 33)[16] == _ON_GRID
     monkeypatch.setattr(analytics, "_worst_cases",
                         _synthetic_worst_cases(theta_star, phi_star, cross))
-    want = sequential_minimax_reference(0.5, 0.5)
-
-    zooms = []  # (rows, passes) per _zoom_min call
-    search = analytics._zoom_min
-
-    def recording(f, lo, hi, k):
-        passes = []
-
-        def counted(x):
-            passes.append(x.shape)
-            return f(x)
-
-        zooms.append((len(lo), passes))
-        return search(counted, lo, hi, k)
-
-    monkeypatch.setattr(analytics, "_zoom_min", recording)
+    calls = _worst_case_shapes(monkeypatch)
     result = minimax_search(0.5, 0.5)
+    passes = calls[1:-1]  # between the coarse scan and the final read
 
-    assert result.value.hex() == want.value.hex()
-    assert [a.hex() for a in result.argmin] == [a.hex() for a in want.argmin]
-    assert [a.hex() for a in result.argmax] == [a.hex() for a in want.argmax]
-    assert result.tolerance_achieved.hex() == want.tolerance_achieved.hex()
+    assert abs(result.argmax[0] - theta_star) < 1e-7 and abs(result.argmax[1] - phi_star) < 1e-7
     assert _reports_min_over_information(0.5, 0.5, result)
-    # a two-row zoom followed by a one-row zoom had its phi row dropped
-    dropped = sum(17 * len(passes) for (rows, passes), (after, _) in zip(zooms, zooms[1:])
-                  if rows == 2 and after == 1)
-    assert result.iterations == want.iterations + dropped
-
-    grid_theta, grid_phi = (a == _ON_GRID for a in result.argmax[:2])
-    assert abs(result.argmax[0] - theta_star) < 1e-8 and abs(result.argmax[1] - phi_star) < 1e-8
-    rounds = sum(rows == 2 for rows, _ in zooms)
-    if moves == "theta":
-        assert grid_phi and dropped > 0 and rounds == 2
-    elif moves == "phi":
-        assert grid_theta and dropped == 0 and rounds == 2
-    else:
-        assert dropped > 0 and rounds >= 3
+    # each pass leaves at most 1/8 of a side's width, so 10 passes take the
+    # widest first bracket, 2 pi / 32, below REFINE_TOL
+    assert len(passes) <= 10
+    assert passes == [((17, 1), (1, 17))] * len(passes)
+    assert result.iterations == 1 + len(passes) * 17 ** 2
+    assert result.tolerance_achieved <= analytics.REFINE_TOL
 
 
 def test_minimax_never_searches_psi(monkeypatch):
     # the worst case over beta cannot depend on psi, so psi stays at 0: the
-    # coarse scan is one (33, 1) x (1, 33) call, every later call takes
-    # (theta, phi) rows only, and the argmin's beta is taken at psi = 0
-    shapes, psis = [], []
-    inner, argmin = analytics._worst_cases, analytics._argmin
-
-    def recording(gamma, epsilon, theta, phi):
-        shapes.append((np.shape(theta), np.shape(phi)))
-        return inner(gamma, epsilon, theta, phi)
+    # coarse scan is one (33, 1) x (1, 33) call, each zoom pass one
+    # (17, 1) x (1, 17) call and the final read one (theta, phi) row, and the
+    # argmin's beta is taken at psi = 0
+    psis = []
+    argmin = analytics._argmin
 
     def argmin_at(*form):
         psis.append(form[-1])
@@ -769,13 +695,14 @@ def test_minimax_never_searches_psi(monkeypatch):
     def unexpected(*args, **kwargs):
         raise AssertionError("minimax_search called the scalar inner search")
 
-    monkeypatch.setattr(analytics, "_worst_cases", recording)
+    shapes = _worst_case_shapes(monkeypatch)
     monkeypatch.setattr(analytics, "_argmin", argmin_at)
     monkeypatch.setattr(analytics, "min_over_information", unexpected)
     result = minimax_search(0.7, 0.9)
     assert shapes[0] == ((33, 1), (1, 33))
-    assert all(t == p and len(t) == 1 for t, p in shapes[1:])
-    assert sum(t[0] for t, _ in shapes[1:]) == result.iterations
+    assert shapes[1:-1] == [((17, 1), (1, 17))] * (len(shapes) - 2)
+    assert shapes[-1] == ((1,), (1,))
+    assert 1 + 17 ** 2 * (len(shapes) - 2) == result.iterations
     assert psis == [0.0]
     assert result.argmax[2] == 0.0
 

@@ -263,8 +263,10 @@ def test_require_range_arrays_match_the_entrywise_reference(case):
 
 def test_require_scalar_rejects_arrays():
     assert _require_scalar(np.float64(0.5), "gamma") == 0.5
-    with pytest.raises(TypeError):
-        _require_scalar(np.array([0.5, 0.6]), "gamma")
+    assert _require_scalar(np.array(0.5), "gamma") == 0.5
+    for array in (np.array([0.5, 0.6]), np.array([0.5])):
+        with pytest.raises(TypeError, match="gamma must be a scalar"):
+            _require_scalar(array, "gamma")
     with pytest.raises(TypeError):
         InformationState(np.array([0.1, 0.2]), 0.0, 0.5)
 

@@ -75,6 +75,19 @@ def test_rejects_nonpositive_samples():
         run_verification(seed=1, samples=0)
 
 
+@pytest.mark.parametrize("samples", [True, 2.5, 3.0, "3", np.float64(3.0)])
+def test_rejects_non_integer_samples(samples):
+    # refused before the draw, as protocol refuses a bool or float Bell index
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        run_verification(seed=1, samples=samples, run_quadrature=False, run_minimax=False)
+
+
+def test_takes_numpy_integer_samples():
+    results = run_verification(seed=1, samples=np.int64(3), run_quadrature=False,
+                               run_minimax=False)
+    assert all(result.passed for result in results)
+
+
 def test_check_result_line_format():
     good = CheckResult(name="demo", tolerance=1e-6, worst=1e-9)
     assert good.passed
