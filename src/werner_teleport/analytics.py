@@ -101,8 +101,13 @@ class MinimaxResult:
 
 def _fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi):
     # Unchecked, broadcasts over numpy arrays; hot path for every grid.
-    a_term, b_term, c_term = _beta_reduced_terms(alpha, _row_factors(gamma, epsilon, theta, phi))
-    return a_term + b_term * np.sin(beta + psi) + c_term * np.cos(2.0 * (beta + psi))
+    # F = A + B sin(beta+psi) + C cos(2(beta+psi)), each row factor of
+    # _row_factors at the left end of its product.
+    a_cos, a_sin, b, c = _row_factors(gamma, epsilon, theta, phi)
+    sin_a_sq = np.sin(alpha) ** 2
+    a_term = 0.5 * (1.0 + a_cos * np.cos(alpha) ** 2 + a_sin * sin_a_sq)
+    return (a_term + b * np.sin(2.0 * alpha) * np.sin(beta + psi)
+            + c * sin_a_sq * np.cos(2.0 * (beta + psi)))
 
 
 def fidelity_closed_form(alpha: float, beta: float, gamma: float, epsilon: float,
@@ -215,15 +220,6 @@ def _row_factors(gamma, epsilon, theta, phi):
             gamma * ge * np.cos(0.5 * theta) ** 2 * np.cos(2.0 * phi),
             0.5 * ge * np.sin(theta) * np.sin(phi),
             -0.5 * gamma * ge * np.sin(0.5 * theta) ** 2)
-
-
-def _beta_reduced_terms(alpha, rows):
-    # F(alpha, beta) = A(alpha) + B(alpha) sin(beta+psi) + C(alpha) cos(2(beta+psi))
-    # from the tuple of row factors of _row_factors.
-    a_cos_row, a_sin_row, b_row, c_row = rows
-    sin_a_sq = np.sin(alpha) ** 2
-    a_term = 0.5 * (1.0 + a_cos_row * np.cos(alpha) ** 2 + a_sin_row * sin_a_sq)
-    return a_term, b_row * np.sin(2.0 * alpha), c_row * sin_a_sq
 
 
 def _worst_cases(gamma: float, epsilon: float, theta: np.ndarray,

@@ -23,14 +23,13 @@ the kernel builds its states from parameters that its callers range-check
 (the dataclasses of :func:`run_protocol`, the seeded draws of ``verify``)
 and validates nothing.
 
-The kernel writes the composite rho_in (x) W straight into the layout of
-the projection's GEMM operand. The Bell projection is then two products:
-one GEMM over the stack for K_r^+ rho_c, and one stacked product that
-applies K_r for all four Bell indices, each entry the same dot product as
-per matrix. The fidelity is the cyclic trace Tr[rho_Bob_r sigma_r^T M
-sigma_r] with M = U0^+ rho_in U0, one product per tuple: each sigma_r is a
-real signed permutation, so sigma_r^T M sigma_r is an exact signed gather
-of M.
+Each Bell vector has two entries of +-1/sqrt(2), so branch r is 1/2 times
+a signed sum of four 2x2 blocks of the composite, and the fidelity is the
+cyclic trace Tr[rho_Bob_r sigma_r^T M sigma_r] with M = U0^+ rho_in U0:
+each sigma_r is a real signed permutation, so sigma_r^T M sigma_r is an
+exact signed gather of M. Every step is elementwise arithmetic in a fixed
+order, with no BLAS call, so the outputs do not depend on which BLAS
+kernel the machine picks.
 """
 
 from __future__ import annotations
@@ -88,11 +87,13 @@ _SIGN = _COLUMN_SIGN[:, :, None] * _COLUMN_SIGN[:, None, :]
 _PERM.setflags(write=False)
 _SIGN.setflags(write=False)
 
-# K_r = |B_r> (x) I_2 stacked over r; row 2a + c of K_r is B_r[a] delta_cd.
-_BELL_KRAUS = np.einsum("ra,cd->racd", _BELL_VECTORS, identity).reshape(4, 8, 2)
-_BELL_KRAUS.setflags(write=False)
-_BELL_KRAUS_ADJOINT = np.ascontiguousarray(_BELL_KRAUS.conj().swapaxes(-1, -2))
-_BELL_KRAUS_ADJOINT.setflags(write=False)
+# B_r has entries +-1/sqrt(2) at a_r < b_r only, of relative sign s_r, so K_r^+ rho_c K_r
+# is 0.5 (S + s_r X) with S = blk(a_r, a_r) + blk(b_r, b_r), X = blk(a_r, b_r) + blk(b_r, a_r)
+# over the composite's 2x2 blocks blk(a, b) (rows 2a, 2a + 1, columns 2b, 2b + 1).
+_SUPPORT = np.array([np.flatnonzero(vector) for vector in _BELL_VECTORS])
+_PAIR_SIGN = np.sign(np.take_along_axis(_BELL_VECTORS.real, _SUPPORT, axis=1).prod(axis=1))
+_SUPPORT.setflags(write=False)
+_PAIR_SIGN.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -179,22 +180,20 @@ def _project_bell(rho_c: np.ndarray,
     """(p_r, K_r^+ rho_c K_r / p_r) for a stack ``rho_c`` of shape (N, 8, 8).
 
     ``r`` lists the Bell indices (all four by default); the results have
-    shapes (N, len(r)) and (N, len(r), 2, 2), both C-ordered. ``rho_c`` is
-    not checked. Raises if some p_r is degenerate (below 1e-15).
+    shapes (N, len(r)) and (N, len(r), 2, 2), both C-ordered. Each branch is
+    0.5 (S + s_r X) over the block tables above, exact in 1/2 and s_r, with no
+    BLAS call. ``rho_c`` is not checked. Raises if some p_r is degenerate
+    (below 1e-15).
     """
     indices = list(BELL_INDICES) if r is None else r
     n, m = len(rho_c), len(indices)
-    # K_r^+ rho_c for every r and tuple in one GEMM, (2m, 8) @ (8, 8N) with
-    # the tuples side by side; row (r, i), column (n, j) of the product. The
-    # operand is a view, not a copy, when rho_c.transpose(1, 0, 2) is
-    # C-contiguous, as _simulate builds it.
-    left = (_BELL_KRAUS_ADJOINT[indices].reshape(2 * m, 8)
-            @ rho_c.transpose(1, 0, 2).reshape(8, 8 * n)).reshape(m, 2 * n, 8)
-    # (K_r^+ rho_c) K_r for every r in one stacked product of m (2N, 8) @ (8, 2)
-    # GEMMs, rows (i, n), copied into C order (N, m, 2, 2): the cyclic trace of
-    # _simulate sums in the order of this layout.
-    bob = np.ascontiguousarray(
-        (left @ _BELL_KRAUS[indices]).reshape(m, 2, n, 2).transpose(2, 0, 1, 3))
+    blocks = rho_c.reshape(n, 4, 2, 4, 2).swapaxes(2, 3)  # blocks[:, a, b] = blk(a, b)
+    a, b = _SUPPORT[indices].T
+    # written into C order (N, m, 2, 2): the cyclic trace of _simulate sums in
+    # the order of this layout
+    bob = np.add(blocks[:, a, a], blocks[:, b, b], out=np.empty((n, m, 2, 2), dtype=complex))
+    bob += _PAIR_SIGN[indices, None, None] * (blocks[:, a, b] + blocks[:, b, a])
+    bob *= 0.5
     probability = bob[..., 0, 0].real + bob[..., 1, 1].real
     low = int(probability.argmin())
     if probability.flat[low] < DEGENERATE_PROBABILITY:
@@ -271,15 +270,15 @@ def _simulate(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
     """
     rho_in = _information_states(alpha, beta, gamma)
     n = len(rho_in)
-    # rho_in (x) W, entry (4i + k, 4j + l) = rho_in[i, j] W[k, l], written by
-    # one broadcast product in the (8, N, 8) layout of _project_bell's GEMM
-    # operand and passed as its (N, 8, 8) view
-    rho_c = np.empty((2, 4, n, 2, 4), dtype=complex)
-    np.multiply(rho_in.transpose(1, 0, 2)[:, None, :, :, None],
-                _werner_states(epsilon).transpose(1, 0, 2)[None, :, :, None, :], out=rho_c)
-    probabilities, bob = _project_bell(rho_c.reshape(8, n, 8).transpose(1, 0, 2))
+    # rho_in (x) W: entry (4i + k, 4j + l) is rho_in[i, j] W[k, l]
+    rho_c = (rho_in[:, :, None, :, None]
+             * _werner_states(epsilon)[:, None, :, None, :]).reshape(n, 8, 8)
+    probabilities, bob = _project_bell(rho_c)
     u0 = _base_unitaries(chi, theta, phi, psi)
-    m = u0.conj().swapaxes(-1, -2) @ rho_in @ u0
+    # M = U0^+ rho_in U0 by two broadcast multiply-adds, each entry summed over k = 0, 1
+    u0_h = u0.conj().swapaxes(-1, -2)
+    t = u0_h[:, :, :1] * rho_in[:, :1, :] + u0_h[:, :, 1:] * rho_in[:, 1:, :]
+    m = t[:, :, :1] * u0[:, :1, :] + t[:, :, 1:] * u0[:, 1:, :]
     # (sigma_r^T M sigma_r)^T for every r, a C-ordered (N, 4, 2, 2) gather:
     # a product with another layout may be summed in another order.
     rotated = np.take(m.reshape(n, 4), _PERM, axis=1)
@@ -290,7 +289,8 @@ def _simulate(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
 
 def _mean_fidelity(probabilities: np.ndarray, fidelities: np.ndarray) -> np.ndarray:
     """Probability-weighted mean over the last axis: sum_r p_r F_r / sum_r p_r."""
-    weighted = (probabilities[..., None, :] @ fidelities[..., :, None])[..., 0, 0]
+    terms = probabilities * fidelities
+    weighted = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
     return weighted / probabilities.sum(axis=-1)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from werner_teleport import analytics
 from werner_teleport.analytics import _fidelity_core
-from werner_teleport.protocol import _BELL_KRAUS, _SIGMA_R, _base_unitaries
+from werner_teleport.protocol import _SIGMA_R, _base_unitaries
 from werner_teleport.states import _DOMAINS, _information_states, _werner_states
 
 
@@ -57,10 +57,11 @@ def fidelity_reference(a, b, g, e, th, ph, ps):
 def beta_reduced_terms_reference(alpha, gamma, epsilon, theta, phi):
     """A, B and C of F = A + B sin(beta+psi) + C cos(2(beta+psi)).
 
-    Transcribes `analytics._beta_reduced_terms` as it was before its
-    alpha-free factors moved to `analytics._row_factors`: one expression per
-    term, with the same products in the same left-to-right order, so the
-    split terms must agree bit for bit.
+    Transcribes the terms of `analytics._fidelity_core` as they were before
+    their alpha-free factors moved to `analytics._row_factors`: one
+    expression per term, with the same products in the same left-to-right
+    order, so A + B sin(beta+psi) + C cos(2(beta+psi)) from these terms
+    must equal `_fidelity_core` bit for bit.
     """
     sin_a_sq = np.sin(alpha) ** 2
     ge = gamma * epsilon
@@ -202,21 +203,33 @@ def sequential_minimax_reference(gamma, epsilon):
     )
 
 
-def simulate_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
-    """`protocol._simulate` as stacked matmuls, one small product per matrix.
+# Each Bell vector (|00> +- |11>)/sqrt(2), (|01> +- |10>)/sqrt(2) as (a, b, s):
+# entries 1/sqrt(2) at index a and s/sqrt(2) at index b of qubits (0, 1).
+_BELL_TABLE = ((0, 3, 1.0), (0, 3, -1.0), (1, 2, 1.0), (1, 2, -1.0))
 
-    Transcribes the kernel as it was before its constant-operand products
-    became whole-chunk GEMMs: K_r^+ rho_c K_r and U0 sigma_r are each
-    broadcast over (N, 4) stacks. Every entry of rho_in, the probabilities
-    and Bob's states is the same dot product, so those must agree bit for
-    bit. The fidelities are the conjugation Tr[U_r rho_Bob_r U_r^+ rho_in],
-    which the kernel sums as a cyclic trace in another order, so they agree
-    to round-off only (`cyclic_fidelities_reference` is their exact pin).
+
+def simulate_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
+    """`protocol._simulate` written entry by entry from the Bell table.
+
+    Bob's unnormalized state K_r^+ rho_c K_r has entry (c, d) equal to
+    0.5 ((rho_c[2a+c, 2a+d] + rho_c[2b+c, 2b+d]) + s (rho_c[2a+c, 2b+d] +
+    rho_c[2b+c, 2a+d])) for the row (a, b, s) of `_BELL_TABLE`, summed in
+    the kernel's order, so rho_in, the probabilities and Bob's states must
+    agree bit for bit. The fidelities are the conjugation Tr[U_r rho_Bob_r
+    U_r^+ rho_in], which the kernel sums as a cyclic trace in another order,
+    so they agree to round-off only (`cyclic_fidelities_reference` is their
+    exact pin).
     """
     rho_in = _information_states(alpha, beta, gamma)
     n = len(rho_in)
     rho_c = np.einsum("nij,nkl->nikjl", rho_in, _werner_states(epsilon)).reshape(n, 8, 8)
-    bob = _BELL_KRAUS.conj().swapaxes(-1, -2) @ rho_c[:, None] @ _BELL_KRAUS
+    bob = np.empty((n, 4, 2, 2), dtype=complex)
+    for r, (a, b, s) in enumerate(_BELL_TABLE):
+        for c in range(2):
+            for d in range(2):
+                same = rho_c[:, 2 * a + c, 2 * a + d] + rho_c[:, 2 * b + c, 2 * b + d]
+                cross = rho_c[:, 2 * a + c, 2 * b + d] + rho_c[:, 2 * b + c, 2 * a + d]
+                bob[:, r, c, d] = 0.5 * (same + s * cross)
     probabilities = bob[..., 0, 0].real + bob[..., 1, 1].real
     bob = bob / probabilities[..., None, None]
     u_r = _base_unitaries(chi, theta, phi, psi)[:, None] @ _SIGMA_R
@@ -228,16 +241,23 @@ def simulate_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
 def cyclic_fidelities_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
     """`protocol._simulate`'s fidelities with sigma_r^T M sigma_r as matmuls.
 
-    F_r = Tr[rho_Bob_r sigma_r^T M sigma_r] with M = U0^+ rho_in U0. The
-    kernel gathers sigma_r^T M sigma_r from M's entries with a sign table;
-    here it is the explicit product through `_SIGMA_R`, exact because each
-    sigma_r has one entry +-1 per row and column, transposed and made
-    C-contiguous so the trace sums in the kernel's order. The two must
-    agree bit for bit.
+    F_r = Tr[rho_Bob_r sigma_r^T M sigma_r] with M = U0^+ rho_in U0, each
+    entry of T = U0^+ rho_in and of M = T U0 written out as a sum over k = 0
+    then k = 1. The kernel gathers sigma_r^T M sigma_r from M's entries with
+    a sign table; here it is the explicit product through `_SIGMA_R`, exact
+    because each sigma_r has one entry +-1 per row and column, transposed
+    and made C-contiguous so the trace sums in the kernel's order. The two
+    must agree bit for bit.
     """
     rho_in, _, bob, _ = simulate_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi)
     u0 = _base_unitaries(chi, theta, phi, psi)
-    m = u0.conj().swapaxes(-1, -2) @ rho_in @ u0
+    t, m = np.empty_like(rho_in), np.empty_like(rho_in)
+    for i in range(2):
+        for j in range(2):
+            t[:, i, j] = u0[:, 0, i].conj() * rho_in[:, 0, j] + u0[:, 1, i].conj() * rho_in[:, 1, j]
+    for i in range(2):
+        for j in range(2):
+            m[:, i, j] = t[:, i, 0] * u0[:, 0, j] + t[:, i, 1] * u0[:, 1, j]
     rotated = _SIGMA_R.swapaxes(-1, -2) @ m[:, None] @ _SIGMA_R
     rotated = np.ascontiguousarray(rotated.swapaxes(-1, -2))
     return (bob * rotated).sum(axis=(-2, -1)).real

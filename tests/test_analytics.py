@@ -26,7 +26,6 @@ from helpers import (
     sequential_minimax_reference,
     sphere_average_reference,
     worst_case_reference,
-    worst_over_beta,
     zoomed_worst_case_reference,
 )
 
@@ -418,17 +417,13 @@ def test_alpha_profile_has_no_local_minimum_above_the_worst_case():
         assert dips.size and np.abs(dips - exact).max() < 1e-6, (gamma, epsilon, theta, phi)
 
 
-def _assert_split_is_bitwise(alpha, gamma, epsilon, theta, phi, rows=None):
-    # A, B, C and the profile over beta from the row/alpha split against the
+def _assert_split_is_bitwise(alpha, beta, gamma, epsilon, theta, phi, psi):
+    # _fidelity_core against A + B sin(beta+psi) + C cos(2(beta+psi)) from the
     # single-expression reference, byte for byte, so signed zeros count
-    rows = analytics._row_factors(gamma, epsilon, theta, phi) if rows is None else rows
-    terms = analytics._beta_reduced_terms(alpha, rows)
-    got = (*terms, worst_over_beta(*terms))
-    want = (*beta_reduced_terms_reference(alpha, gamma, epsilon, theta, phi),
-            information_profile_reference(alpha, gamma, epsilon, theta, phi))
-    for name, g, w in zip("ABCP", got, want):
-        g, w = np.asarray(g), np.asarray(w)
-        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+    a_term, b_term, c_term = beta_reduced_terms_reference(alpha, gamma, epsilon, theta, phi)
+    want = np.asarray(a_term + b_term * np.sin(beta + psi) + c_term * np.cos(2.0 * (beta + psi)))
+    got = np.asarray(analytics._fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", [13, 29, 47])
@@ -436,33 +431,38 @@ def test_split_terms_equal_single_expression_reference(seed):
     # Fails if a product of F is reassociated or reordered: the row part must
     # be the left end of each product, in the same order as before the split.
     rng = np.random.default_rng(seed)
-    alpha, theta, phi = rng.uniform(0, math.pi, (3, 2000))
+    alpha, theta, phi, psi = rng.uniform(0, math.pi, (4, 2000))
+    beta = rng.uniform(0, 2 * math.pi, 2000)
     gamma, epsilon = rng.uniform(0, 1, (2, 2000))
-    _assert_split_is_bitwise(alpha, gamma, epsilon, theta, phi)
+    _assert_split_is_bitwise(alpha, beta, gamma, epsilon, theta, phi, psi)
     g, e = float(gamma[0]), float(epsilon[0])
-    # the zoom's layout: a tuple of (n, 1) row factors against (n, 33) alphas
-    rows = analytics._row_factors(g, e, theta[:300, None], phi[:300, None])
-    assert isinstance(rows, tuple) and {np.shape(r) for r in rows} == {(300, 1)}
-    alphas = rng.uniform(0, math.pi, (300, 33))
-    _assert_split_is_bitwise(alphas, g, e, theta[:300, None], phi[:300, None], rows)
-    # the coarse scan's layout and a scalar call
+    # the quadrature's layout: (n, 33) alphas and betas against (n, 1) corrections
+    alphas, betas = rng.uniform(0, math.pi, (300, 33)), rng.uniform(0, 2 * math.pi, (300, 33))
+    _assert_split_is_bitwise(alphas, betas, g, e, theta[:300, None], phi[:300, None],
+                             psi[:300, None])
+    # a coarse-grid layout and a scalar call
     grid = np.linspace(0, math.pi, 33)
-    _assert_split_is_bitwise(grid[None, None, :], g, e, grid[:, None, None], grid[None, :, None])
-    _assert_split_is_bitwise(float(alpha[0]), g, e, float(theta[0]), float(phi[0]))
+    _assert_split_is_bitwise(grid[None, None, :], 2 * grid[None, None, :], g, e,
+                             grid[:, None, None], grid[None, :, None], float(psi[0]))
+    _assert_split_is_bitwise(float(alpha[0]), float(beta[0]), g, e, float(theta[0]),
+                             float(phi[0]), float(psi[0]))
 
 
 def test_split_terms_equal_reference_in_degenerate_regimes():
-    # epsilon = 0, gamma in {0, 1}, alpha and theta at 0 and pi, where the
-    # products hold exact and signed zeros
+    # epsilon = 0, gamma in {0, 1}, alpha and theta at 0 and pi and
+    # beta + psi at multiples of pi/2, where the products hold exact and
+    # signed zeros
     axes = ([0.0, 0.8, math.pi / 2, math.pi],  # alpha
+            [0.0, math.pi / 2, 2.5],  # beta
             [0.0, 0.4, 1.0],  # gamma
             [0.0, 0.7, 1.0],  # epsilon
             [0.0, 1.1, math.pi],  # theta
-            [0.0, 1.3, math.pi / 2, math.pi])  # phi
+            [0.0, 1.3, math.pi / 2, math.pi],  # phi
+            [0.0, math.pi])  # psi
     points = [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
     _assert_split_is_bitwise(*points)
-    for alpha, gamma, epsilon, theta, phi in zip(*(a.tolist() for a in points)):
-        _assert_split_is_bitwise(alpha, gamma, epsilon, theta, phi)
+    for point in zip(*(a.tolist() for a in points)):
+        _assert_split_is_bitwise(*point)
 
 
 # ------------------------------------------------------ minimax search

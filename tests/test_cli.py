@@ -340,7 +340,7 @@ def test_verify_reports_failure_exit_code(capsys, monkeypatch):
 
 VERIFY_SEED_9 = """\
 [PASS] closed-form fidelity vs density-matrix simulation: worst deviation 3.331e-16 (tolerance 1e-10)
-[PASS] outcome probabilities are 1/4 and sum to 1: worst deviation 4.441e-16 (tolerance 1e-12)
+[PASS] outcome probabilities are 1/4 and sum to 1: worst deviation 3.331e-16 (tolerance 1e-12)
 [PASS] projected conditional states vs ladder-basis formula: worst deviation 2.220e-16 (tolerance 1e-12)
 [PASS] sigma_r conjugation relation between branches: worst deviation 0.000e+00 (tolerance 1e-12)
 [PASS] ordering chain masfi <= f_av_max <= f_max with 1/2 floor: worst deviation 1.110e-16 (tolerance 1e-12)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -357,9 +360,10 @@ _OUTPUTS = ("rho_in", "probabilities", "bob", "fidelities")
 
 
 def _assert_kernel_equals_reference(params):
-    # rho_in, the probabilities and Bob's states are the per-matrix products'
-    # bits; the fidelities, a cyclic trace summed in another order than the
-    # conjugation, are within 4 eps of it (2.5 eps seen on 2 x 10^5 tuples)
+    # rho_in, the probabilities and Bob's states are the entrywise Bell-table
+    # reference's bits; the fidelities, a cyclic trace summed in another order
+    # than the conjugation, are within 4 eps of it (2.5 eps seen on 2 x 10^5
+    # tuples)
     got = protocol._simulate(*params.T)
     expected = simulate_reference(*params.T)
     for name, a, b in zip(_OUTPUTS[:3], got, expected):
@@ -372,7 +376,7 @@ def _assert_kernel_equals_reference(params):
 @pytest.mark.parametrize("n", [1, 3, 255, 256, 1000])
 @pytest.mark.parametrize("seed", [7, 42, 71])
 def test_kernel_gemms_equal_stacked_matmul_reference(seed, n):
-    # the whole-chunk GEMMs sum each entry as the per-matrix products did
+    # the kernel sums each entry of Bob's states as the Bell-table reference does
     from werner_teleport.verify import _draw_tuples
     _assert_kernel_equals_reference(_draw_tuples(np.random.default_rng(seed), n))
 
@@ -413,10 +417,34 @@ def test_kernel_rows_do_not_depend_on_the_stack_size():
             assert a[i].tobytes() == b[0].tobytes(), (name, i)
 
 
-def test_simulate_builds_the_composite_in_the_projection_gemm_layout(monkeypatch):
-    # _simulate writes rho_in (x) W as (8, N, 8), so the (8, 8N) operand of
-    # _project_bell's GEMM is a view, not a copy of the stack; Bob's states
-    # come back C-ordered, the layout the cyclic trace sums in
+_SIMULATE_FROM_STDIN = """
+import sys
+import numpy as np
+from werner_teleport.protocol import _simulate
+params = np.frombuffer(sys.stdin.buffer.read()).reshape(-1, 8)
+sys.stdout.buffer.write(b"".join(a.tobytes() for a in _simulate(*params.T)))
+"""
+
+
+def test_kernel_bytes_do_not_depend_on_the_openblas_kernel():
+    # Two child processes, each with its own OpenBLAS GEMM kernel, run the
+    # kernel on the same tuples; a BLAS call whose summation order depends
+    # on the kernel (Prescott's and Haswell's differ) would move the bytes.
+    from werner_teleport.verify import _draw_tuples
+    params = np.vstack([_draw_tuples(np.random.default_rng(97), 2000), _corner_tuples()])
+    expected = b"".join(a.tobytes() for a in protocol._simulate(*params.T))
+    package_root = os.path.dirname(os.path.dirname(protocol.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    for coretype in ("Prescott", "Haswell"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _SIMULATE_FROM_STDIN], input=params.tobytes(),
+                              capture_output=True, env=env, check=True)
+        assert proc.stdout == expected, coretype
+
+
+def test_simulate_hands_the_projection_a_c_ordered_composite(monkeypatch):
+    # _simulate passes rho_in (x) W as a plain C-ordered (N, 8, 8) stack, and
+    # Bob's states come back C-ordered, the layout the cyclic trace sums in
     from werner_teleport.verify import _draw_tuples
     params = np.vstack([_draw_tuples(np.random.default_rng(5), 300), _corner_tuples()])
     calls = []
@@ -431,9 +459,7 @@ def test_simulate_builds_the_composite_in_the_projection_gemm_layout(monkeypatch
     _, probabilities, bob, _ = protocol._simulate(*params.T)
     (rho_c, r, (p_returned, bob_returned)), = calls
     assert r is None and rho_c.shape == (len(params), 8, 8)
-    assert rho_c.transpose(1, 0, 2).flags.c_contiguous
-    operand = rho_c.transpose(1, 0, 2).reshape(8, 8 * len(params))
-    assert np.shares_memory(operand, rho_c)
+    assert rho_c.flags.c_contiguous
     assert bob_returned.flags.c_contiguous and p_returned.flags.c_contiguous
     assert bob is bob_returned and probabilities is p_returned
     expected = np.stack([np.kron(rho, werner_state(WernerResource(e)))

@@ -17,8 +17,8 @@ ORACLE = "closed-form fidelity vs density-matrix simulation"
 
 FAST_CHECKS_SEED_42 = """\
 [PASS] closed-form fidelity vs density-matrix simulation: worst deviation 6.661e-16 (tolerance 1e-10)
-[PASS] outcome probabilities are 1/4 and sum to 1: worst deviation 7.772e-16 (tolerance 1e-12)
-[PASS] projected conditional states vs ladder-basis formula: worst deviation 3.331e-16 (tolerance 1e-12)
+[PASS] outcome probabilities are 1/4 and sum to 1: worst deviation 5.551e-16 (tolerance 1e-12)
+[PASS] projected conditional states vs ladder-basis formula: worst deviation 4.441e-16 (tolerance 1e-12)
 [PASS] sigma_r conjugation relation between branches: worst deviation 0.000e+00 (tolerance 1e-12)
 [PASS] ordering chain masfi <= f_av_max <= f_max with 1/2 floor: worst deviation 1.110e-16 (tolerance 1e-12)"""
 
