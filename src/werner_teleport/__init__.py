@@ -12,7 +12,6 @@ from .density import (
     TraceError,
     identity,
     kron,
-    ladder_operators,
     partial_trace,
     sigma_x,
     sigma_y,
@@ -60,7 +59,6 @@ __all__ = [
     "TraceError",
     "identity",
     "kron",
-    "ladder_operators",
     "partial_trace",
     "sigma_x",
     "sigma_y",

@@ -23,7 +23,6 @@ __all__ = [
     "sigma_x",
     "sigma_y",
     "sigma_z",
-    "ladder_operators",
     "kron",
     "partial_trace",
     "validate_density",
@@ -62,23 +61,6 @@ identity = _frozen(np.eye(2))
 sigma_x = _frozen([[0, 1], [1, 0]])
 sigma_y = _frozen([[0, -1j], [1j, 0]])
 sigma_z = _frozen([[1, 0], [0, -1]])
-
-_I_PLUS = _frozen([[1, 0], [0, 0]])
-_I_MINUS = _frozen([[0, 0], [0, 1]])
-_R_PLUS = _frozen([[0, 1], [0, 0]])
-_R_MINUS = _frozen([[0, 0], [1, 0]])
-
-
-def ladder_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return the single-qubit basis ``(|0><0|, |1><1|, |0><1|, |1><0|)``.
-
-    Equivalently (I + sigma_z)/2, (I - sigma_z)/2, (sigma_x + i sigma_y)/2
-    and (sigma_x - i sigma_y)/2. Traces of ordered pairs drawn from this
-    set vanish except for Tr[P0 P0] = Tr[P1 P1] = Tr[S+ S-] = Tr[S- S+] = 1,
-    which is what makes overlap computations with them convenient.
-    """
-    return _I_PLUS, _I_MINUS, _R_PLUS, _R_MINUS
-
 
 def _check_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)

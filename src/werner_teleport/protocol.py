@@ -41,7 +41,6 @@ import numpy as np
 from .density import (
     DensityMatrixError,
     identity,
-    ladder_operators,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -221,15 +220,32 @@ def bsm_project(composite_state: np.ndarray, r: int) -> BsmOutcome:
     return BsmOutcome(r=r, probability=float(probability[0, 0]), bob_state=bob[0, 0])
 
 
+def _conditional_states(info: np.ndarray, epsilon) -> np.ndarray:
+    """Bob's four conditional states from the input-matrix entries, unchecked.
+
+    ``info`` is a complex stack (..., 2, 2) and ``epsilon`` broadcasts against
+    its leading axes; the result stacks the branches r = 0..3 as (..., 4, 2, 2).
+    """
+    p00, p01, p10, p11 = info[..., 0, 0], info[..., 0, 1], info[..., 1, 0], info[..., 1, 1]
+    heavy = 0.5 * (p00 * (1 + epsilon) + p11 * (1 - epsilon))
+    light = 0.5 * (p00 * (1 - epsilon) + p11 * (1 + epsilon))
+    up, down = epsilon * p01, epsilon * p10
+    # one row per branch, its entries (0, 0), (0, 1), (1, 0), (1, 1)
+    return np.stack([heavy, up, down, light,
+                     heavy, -up, -down, light,
+                     light, down, up, heavy,
+                     light, -down, -up, heavy], axis=-1).reshape(heavy.shape + (4, 2, 2))
+
+
 def conditional_state_formula(info: np.ndarray, epsilon: float | np.ndarray,
                               r: int) -> np.ndarray:
-    """Bob's conditional state written directly in the ladder basis.
+    """Bob's conditional state written directly from the input-matrix entries.
 
     Independent of the projection route in :func:`bsm_project`: the state
-    is assembled from the input-matrix entries,
+    is assembled from the entries p_ij of the input,
 
-        r = 0:  [ {p00(1+e) + p11(1-e)} |0><0| + {p00(1-e) + p11(1+e)} |1><1|
-                  + 2 e p01 |0><1| + 2 e p10 |1><0| ] / 2
+        r = 0:  [[ {p00(1+e) + p11(1-e)} / 2,   e p01                     ],
+                 [ e p10,                       {p00(1-e) + p11(1+e)} / 2 ]]
 
     with the diagonal pair swapped for r in (2, 3), the off-diagonal pair
     swapped for r in (2, 3), and the off-diagonal sign flipped for r in
@@ -241,22 +257,11 @@ def conditional_state_formula(info: np.ndarray, epsilon: float | np.ndarray,
     raises :class:`DensityMatrixError`.
     """
     _require_bell_index(r)
-    epsilon = np.asarray(_require_range(epsilon, "epsilon"))[..., None, None]
+    epsilon = _require_range(epsilon, "epsilon")
     info = np.asarray(info, dtype=complex)
     if info.shape[-2:] != (2, 2):
         raise DensityMatrixError(f"expected a 2x2 input or a stack of them, got shape {info.shape}")
-    i_plus, i_minus, r_plus, r_minus = ladder_operators()
-    # entries of each input as (..., 1, 1) arrays that scale the 2x2 operators
-    p00, p01 = info[..., :1, :1], info[..., :1, 1:]
-    p10, p11 = info[..., 1:, :1], info[..., 1:, 1:]
-    heavy = p00 * (1 + epsilon) + p11 * (1 - epsilon)
-    light = p00 * (1 - epsilon) + p11 * (1 + epsilon)
-    if r in (2, 3):
-        heavy, light = light, heavy
-        p01, p10 = p10, p01
-    sign = 1.0 if r in (0, 2) else -1.0
-    return 0.5 * (heavy * i_plus + light * i_minus
-                  + sign * 2.0 * epsilon * (p01 * r_plus + p10 * r_minus))
+    return _conditional_states(info, epsilon)[..., r, :, :]
 
 
 def _simulate(alpha, beta, gamma, epsilon, chi, theta, phi, psi):

@@ -9,8 +9,8 @@ reproducible. A deviation that is not finite fails its check.
 The simulation checks run the batched protocol kernel of
 :mod:`werner_teleport.protocol` on fixed-size chunks of ``_CHUNK`` tuples.
 The closed forms broadcast over numpy arrays, so each is called once per
-chunk on the chunk's columns (the fidelity, and the conditional state once
-per Bell index), and once per (gamma, epsilon) grid in the grid checks;
+chunk on the chunk's columns (the fidelity, and all four conditional states
+in one call), and once per (gamma, epsilon) grid in the grid checks;
 the simulation never calls them. Memory is the seeded draw, 64 B per sample
 (eight float64 parameters), plus a working set fixed by the chunk size,
 about 2.2 kB per tuple of a chunk (0.6 MB), whatever ``samples`` is. The
@@ -36,12 +36,12 @@ from .analytics import (
 )
 from .protocol import (
     UnitaryAngles,
+    _conditional_states,
     _mean_fidelity,
     _simulate,
-    conditional_state_formula,
     correction_branch_operators,
 )
-from .states import _DOMAINS, BELL_INDICES
+from .states import _DOMAINS
 
 __all__ = ["CheckResult", "run_verification", "worst_closed_form_deviation"]
 
@@ -176,9 +176,7 @@ def run_verification(seed: int, samples: int, *,
 
         checked = max(0, min(len(chunk), formula_samples - start))
         if checked:
-            expected = np.stack(
-                [conditional_state_formula(rho_in[:checked], epsilon[:checked], r)
-                 for r in BELL_INDICES], axis=1)
+            expected = _conditional_states(rho_in[:checked], epsilon[:checked])
             formula.update_all(
                 np.abs(bob[:checked] - expected).max(axis=(-2, -1)),
                 lambda k: where(k // 4, f"conditional state r={k % 4}"))

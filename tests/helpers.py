@@ -40,6 +40,46 @@ def require_range_reference(value, name):
     raise ValueError(f"{name} must lie in [0.0, {hi}{bracket}, got {value}")
 
 
+def _literal(rows):
+    matrix = np.array(rows, dtype=complex)
+    matrix.setflags(write=False)
+    return matrix
+
+
+# The single-qubit ladder basis |0><0|, |1><1|, |0><1| and |1><0|, written out.
+I_PLUS = _literal([[1, 0], [0, 0]])
+I_MINUS = _literal([[0, 0], [0, 1]])
+R_PLUS = _literal([[0, 1], [0, 0]])
+R_MINUS = _literal([[0, 0], [1, 0]])
+
+
+def conditional_state_reference(info, epsilon, r):
+    """Bob's conditional state for branch r, written in the ladder basis.
+
+        r = 0:  [ {p00(1+e) + p11(1-e)} |0><0| + {p00(1-e) + p11(1+e)} |1><1|
+                  + 2 e p01 |0><1| + 2 e p10 |1><0| ] / 2
+
+    with the diagonal pair and the off-diagonal pair swapped for r in (2, 3)
+    and the off-diagonal sign flipped for r in (1, 3). ``info`` may be a
+    stack (..., 2, 2) and ``epsilon`` an array that broadcasts against its
+    leading axes. Shares no code with `protocol._conditional_states`, which
+    must give the same values; only the sign of a zero entry may differ.
+    """
+    epsilon = np.asarray(epsilon, dtype=float)[..., None, None]
+    info = np.asarray(info, dtype=complex)
+    # entries of each input as (..., 1, 1) arrays that scale the 2x2 operators
+    p00, p01 = info[..., :1, :1], info[..., :1, 1:]
+    p10, p11 = info[..., 1:, :1], info[..., 1:, 1:]
+    heavy = p00 * (1 + epsilon) + p11 * (1 - epsilon)
+    light = p00 * (1 - epsilon) + p11 * (1 + epsilon)
+    if r in (2, 3):
+        heavy, light = light, heavy
+        p01, p10 = p10, p01
+    sign = 1.0 if r in (0, 2) else -1.0
+    return 0.5 * (heavy * I_PLUS + light * I_MINUS
+                  + sign * 2.0 * epsilon * (p01 * R_PLUS + p10 * R_MINUS))
+
+
 def fidelity_reference(a, b, g, e, th, ph, ps):
     """Independent transcription of the closed-form fidelity.
 

@@ -7,7 +7,6 @@ from werner_teleport.density import (
     NotPositiveError,
     TraceError,
     kron,
-    ladder_operators,
     partial_trace,
     sigma_x,
     sigma_z,
@@ -131,36 +130,6 @@ def test_partial_trace_rejects_empty_and_full_keep():
         partial_trace(rho, {0, 1})
     with pytest.raises(ValueError):
         partial_trace(rho, {0, 5})
-
-
-# ----------------------------------------------------- ladder operators
-
-def test_ladder_operators_exact():
-    i_plus, i_minus, r_plus, r_minus = ladder_operators()
-    np.testing.assert_array_equal(i_plus, KET0)
-    np.testing.assert_array_equal(i_minus, KET1)
-    np.testing.assert_array_equal(r_plus, [[0, 1], [0, 0]])
-    np.testing.assert_array_equal(r_minus, [[0, 0], [1, 0]])
-    np.testing.assert_array_equal(i_plus + i_minus, np.eye(2))
-
-
-def test_ladder_trace_table():
-    # only (P0,P0), (P1,P1), (S+,S-), (S-,S+) have unit trace; the rest vanish
-    ops = ladder_operators()
-    nonzero = {(0, 0), (1, 1), (2, 3), (3, 2)}
-    for i in range(4):
-        for j in range(4):
-            trace = np.trace(ops[i] @ ops[j])
-            assert trace == (1.0 if (i, j) in nonzero else 0.0)
-
-
-def test_ladder_operators_from_paulis():
-    i_plus, i_minus, r_plus, r_minus = ladder_operators()
-    from werner_teleport.density import sigma_y
-    np.testing.assert_allclose(i_plus, (np.eye(2) + sigma_z) / 2)
-    np.testing.assert_allclose(i_minus, (np.eye(2) - sigma_z) / 2)
-    np.testing.assert_allclose(r_plus, (sigma_x + 1j * sigma_y) / 2)
-    np.testing.assert_allclose(r_minus, (sigma_x - 1j * sigma_y) / 2)
 
 
 # ------------------------------------------------------ validate_density

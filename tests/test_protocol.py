@@ -35,7 +35,12 @@ from werner_teleport.states import (
     werner_state,
 )
 
-from helpers import cyclic_fidelities_reference, fidelity_reference, simulate_reference
+from helpers import (
+    conditional_state_reference,
+    cyclic_fidelities_reference,
+    fidelity_reference,
+    simulate_reference,
+)
 
 
 def _random_params(rng):
@@ -493,17 +498,43 @@ def test_verify_conjugation_gemm_equals_sigma_r_sandwich():
 
 
 def test_conditional_state_formula_on_stacks_agrees_with_scalar_calls():
+    # == on complex entries: the ladder-basis reference adds exact zeros that
+    # the entrywise formula does not, so only the sign of a zero may differ
     from werner_teleport.verify import _draw_tuples
     rows = _draw_tuples(np.random.default_rng(79), 10**4)
     rows = np.vstack([rows, _corner_tuples()])
     rho_in = _information_states(rows[:, 0], rows[:, 1], rows[:, 2])
     epsilon = rows[:, 3]
+    branches = protocol._conditional_states(rho_in, epsilon)
+    assert branches.shape == (len(rows), 4, 2, 2)
     for r in BELL_INDICES:
+        expected = conditional_state_reference(rho_in, epsilon, r)
+        assert np.array_equal(branches[:, r], expected)
         stacked = conditional_state_formula(rho_in, epsilon, r)
         scalar = [conditional_state_formula(rho, e, r)
                   for rho, e in zip(rho_in, epsilon.tolist())]
         assert stacked.shape == (len(rows), 2, 2)
-        assert np.array_equal(stacked, scalar)
+        assert np.array_equal(stacked, expected)
+        assert np.array_equal(scalar, expected)
+
+
+def test_conditional_states_at_the_degenerate_corners():
+    # epsilon = 1 teleports perfectly: branch r is sigma_r rho_in sigma_r^+
+    # exactly; epsilon = 0 leaves Bob a diagonal state with equal entries;
+    # gamma = 0 leaves no coherence in any branch
+    from werner_teleport.verify import _draw_tuples
+    rows = np.vstack([_draw_tuples(np.random.default_rng(83), 1000), _corner_tuples()])
+    alpha, beta, gamma, epsilon = rows[:, :4].T
+    rho_in = _information_states(alpha, beta, gamma)
+    perfect = protocol._conditional_states(rho_in, np.ones_like(epsilon))
+    for r, sigma in enumerate(correction_branch_operators()):
+        assert np.array_equal(perfect[:, r], sigma @ rho_in @ sigma.conj().T)
+    mixed = protocol._conditional_states(rho_in, np.zeros_like(epsilon))
+    assert np.all(mixed[..., 0, 1] == 0) and np.all(mixed[..., 1, 0] == 0)
+    assert np.array_equal(mixed[..., 0, 0], mixed[..., 1, 1])
+    incoherent = protocol._conditional_states(
+        _information_states(alpha, beta, np.zeros_like(gamma)), epsilon)
+    assert np.all(incoherent[..., 0, 1] == 0) and np.all(incoherent[..., 1, 0] == 0)
 
 
 def test_conditional_state_formula_checks_every_epsilon():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from werner_teleport import cli
 from werner_teleport.analytics import fidelity_closed_form
-from werner_teleport.density import kron, ladder_operators, validate_density
+from werner_teleport.density import kron, validate_density
 from werner_teleport.protocol import UnitaryAngles
 from werner_teleport.states import (
     InformationState,
@@ -25,7 +25,7 @@ from werner_teleport.states import (
 )
 from werner_teleport.verify import _draw_tuples
 
-from helpers import random_density, require_range_reference
+from helpers import I_MINUS, I_PLUS, R_MINUS, R_PLUS, random_density, require_range_reference
 
 
 # ------------------------------------------------- information state
@@ -48,7 +48,6 @@ def test_information_state_partially_coherent():
 
 def test_information_state_ladder_expansion():
     # entrywise match with p00 P0 + p11 P1 + p01 S+ + p10 S-
-    i_plus, i_minus, r_plus, r_minus = ladder_operators()
     rng = np.random.default_rng(13)
     for _ in range(25):
         alpha = rng.uniform(0, math.pi)
@@ -56,8 +55,8 @@ def test_information_state_ladder_expansion():
         gamma = rng.uniform(0, 1)
         c, s = math.cos(alpha / 2), math.sin(alpha / 2)
         p01 = gamma * s * c * np.exp(-1j * beta)
-        expansion = (c * c * i_plus + s * s * i_minus
-                     + p01 * r_plus + np.conj(p01) * r_minus)
+        expansion = (c * c * I_PLUS + s * s * I_MINUS
+                     + p01 * R_PLUS + np.conj(p01) * R_MINUS)
         rho = information_state(InformationState(alpha, beta, gamma))
         assert np.abs(rho - expansion).max() < 1e-14
 
@@ -145,11 +144,10 @@ def test_werner_half():
 def test_werner_ladder_expansion():
     # the mixture must match its expansion over two-qubit ladder products:
     # (1+e)/4 (P0P0 + P1P1) + (1-e)/4 (P0P1 + P1P0) + e/2 (S+S+ + S-S-)
-    i_plus, i_minus, r_plus, r_minus = ladder_operators()
     for epsilon in np.linspace(0, 1, 11):
-        expansion = ((1 + epsilon) / 4 * (kron(i_plus, i_plus) + kron(i_minus, i_minus))
-                     + (1 - epsilon) / 4 * (kron(i_plus, i_minus) + kron(i_minus, i_plus))
-                     + epsilon / 2 * (kron(r_plus, r_plus) + kron(r_minus, r_minus)))
+        expansion = ((1 + epsilon) / 4 * (kron(I_PLUS, I_PLUS) + kron(I_MINUS, I_MINUS))
+                     + (1 - epsilon) / 4 * (kron(I_PLUS, I_MINUS) + kron(I_MINUS, I_PLUS))
+                     + epsilon / 2 * (kron(R_PLUS, R_PLUS) + kron(R_MINUS, R_MINUS)))
         rho = werner_state(WernerResource(float(epsilon)))
         assert np.abs(rho - expansion).max() < 1e-14
 

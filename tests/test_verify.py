@@ -155,16 +155,16 @@ def test_closed_forms_are_called_once_per_chunk_or_grid(monkeypatch):
             return fn(*args)
         return wrapped
 
-    for name in ("fidelity_closed_form", "conditional_state_formula", "masfi",
+    for name in ("fidelity_closed_form", "_conditional_states", "masfi",
                  "f_av_max", "f_max"):
         monkeypatch.setattr(verify, name, counting(name))
     monkeypatch.setattr(verify, "_CHUNK", 10)
     results = run_verification(5, 25, formula_samples=15, run_minimax=False)
     assert all(r.passed for r in results)
-    # 3 chunks, 2 of them with conditional-state checks (4 Bell indices
-    # each), the ordering chain, and the quadrature check's f_av_max
+    # 3 chunks, 2 of them with conditional-state checks (all four Bell
+    # indices in one call), the ordering chain, and the quadrature check's f_av_max
     assert sorted(calls) == sorted(["fidelity_closed_form"] * 3
-                                   + ["conditional_state_formula"] * 8
+                                   + ["_conditional_states"] * 2
                                    + ["masfi", "f_av_max", "f_max", "f_av_max"])
 
 
