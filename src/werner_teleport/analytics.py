@@ -70,6 +70,13 @@ _OUTER_GRID = 33
 # shrinks by k/2 per pass (by k when the best point is on its edge).
 _ZOOM_K = 16
 
+# The coarse scan's axis and the zoom's sub-step fractions, built once and
+# shared, read-only, by every search.
+_COARSE_AXIS = np.linspace(0.0, math.pi, _OUTER_GRID)
+_FRACTIONS = np.arange(_ZOOM_K + 1) / _ZOOM_K
+_COARSE_AXIS.setflags(write=False)
+_FRACTIONS.setflags(write=False)
+
 
 class InformationMinimum(NamedTuple):
     """Worst-case fidelity over the input state at fixed correction."""
@@ -307,42 +314,40 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     of the (theta, phi) bracket in one array call, and each side then
     shrinks to the pass's best point plus or minus one sub-step, until
     neither side is wider than ``REFINE_TOL``. The best point seen moves
-    only to a strictly better point, so ties keep the earlier one. ``value``
-    and ``argmin`` are read once, at that point with psi = 0, as
-    :func:`min_over_information` reads them. The result must agree with
-    :func:`masfi` to much better than 1e-6.
+    only to a strictly better point, so ties keep the earlier one. The
+    bracket and that point are Python floats: only the worst-case calls run
+    on arrays. ``value`` and ``argmin`` are read once, at that point with
+    psi = 0, as :func:`min_over_information` reads them. The result must
+    agree with :func:`masfi` to much better than 1e-6.
     """
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
 
-    corrections = np.linspace(0.0, math.pi, _OUTER_GRID)
-    coarse, _ = _worst_cases(gamma, epsilon, corrections[:, None], corrections[None, :])
-    it, ip = divmod(int(np.argmax(coarse)), _OUTER_GRID)
-    best, best_v = corrections[[it, ip]], float(coarse[it, ip])
+    coarse, _ = _worst_cases(gamma, epsilon, _COARSE_AXIS[:, None], _COARSE_AXIS[None, :])
+    it, ip = divmod(int(coarse.argmax()), _OUTER_GRID)
+    theta, phi, best_v = float(_COARSE_AXIS[it]), float(_COARSE_AXIS[ip]), float(coarse[it, ip])
     step = math.pi / (_OUTER_GRID - 1)
-    lo, hi = np.maximum(best - step, 0.0), np.minimum(best + step, math.pi)
-    fractions = np.arange(_ZOOM_K + 1) / _ZOOM_K
+    t_lo, t_hi = max(theta - step, 0.0), min(theta + step, math.pi)
+    p_lo, p_hi = max(phi - step, 0.0), min(phi + step, math.pi)
     evaluations = 1  # the final read
-    while True:
-        sub = (hi - lo) / _ZOOM_K
-        x = lo[:, None] + (hi - lo)[:, None] * fractions
-        x[:, -1] = hi  # keeps every point inside the bracket
-        values, _ = _worst_cases(gamma, epsilon, x[0][:, None], x[1][None, :])
+    while max(t_hi - t_lo, p_hi - p_lo) > REFINE_TOL:
+        t_axis, p_axis = t_lo + (t_hi - t_lo) * _FRACTIONS, p_lo + (p_hi - p_lo) * _FRACTIONS
+        t_axis[-1], p_axis[-1] = t_hi, p_hi  # keeps every point inside the bracket
+        values, _ = _worst_cases(gamma, epsilon, t_axis[:, None], p_axis[None, :])
         evaluations += values.size
-        i, j = divmod(int(np.argmax(values)), _ZOOM_K + 1)
-        point = x[[0, 1], [i, j]]
-        if values[i, j] > best_v:
-            best, best_v = point, float(values[i, j])
-        lo, hi = np.maximum(lo, point - sub), np.minimum(hi, point + sub)
-        if (hi - lo).max() <= REFINE_TOL:
-            break
+        i, j = divmod(int(values.argmax()), _ZOOM_K + 1)
+        t, p, v = float(t_axis[i]), float(p_axis[j]), float(values[i, j])
+        if v > best_v:
+            theta, phi, best_v = t, p, v
+        t_sub, p_sub = (t_hi - t_lo) / _ZOOM_K, (p_hi - p_lo) / _ZOOM_K
+        t_lo, t_hi = max(t_lo, t - t_sub), min(t_hi, t + t_sub)
+        p_lo, p_hi = max(p_lo, p - p_sub), min(p_hi, p + p_sub)
 
-    theta, phi = best.tolist()
     final = _worst_case_at(gamma, epsilon, theta, phi, 0.0)
     return MinimaxResult(
         value=final.value,
         argmin=(final.alpha, final.beta),
         argmax=(theta, phi, 0.0),
         iterations=evaluations,
-        tolerance_achieved=float((hi - lo).max()),
+        tolerance_achieved=max(t_hi - t_lo, p_hi - p_lo),
     )

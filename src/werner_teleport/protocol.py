@@ -185,13 +185,15 @@ def _project_bell(rho_c: np.ndarray,
     (below 1e-15).
     """
     indices = list(BELL_INDICES) if r is None else r
-    n, m = len(rho_c), len(indices)
-    blocks = rho_c.reshape(n, 4, 2, 4, 2).swapaxes(2, 3)  # blocks[:, a, b] = blk(a, b)
-    a, b = _SUPPORT[indices].T
-    # written into C order (N, m, 2, 2): the cyclic trace of _simulate sums in
-    # the order of this layout
-    bob = np.add(blocks[:, a, a], blocks[:, b, b], out=np.empty((n, m, 2, 2), dtype=complex))
-    bob += _PAIR_SIGN[indices, None, None] * (blocks[:, a, b] + blocks[:, b, a])
+    n = len(rho_c)
+    v = rho_c.reshape(n, 4, 2, 4, 2)  # v[:, a, :, b, :] = blk(a, b), a basic slice
+    # written into C order (N, len(r), 2, 2): the cyclic trace of _simulate
+    # sums in the order of this layout
+    bob = np.empty((n, len(indices), 2, 2), dtype=complex)
+    for k, i in enumerate(indices):
+        a, b = _SUPPORT[i]
+        bob[:, k] = (v[:, a, :, a, :] + v[:, b, :, b, :]
+                     + _PAIR_SIGN[i] * (v[:, a, :, b, :] + v[:, b, :, a, :]))
     bob *= 0.5
     probability = bob[..., 0, 0].real + bob[..., 1, 1].real
     low = int(probability.argmin())

@@ -539,6 +539,20 @@ def test_minimax_pinned_bit_for_bit_on_verify_grid():
         assert result.tolerance_achieved.hex() == _MINIMAX_BRACKET
 
 
+@pytest.mark.parametrize("gamma, epsilon", [(0.7, 0.9), (0.6, 0.0), (1.0, 0.8)])
+def test_minimax_result_holds_python_numbers(gamma, epsilon):
+    # a general point, epsilon = 0 and gamma = 1: no numpy scalar leaks into
+    # the result, and the search's shared grid constants cannot be written
+    result = minimax_search(gamma, epsilon)
+    fields = (result.value, *result.argmin, *result.argmax, result.tolerance_achieved)
+    assert all(type(x) is float for x in fields), [type(x) for x in fields]
+    assert type(result.iterations) is int
+    for constant in (analytics._COARSE_AXIS, analytics._FRACTIONS):
+        assert not constant.flags.writeable
+        with pytest.raises(ValueError):
+            constant[0] = 1.0
+
+
 def test_minimax_argmin_on_equator_for_mixed_input():
     result = minimax_search(0.5, 0.8)
     assert abs(result.value - masfi(0.5, 0.8)) < 1e-6
