@@ -15,8 +15,8 @@ with K_r = |B_r> (x) I (8x2): its trace is the outcome probability, its
 normalization Bob's conditional state.
 
 The whole protocol is written once, as the private kernel ``_simulate``:
-it takes N parameter tuples as arrays and runs every step on (N, ...)
-stacks, so the cross-checks in :mod:`werner_teleport.verify` simulate many
+it takes N parameter tuples as arrays and runs every step on all N at
+once, so the cross-checks in :mod:`werner_teleport.verify` simulate many
 tuples per numpy call. :func:`run_protocol` is its N = 1 case. Raw matrices
 are validated where they enter (:func:`composite`, :func:`bsm_project`);
 the kernel builds its states from parameters that its callers range-check
@@ -30,6 +30,16 @@ each sigma_r is a real signed permutation, so sigma_r^T M sigma_r is an
 exact signed gather of M. Every step is elementwise arithmetic in a fixed
 order, with no BLAS call, so the outputs do not depend on which BLAS
 kernel the machine picks.
+
+Inside the kernel the tuple axis is last: rho_in and U0 are (2, 2, N), the
+resource (4, 4, N), the composite a C-ordered (8, 8, N) array and Bob's
+states (4, 2, 2, N). Every step is a handful of elementwise operations on
+2x2 to 8x8 matrices, so with the tuple axis first numpy's inner loop would
+run over only 2 to 8 entries and restart for every tuple; tuple-last, each
+matrix entry is one contiguous run of N tuples, a block of the composite
+included. Each entry still sees the same operations in the same order, so
+the bits do not depend on the layout, and the kernel hands its outputs back
+tuple-first, as C-ordered (N, ...) copies.
 """
 
 from __future__ import annotations
@@ -144,17 +154,18 @@ def correction_branch_operators() -> tuple[np.ndarray, ...]:
 
 
 def _base_unitaries(chi, theta, phi, psi) -> np.ndarray:
-    # Unchecked: U0 for broadcast angle arrays, shape (..., 2, 2).
+    # Unchecked: U0 for broadcast angle arrays, shape (2, 2, ...).
     half = 0.5 * np.asarray(theta, dtype=float)
     c, s = np.cos(half), np.sin(half)
     e_phi = np.exp(1j * np.asarray(phi, dtype=float))
     e_psi = np.exp(1j * np.asarray(psi, dtype=float))
-    u = np.empty(e_phi.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = c * e_phi
-    u[..., 0, 1] = s * e_psi
-    u[..., 1, 0] = -s * e_psi.conj()
-    u[..., 1, 1] = c * e_phi.conj()
-    return np.exp(1j * np.asarray(chi, dtype=float))[..., None, None] * u
+    u = np.empty((2, 2) + e_phi.shape, dtype=complex)
+    u[0, 0] = c * e_phi
+    u[0, 1] = s * e_psi
+    u[1, 0] = -s * e_psi.conj()
+    u[1, 1] = c * e_phi.conj()
+    # phase first: numpy's fused complex multiply rounds a * b and b * a differently
+    return np.exp(1j * np.asarray(chi, dtype=float)) * u
 
 
 def composite(info: np.ndarray, resource: np.ndarray) -> np.ndarray:
@@ -176,32 +187,30 @@ def _require_bell_index(r) -> None:
 
 def _project_bell(rho_c: np.ndarray,
                   r: list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(p_r, K_r^+ rho_c K_r / p_r) for a stack ``rho_c`` of shape (N, 8, 8).
+    """(p_r, K_r^+ rho_c K_r / p_r) for N composites stacked as (8, 8, N).
 
     ``r`` lists the Bell indices (all four by default); the results have
-    shapes (N, len(r)) and (N, len(r), 2, 2), both C-ordered. Each branch is
+    shapes (len(r), N) and (len(r), 2, 2, N), both C-ordered. Each branch is
     0.5 (S + s_r X) over the block tables above, exact in 1/2 and s_r, with no
-    BLAS call. ``rho_c`` is not checked. Raises if some p_r is degenerate
-    (below 1e-15).
+    BLAS call. With ``rho_c`` C-ordered, every block is a strided view whose
+    last axis is a contiguous run of N entries. ``rho_c`` is not checked.
+    Raises if some p_r is degenerate (below 1e-15).
     """
     indices = list(BELL_INDICES) if r is None else r
-    n = len(rho_c)
-    v = rho_c.reshape(n, 4, 2, 4, 2)  # v[:, a, :, b, :] = blk(a, b), a basic slice
-    # written into C order (N, len(r), 2, 2): the cyclic trace of _simulate
-    # sums in the order of this layout
-    bob = np.empty((n, len(indices), 2, 2), dtype=complex)
+    n = rho_c.shape[-1]
+    v = rho_c.reshape(4, 2, 4, 2, n)  # v[a, :, b] = blk(a, b), a basic slice
+    bob = np.empty((len(indices), 2, 2, n), dtype=complex)
     for k, i in enumerate(indices):
         a, b = _SUPPORT[i]
-        bob[:, k] = (v[:, a, :, a, :] + v[:, b, :, b, :]
-                     + _PAIR_SIGN[i] * (v[:, a, :, b, :] + v[:, b, :, a, :]))
+        bob[k] = v[a, :, a] + v[b, :, b] + _PAIR_SIGN[i] * (v[a, :, b] + v[b, :, a])
     bob *= 0.5
-    probability = bob[..., 0, 0].real + bob[..., 1, 1].real
+    probability = bob[:, 0, 0].real + bob[:, 1, 1].real
     low = int(probability.argmin())
     if probability.flat[low] < DEGENERATE_PROBABILITY:
         raise DensityMatrixError(
-            f"degenerate Bell outcome r={indices[low % len(indices)]}: "
+            f"degenerate Bell outcome r={indices[low // n]}: "
             f"probability {probability.flat[low]:.3e}")
-    bob /= probability[..., None, None]
+    bob /= probability[:, None, None]
     return probability, bob
 
 
@@ -218,8 +227,8 @@ def bsm_project(composite_state: np.ndarray, r: int) -> BsmOutcome:
         raise DensityMatrixError(
             f"expected a three-qubit (8x8) composite, got {composite_state.shape}")
     _require_bell_index(r)
-    probability, bob = _project_bell(composite_state[None], [r])
-    return BsmOutcome(r=r, probability=float(probability[0, 0]), bob_state=bob[0, 0])
+    probability, bob = _project_bell(composite_state[..., None], [r])
+    return BsmOutcome(r=r, probability=float(probability[0, 0]), bob_state=bob[0, ..., 0])
 
 
 def _conditional_states(info: np.ndarray, epsilon) -> np.ndarray:
@@ -271,27 +280,30 @@ def _simulate(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
 
     Returns rho_in (N, 2, 2), the outcome probabilities (N, 4), Bob's
     conditional states (N, 4, 2, 2) and the fidelities Tr[U_r rho_Bob_r U_r^+
-    rho_in] (N, 4), summed as Tr[rho_Bob_r sigma_r^T M sigma_r]. Nothing is
-    validated, the closed form is never called, and row i depends on tuple i
-    alone, bit for bit, whatever N is.
+    rho_in] (N, 4), summed as Tr[rho_Bob_r sigma_r^T M sigma_r], each a
+    C-ordered copy of the tuple-last array the kernel computed it in.
+    Nothing is validated, the closed form is never called, and row i depends
+    on tuple i alone, bit for bit, whatever N is.
     """
     rho_in = _information_states(alpha, beta, gamma)
-    n = len(rho_in)
+    n = rho_in.shape[-1]
     # rho_in (x) W: entry (4i + k, 4j + l) is rho_in[i, j] W[k, l]
-    rho_c = (rho_in[:, :, None, :, None]
-             * _werner_states(epsilon)[:, None, :, None, :]).reshape(n, 8, 8)
+    rho_c = (rho_in[:, None, :, None]
+             * _werner_states(epsilon)[None, :, None, :]).reshape(8, 8, n)
     probabilities, bob = _project_bell(rho_c)
     u0 = _base_unitaries(chi, theta, phi, psi)
     # M = U0^+ rho_in U0 by two broadcast multiply-adds, each entry summed over k = 0, 1
-    u0_h = u0.conj().swapaxes(-1, -2)
-    t = u0_h[:, :, :1] * rho_in[:, :1, :] + u0_h[:, :, 1:] * rho_in[:, 1:, :]
-    m = t[:, :, :1] * u0[:, :1, :] + t[:, :, 1:] * u0[:, 1:, :]
-    # (sigma_r^T M sigma_r)^T for every r, a C-ordered (N, 4, 2, 2) gather:
-    # a product with another layout may be summed in another order.
-    rotated = np.take(m.reshape(n, 4), _PERM, axis=1)
-    rotated *= _SIGN
-    fidelities = (bob * rotated).sum(axis=(-2, -1)).real
-    return rho_in, probabilities, bob, fidelities
+    u0_h = u0.conj().swapaxes(0, 1)
+    t = u0_h[:, :1] * rho_in[:1] + u0_h[:, 1:] * rho_in[1:]
+    m = t[:, :1] * u0[:1] + t[:, 1:] * u0[1:]
+    # (sigma_r^T M sigma_r)^T for every r, a (4, 2, 2, N) gather
+    rotated = np.take(m.reshape(4, n), _PERM, axis=0)
+    rotated *= _SIGN[..., None]
+    # the trace summed as numpy sums a contiguous 2x2 block of four entries
+    p = bob * rotated
+    fidelities = ((p[:, 0, 0] + p[:, 0, 1]) + (p[:, 1, 0] + p[:, 1, 1])).real
+    return (rho_in.transpose(2, 0, 1).copy(), probabilities.T.copy(),
+            bob.transpose(3, 0, 1, 2).copy(), fidelities.T.copy())
 
 
 def _mean_fidelity(probabilities: np.ndarray, fidelities: np.ndarray) -> np.ndarray:

@@ -62,20 +62,25 @@ def _require_range(value, name: str):
     """``value`` as a float, or as a float array when it is a numpy array
     with at least one axis; raises ValueError for the first entry, in
     row-major order, that is not finite or lies outside the domain of the
-    parameter ``name``, with the message a scalar would get."""
+    parameter ``name``, with the message a scalar would get. A complex numpy
+    array or scalar raises TypeError, as a Python complex does, rather than
+    losing its imaginary part to the float cast."""
     hi, open_upper = _DOMAINS[name]
-    # Python floats skip the array test, which would cost them half again.
-    if type(value) is not float and isinstance(value, np.ndarray) and value.ndim:
-        # Two reductions pass a non-empty numeric array in range (NaN
-        # propagates to both); the entrywise test below takes every other
-        # array and names the first bad entry.
-        if value.size and value.dtype.kind in "fiu" and value.min() >= 0.0 and (
-                value.max() < hi if open_upper else value.max() <= hi):
-            return value.astype(float, copy=False)
-        inside = (value >= 0.0) & ((value < hi) if open_upper else (value <= hi))
-        if inside.all():
-            return value.astype(float, copy=False)
-        value = value.flat[np.argmin(inside)]  # the scalar check below raises for it
+    # Python floats skip the numpy tests, which would cost them half again.
+    if type(value) is not float and isinstance(value, (np.ndarray, np.generic)):
+        if value.dtype.kind == "c":
+            raise TypeError(f"{name} must be real, got a {value.dtype} value")
+        if value.ndim:
+            # Two reductions pass a non-empty numeric array in range (NaN
+            # propagates to both); the entrywise test below takes every other
+            # array and names the first bad entry.
+            if value.size and value.dtype.kind in "fiu" and value.min() >= 0.0 and (
+                    value.max() < hi if open_upper else value.max() <= hi):
+                return value.astype(float, copy=False)
+            inside = (value >= 0.0) & ((value < hi) if open_upper else (value <= hi))
+            if inside.all():
+                return value.astype(float, copy=False)
+            value = value.flat[np.argmin(inside)]  # the scalar check below raises for it
     value = float(value)
     if 0.0 <= value and (value < hi if open_upper else value <= hi):  # False for NaN
         return value
@@ -91,7 +96,7 @@ def _require_scalar(value, name: str) -> float:
     # one-entry array depends on the numpy release.
     if isinstance(value, np.ndarray) and value.ndim:
         raise TypeError(f"{name} must be a scalar, got an array of shape {value.shape}")
-    return _require_range(float(value), name)
+    return _require_range(value, name)
 
 
 def _require_fields(self) -> None:
@@ -127,15 +132,15 @@ class WernerResource:
 
 
 def _information_states(alpha, beta, gamma) -> np.ndarray:
-    # Unchecked: input matrices for broadcast parameter arrays, shape (..., 2, 2).
+    # Unchecked: input matrices for broadcast parameter arrays, shape (2, 2, ...).
     half = 0.5 * np.asarray(alpha, dtype=float)
     c, s = np.cos(half), np.sin(half)
     off = gamma * s * c * np.exp(-1j * np.asarray(beta, dtype=float))
-    rho = np.empty(off.shape + (2, 2), dtype=complex)
-    rho[..., 0, 0] = c * c
-    rho[..., 0, 1] = off
-    rho[..., 1, 0] = off.conj()
-    rho[..., 1, 1] = s * s
+    rho = np.empty((2, 2) + off.shape, dtype=complex)
+    rho[0, 0] = c * c
+    rho[0, 1] = off
+    rho[1, 0] = off.conj()
+    rho[1, 1] = s * s
     return rho
 
 
@@ -164,9 +169,11 @@ _PHI_PLUS_PROJECTOR.setflags(write=False)
 
 
 def _werner_states(epsilon) -> np.ndarray:
-    # Unchecked: resources for a broadcast epsilon array, shape (..., 4, 4).
-    eps = np.asarray(epsilon, dtype=float)[..., None, None]
-    return (1.0 - eps) / 4.0 * np.eye(4, dtype=complex) + eps * _PHI_PLUS_PROJECTOR
+    # Unchecked: resources for a broadcast epsilon array, shape (4, 4, ...).
+    eps = np.asarray(epsilon, dtype=float)
+    matrix = (4, 4) + (1,) * eps.ndim
+    return ((1.0 - eps) / 4.0 * np.eye(4, dtype=complex).reshape(matrix)
+            + eps * _PHI_PLUS_PROJECTOR.reshape(matrix))
 
 
 def werner_state(resource: WernerResource) -> np.ndarray:

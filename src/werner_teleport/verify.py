@@ -13,7 +13,7 @@ chunk on the chunk's columns (the fidelity, and all four conditional states
 in one call), and once per (gamma, epsilon) grid in the grid checks;
 the simulation never calls them. Memory is the seeded draw, 64 B per sample
 (eight float64 parameters), plus a working set fixed by the chunk size,
-about 2.4 kB per tuple of a chunk (0.6 MB), whatever ``samples`` is. The
+about 2.6 kB per tuple of a chunk (0.67 MB), whatever ``samples`` is. The
 draws stay up front because ``_draw_tuples`` draws column by column:
 drawing chunk by chunk would change every tuple.
 """
@@ -67,8 +67,8 @@ class CheckResult:
         return text
 
 
-# Tuples per kernel call. The kernel's peak working set is about 2.4 kB per
-# tuple (tracemalloc, one 256-tuple call), so about 0.6 MB per call.
+# Tuples per kernel call. The kernel's peak working set is about 2.6 kB per
+# tuple (tracemalloc, one 256-tuple call), so about 0.67 MB per call.
 _CHUNK = 256
 
 # vec(sigma_r X sigma_r^+) = kron(sigma_r, conj(sigma_r)) vec(X) with

@@ -10,6 +10,11 @@ from werner_teleport.protocol import _SIGMA_R, _base_unitaries
 from werner_teleport.states import _DOMAINS, _information_states, _werner_states
 
 
+def tuple_first(stack):
+    """A tuple-last (..., N) builder output as a C-ordered (N, ...) stack."""
+    return np.ascontiguousarray(np.moveaxis(stack, -1, 0))
+
+
 def random_density(rng, dim):
     """Ginibre construction: G G+ normalized to unit trace."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -260,9 +265,10 @@ def simulate_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
     so they agree to round-off only (`cyclic_fidelities_reference` is their
     exact pin).
     """
-    rho_in = _information_states(alpha, beta, gamma)
+    rho_in = tuple_first(_information_states(alpha, beta, gamma))
     n = len(rho_in)
-    rho_c = np.einsum("nij,nkl->nikjl", rho_in, _werner_states(epsilon)).reshape(n, 8, 8)
+    rho_c = np.einsum("nij,nkl->nikjl", rho_in,
+                      tuple_first(_werner_states(epsilon))).reshape(n, 8, 8)
     bob = np.empty((n, 4, 2, 2), dtype=complex)
     for r, (a, b, s) in enumerate(_BELL_TABLE):
         for c in range(2):
@@ -272,7 +278,7 @@ def simulate_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
                 bob[:, r, c, d] = 0.5 * (same + s * cross)
     probabilities = bob[..., 0, 0].real + bob[..., 1, 1].real
     bob = bob / probabilities[..., None, None]
-    u_r = _base_unitaries(chi, theta, phi, psi)[:, None] @ _SIGMA_R
+    u_r = tuple_first(_base_unitaries(chi, theta, phi, psi))[:, None] @ _SIGMA_R
     teleported = u_r @ bob @ u_r.conj().swapaxes(-1, -2)
     fidelities = (teleported * rho_in.swapaxes(-1, -2)[:, None]).sum(axis=(-2, -1)).real
     return rho_in, probabilities, bob, fidelities
@@ -290,7 +296,7 @@ def cyclic_fidelities_reference(alpha, beta, gamma, epsilon, chi, theta, phi, ps
     must agree bit for bit.
     """
     rho_in, _, bob, _ = simulate_reference(alpha, beta, gamma, epsilon, chi, theta, phi, psi)
-    u0 = _base_unitaries(chi, theta, phi, psi)
+    u0 = tuple_first(_base_unitaries(chi, theta, phi, psi))
     t, m = np.empty_like(rho_in), np.empty_like(rho_in)
     for i in range(2):
         for j in range(2):

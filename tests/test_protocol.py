@@ -40,6 +40,7 @@ from helpers import (
     cyclic_fidelities_reference,
     fidelity_reference,
     simulate_reference,
+    tuple_first,
 )
 
 
@@ -352,13 +353,30 @@ def test_kernel_rows_match_run_protocol_at_corners():
     _assert_kernel_rows_match_scalar_api(_corner_tuples())
 
 
-def test_kernel_degenerate_branch_names_its_index():
-    # a stack whose second composite annihilates the r = 2 Bell branch
+def _r2_degenerate_composite():
+    # a composite that annihilates the r = 2 Bell branch, and one that does not
     psi_plus = np.outer(_BELL_VECTORS[2], _BELL_VECTORS[2].conj())
     good = np.eye(8, dtype=complex) / 8
     bad = kron(np.eye(4, dtype=complex) - psi_plus, np.eye(2, dtype=complex)) / 6
+    return good, bad
+
+
+def test_kernel_degenerate_branch_names_its_index():
+    # a stack whose second composite annihilates the r = 2 Bell branch
+    good, bad = _r2_degenerate_composite()
     with pytest.raises(DensityMatrixError, match="r=2"):
-        protocol._project_bell(np.stack([good, bad]))
+        protocol._project_bell(np.stack([good, bad], axis=-1))
+
+
+@pytest.mark.parametrize("where", [1, 2], ids=["middle", "last"])
+@pytest.mark.parametrize("r", [None, [3, 2]], ids=["all", "subset"])
+def test_kernel_degenerate_branch_index_is_read_from_the_branch_axis(where, r):
+    # the guard's message names the Bell index, not the tuple's position
+    good, bad = _r2_degenerate_composite()
+    stack = [good, good, good]
+    stack[where] = bad
+    with pytest.raises(DensityMatrixError, match=r"r=2\b"):
+        protocol._project_bell(np.stack(stack, axis=-1), r)
 
 
 _OUTPUTS = ("rho_in", "probabilities", "bob", "fidelities")
@@ -448,8 +466,9 @@ def test_kernel_bytes_do_not_depend_on_the_openblas_kernel():
 
 
 def test_simulate_hands_the_projection_a_c_ordered_composite(monkeypatch):
-    # _simulate passes rho_in (x) W as a plain C-ordered (N, 8, 8) stack, and
-    # Bob's states come back C-ordered, the layout the cyclic trace sums in
+    # _simulate passes rho_in (x) W as a C-ordered (8, 8, N) array, so each
+    # 2x2 block the projection reads is one contiguous run of N tuples per
+    # entry, and Bob's states come back C-ordered, tuple-last
     from werner_teleport.verify import _draw_tuples
     params = np.vstack([_draw_tuples(np.random.default_rng(5), 300), _corner_tuples()])
     calls = []
@@ -463,12 +482,19 @@ def test_simulate_hands_the_projection_a_c_ordered_composite(monkeypatch):
     monkeypatch.setattr(protocol, "_project_bell", recording)
     _, probabilities, bob, _ = protocol._simulate(*params.T)
     (rho_c, r, (p_returned, bob_returned)), = calls
-    assert r is None and rho_c.shape == (len(params), 8, 8)
+    assert r is None and rho_c.shape == (8, 8, len(params))
     assert rho_c.flags.c_contiguous
+    v = rho_c.reshape(4, 2, 4, 2, len(params))
+    for a in range(4):
+        for b in range(4):
+            assert v[a, :, b].strides[-1] == 16
+    assert bob_returned.shape == (4, 2, 2, len(params))
     assert bob_returned.flags.c_contiguous and p_returned.flags.c_contiguous
-    assert bob is bob_returned and probabilities is p_returned
-    expected = np.stack([np.kron(rho, werner_state(WernerResource(e)))
-                         for rho, e in zip(_information_states(*params[:, :3].T), params[:, 3])])
+    assert np.array_equal(bob, tuple_first(bob_returned))
+    assert np.array_equal(probabilities, tuple_first(p_returned))
+    expected = np.stack([np.kron(rho, werner_state(WernerResource(e))) for rho, e in
+                         zip(tuple_first(_information_states(*params[:, :3].T)), params[:, 3])],
+                        axis=-1)
     assert np.array_equal(rho_c, expected)
 
 
@@ -476,15 +502,15 @@ def test_simulate_hands_the_projection_a_c_ordered_composite(monkeypatch):
 def test_project_bell_subset_equals_its_column_of_the_full_projection(r):
     from werner_teleport.verify import _draw_tuples
     params = np.vstack([_draw_tuples(np.random.default_rng(42), 100), _corner_tuples()])
-    rho_in = _information_states(*params[:, :3].T)
+    rho_in = tuple_first(_information_states(*params[:, :3].T))
     rho_c = np.stack([np.kron(rho, werner_state(WernerResource(e)))
-                      for rho, e in zip(rho_in, params[:, 3])])
+                      for rho, e in zip(rho_in, params[:, 3])], axis=-1)
     probability, bob = protocol._project_bell(rho_c)
     p_r, bob_r = protocol._project_bell(rho_c, [r])
-    assert p_r.shape == (len(params), 1) and bob_r.shape == (len(params), 1, 2, 2)
+    assert p_r.shape == (1, len(params)) and bob_r.shape == (1, 2, 2, len(params))
     # byte for byte, so a signed zero that drifts shows
-    assert p_r[:, 0].tobytes() == probability[:, r].tobytes()
-    assert bob_r[:, 0].tobytes() == bob[:, r].tobytes()
+    assert p_r[0].tobytes() == probability[r].tobytes()
+    assert bob_r[0].tobytes() == bob[r].tobytes()
 
 
 def test_verify_conjugation_gemm_equals_sigma_r_sandwich():
@@ -504,7 +530,7 @@ def test_conditional_state_formula_on_stacks_agrees_with_scalar_calls():
     from werner_teleport.verify import _draw_tuples
     rows = _draw_tuples(np.random.default_rng(79), 10**4)
     rows = np.vstack([rows, _corner_tuples()])
-    rho_in = _information_states(rows[:, 0], rows[:, 1], rows[:, 2])
+    rho_in = tuple_first(_information_states(rows[:, 0], rows[:, 1], rows[:, 2]))
     epsilon = rows[:, 3]
     branches = protocol._conditional_states(rho_in, epsilon)
     assert branches.shape == (len(rows), 4, 2, 2)
@@ -526,7 +552,7 @@ def test_conditional_states_at_the_degenerate_corners():
     from werner_teleport.verify import _draw_tuples
     rows = np.vstack([_draw_tuples(np.random.default_rng(83), 1000), _corner_tuples()])
     alpha, beta, gamma, epsilon = rows[:, :4].T
-    rho_in = _information_states(alpha, beta, gamma)
+    rho_in = tuple_first(_information_states(alpha, beta, gamma))
     perfect = protocol._conditional_states(rho_in, np.ones_like(epsilon))
     for r, sigma in enumerate(correction_branch_operators()):
         assert np.array_equal(perfect[:, r], sigma @ rho_in @ sigma.conj().T)
@@ -534,7 +560,7 @@ def test_conditional_states_at_the_degenerate_corners():
     assert np.all(mixed[..., 0, 1] == 0) and np.all(mixed[..., 1, 0] == 0)
     assert np.array_equal(mixed[..., 0, 0], mixed[..., 1, 1])
     incoherent = protocol._conditional_states(
-        _information_states(alpha, beta, np.zeros_like(gamma)), epsilon)
+        tuple_first(_information_states(alpha, beta, np.zeros_like(gamma))), epsilon)
     assert np.all(incoherent[..., 0, 1] == 0) and np.all(incoherent[..., 1, 0] == 0)
 
 

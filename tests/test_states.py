@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from werner_teleport import cli
-from werner_teleport.analytics import fidelity_closed_form
+from werner_teleport.analytics import fidelity_closed_form, masfi, minimax_search
 from werner_teleport.density import kron, validate_density
 from werner_teleport.protocol import UnitaryAngles
 from werner_teleport.states import (
@@ -267,6 +267,30 @@ def test_require_scalar_rejects_arrays():
             _require_scalar(array, "gamma")
     with pytest.raises(TypeError):
         InformationState(np.array([0.1, 0.2]), 0.0, 0.5)
+
+
+@pytest.mark.parametrize("value", [
+    np.array([0.5 + 1j]), np.array([0.5, 0.25], dtype=np.complex64), np.array(0.5 + 0j),
+    np.complex128(0.5 + 1j), np.complex64(0.5), np.array([], dtype=complex),
+], ids=["array", "complex64-array", "0-d", "complex128", "complex64", "empty"])
+def test_complex_input_is_refused_not_truncated(value):
+    # a float cast would keep the real part alone (0.5 + 1j read as 0.5)
+    # with only a ComplexWarning
+    with pytest.raises(TypeError, match="^gamma must be real"):
+        _require_range(value, "gamma")
+    with pytest.raises(TypeError, match="^epsilon must be real"):
+        masfi(0.5, value)
+    if value.ndim == 0:
+        with pytest.raises(TypeError, match="^gamma must be real"):
+            _require_scalar(value, "gamma")
+        with pytest.raises(TypeError, match="^gamma must be real"):
+            minimax_search(value, 0.5)
+        with pytest.raises(TypeError, match="^gamma must be real"):
+            InformationState(0.5, 0.5, value)
+        with pytest.raises(TypeError, match="^epsilon must be real"):
+            WernerResource(value)
+        with pytest.raises(TypeError, match="^psi must be real"):
+            UnitaryAngles(psi=value)
 
 
 # ---------------------------------------------------- domain table
