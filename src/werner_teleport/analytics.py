@@ -16,7 +16,9 @@ the optimal correction (``f_av_max``), and the absolute ceiling
 route so they can be cross-validated: ``masfi`` with a grid search over
 Bob's correction refined by a 2-D zoom, whose inner worst case over the
 input is exact (the lowest eigenvalue of a 3x3 form, in closed form), and
-``f_av_max`` with Gauss-Legendre quadrature.
+``f_av_max`` with Gauss-Legendre quadrature in cos(alpha) times a periodic
+rule in beta, summed separably: F's beta dependence is two sinusoids, so
+the beta rule reduces to two sums shared by every alpha node.
 
 The closed forms (``fidelity_closed_form``, ``masfi``, ``f_av_max``,
 ``f_max``, ``fidelity_gap``) take floats or numpy arrays, which broadcast
@@ -106,15 +108,21 @@ class MinimaxResult:
     tolerance_achieved: float
 
 
-def _fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi):
-    # Unchecked, broadcasts over numpy arrays; hot path for every grid.
+def _beta_terms(alpha, gamma, epsilon, theta, phi):
+    # Unchecked, broadcasts over numpy arrays: (A, B, C) of
     # F = A + B sin(beta+psi) + C cos(2(beta+psi)), each row factor of
     # _row_factors at the left end of its product.
     a_cos, a_sin, b, c = _row_factors(gamma, epsilon, theta, phi)
     sin_a_sq = np.sin(alpha) ** 2
-    a_term = 0.5 * (1.0 + a_cos * np.cos(alpha) ** 2 + a_sin * sin_a_sq)
-    return (a_term + b * np.sin(2.0 * alpha) * np.sin(beta + psi)
-            + c * sin_a_sq * np.cos(2.0 * (beta + psi)))
+    return (0.5 * (1.0 + a_cos * np.cos(alpha) ** 2 + a_sin * sin_a_sq),
+            b * np.sin(2.0 * alpha), c * sin_a_sq)
+
+
+def _fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi):
+    # Unchecked, broadcasts over numpy arrays; hot path for every grid.
+    a_term, b_term, c_term = _beta_terms(alpha, gamma, epsilon, theta, phi)
+    turn = beta + psi
+    return a_term + b_term * np.sin(turn) + c_term * np.cos(2.0 * turn)
 
 
 def fidelity_closed_form(alpha: float, beta: float, gamma: float, epsilon: float,
@@ -186,6 +194,13 @@ def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles
     alone, so it is built once per count and shared, read-only, by every
     later call with that count. ``nodes`` is an integer >= 8 (or a whole
     float such as 64.0), never a bool.
+
+    F is A(alpha) + B(alpha) sin(beta+psi) + C(alpha) cos(2(beta+psi)), so
+    the beta rule sums each alpha node's row to n A + B S + C K, with
+    S = sum_j sin(beta_j+psi) and K = sum_j cos(2(beta_j+psi)) the same for
+    every row: a call evaluates (A, B, C) on the n alpha nodes and 2n beta
+    terms, not F on the n x n product grid, and the weighted sum of the rows
+    divided by 2n is the average.
     """
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
@@ -196,9 +211,10 @@ def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles
     if nodes < 8:
         raise ValueError(f"nodes must be >= 8, got {nodes}")
     alphas, w, betas = _sphere_rule(nodes)
-    grid = _fidelity_core(alphas[:, None], betas[None, :], gamma, epsilon,
-                          angles.theta, angles.phi, angles.psi)
-    return float(w @ grid.sum(axis=1)) / (2.0 * nodes)
+    a_term, b_term, c_term = _beta_terms(alphas, gamma, epsilon, angles.theta, angles.phi)
+    turn = betas + angles.psi
+    rows = nodes * a_term + b_term * np.sin(turn).sum() + c_term * np.cos(2.0 * turn).sum()
+    return float(w @ rows) / (2.0 * nodes)
 
 
 @functools.lru_cache(maxsize=8)

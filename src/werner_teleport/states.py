@@ -62,25 +62,30 @@ def _require_range(value, name: str):
     """``value`` as a float, or as a float array when it is a numpy array
     with at least one axis; raises ValueError for the first entry, in
     row-major order, that is not finite or lies outside the domain of the
-    parameter ``name``, with the message a scalar would get. A complex numpy
-    array or scalar raises TypeError, as a Python complex does, rather than
-    losing its imaginary part to the float cast."""
+    parameter ``name``, with the message a scalar would get. A complex value
+    (Python or numpy, any shape) and a string or bytes scalar (Python or
+    numpy, 0-d arrays included) raise TypeError naming ``name``, rather than
+    losing an imaginary part to the float cast or parsing the text."""
     hi, open_upper = _DOMAINS[name]
-    # Python floats skip the numpy tests, which would cost them half again.
-    if type(value) is not float and isinstance(value, (np.ndarray, np.generic)):
-        if value.dtype.kind == "c":
-            raise TypeError(f"{name} must be real, got a {value.dtype} value")
-        if value.ndim:
-            # Two reductions pass a non-empty numeric array in range (NaN
-            # propagates to both); the entrywise test below takes every other
-            # array and names the first bad entry.
-            if value.size and value.dtype.kind in "fiu" and value.min() >= 0.0 and (
-                    value.max() < hi if open_upper else value.max() <= hi):
-                return value.astype(float, copy=False)
-            inside = (value >= 0.0) & ((value < hi) if open_upper else (value <= hi))
-            if inside.all():
-                return value.astype(float, copy=False)
-            value = value.flat[np.argmin(inside)]  # the scalar check below raises for it
+    # Python floats skip the type tests, which would cost them half again.
+    if type(value) is not float:
+        if isinstance(value, (np.ndarray, np.generic)):
+            kind = value.dtype.kind
+            if kind == "c" or kind in "SU" and not value.ndim:
+                raise TypeError(f"{name} must be real, got a {value.dtype.name} value")
+            if value.ndim:
+                # Two reductions pass a non-empty numeric array in range (NaN
+                # propagates to both); the entrywise test below takes every
+                # other array and names the first bad entry.
+                if value.size and kind in "fiu" and value.min() >= 0.0 and (
+                        value.max() < hi if open_upper else value.max() <= hi):
+                    return value.astype(float, copy=False)
+                inside = (value >= 0.0) & ((value < hi) if open_upper else (value <= hi))
+                if inside.all():
+                    return value.astype(float, copy=False)
+                value = value.flat[np.argmin(inside)]  # the scalar check below raises for it
+        elif isinstance(value, (complex, str, bytes)):
+            raise TypeError(f"{name} must be real, got a {type(value).__name__} value")
     value = float(value)
     if 0.0 <= value and (value < hi if open_upper else value <= hi):  # False for NaN
         return value

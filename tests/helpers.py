@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from werner_teleport import analytics
-from werner_teleport.analytics import _fidelity_core
+from werner_teleport.analytics import _beta_terms, _fidelity_core
 from werner_teleport.protocol import _SIGMA_R, _base_unitaries
 from werner_teleport.states import _DOMAINS, _information_states, _werner_states
 
@@ -334,11 +334,27 @@ def worst_case_reference(gamma, epsilon, theta, phi):
 def sphere_average_reference(gamma, epsilon, angles, nodes):
     """Sphere average of F by quadrature, with the rule rebuilt on every call.
 
-    Transcribes `analytics.average_fidelity_numeric` as it was before its
-    Gauss-Legendre rule was cached: same nodes, same integrand and the same
-    order of summation, so the two must agree bit for bit. It shares the
-    integrand with the package on purpose; `fidelity_reference` and
-    `f_av_max` are the independent checks of the value.
+    Transcribes `analytics.average_fidelity_numeric` with a freshly built
+    Gauss-Legendre rule: same nodes, same separable sum (n A + B S + C K per
+    polar node) in the same order, so the two must agree bit for bit. It
+    shares the integrand with the package on purpose;
+    `sphere_average_grid_reference`, `fidelity_reference` and `f_av_max`
+    are the checks of the value.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    turn = 2.0 * math.pi * np.arange(nodes) / nodes + angles.psi
+    a_term, b_term, c_term = _beta_terms(np.arccos(x), gamma, epsilon, angles.theta, angles.phi)
+    rows = nodes * a_term + b_term * np.sin(turn).sum() + c_term * np.cos(2.0 * turn).sum()
+    return float(w @ rows) / (2.0 * nodes)
+
+
+def sphere_average_grid_reference(gamma, epsilon, angles, nodes):
+    """Sphere average of F by quadrature on the full n x n product grid.
+
+    Transcribes `analytics.average_fidelity_numeric` as it was before the
+    beta rule was summed separably: F on every (alpha, beta) node, each
+    row summed, then the Gauss-Legendre weights. The same rule on the same
+    integrand, so the separable sum must agree with it to round-off.
     """
     x, w = np.polynomial.legendre.leggauss(nodes)
     alphas = np.arccos(x)

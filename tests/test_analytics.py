@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from helpers import (
     fidelity_reference,
     information_profile_reference,
     sequential_minimax_reference,
+    sphere_average_grid_reference,
     sphere_average_reference,
     worst_case_reference,
     zoomed_worst_case_reference,
@@ -248,6 +250,33 @@ def test_average_equals_uncached_rule_exactly(nodes):
         got = average_fidelity_numeric(gamma, epsilon, angles, nodes)
         assert got == sphere_average_reference(gamma, epsilon, angles, nodes), \
             (gamma, epsilon, angles)
+
+
+@pytest.mark.parametrize("nodes", [8, 16, 32, 64, 96])
+def test_average_agrees_with_the_grid_sum(nodes):
+    # the separable sum against F summed on the full n x n grid of the rule
+    rng = np.random.default_rng(1700 + nodes)
+    draws = [(float(rng.random()), float(rng.random()),
+              UnitaryAngles(*(float(v) for v in rng.random(4) * math.pi)))
+             for _ in range(1000)]
+    for gamma, epsilon, angles in draws + _QUADRATURE_CORNERS:
+        got = average_fidelity_numeric(gamma, epsilon, angles, nodes)
+        want = sphere_average_grid_reference(gamma, epsilon, angles, nodes)
+        assert abs(got - want) <= 1e-15, (gamma, epsilon, angles)
+
+
+def test_average_allocates_no_grid():
+    # with the rule cached, a call holds a few n-entry rows at a time; the
+    # n x n grid it no longer forms would take 1.2 MB at 256 nodes
+    angles = UnitaryAngles(0.0, 1.2, 0.7, 0.4)
+    average_fidelity_numeric(0.6, 0.9, angles, 256)
+    tracemalloc.start()
+    try:
+        average_fidelity_numeric(0.6, 0.9, angles, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_average_builds_rule_once_per_node_count(monkeypatch):

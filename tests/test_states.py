@@ -293,6 +293,29 @@ def test_complex_input_is_refused_not_truncated(value):
             UnitaryAngles(psi=value)
 
 
+@pytest.mark.parametrize("value, kind", [
+    (0.5 + 1j, "complex"), (0.5 + 0j, "complex"), ("0.5", "str"), (b"0.5", "bytes"),
+    (np.str_("0.5"), "str96"), (np.bytes_(b"0.5"), "bytes24"),
+    (np.array("0.5"), "str96"), (np.array(b"0.5"), "bytes24"),
+], ids=["complex", "complex-0j", "str", "bytes", "np-str", "np-bytes", "0-d-str", "0-d-bytes"])
+def test_complex_and_text_scalars_are_refused_by_name(value, kind):
+    # float() would name no parameter for a complex, and would parse the text
+    # of a string ("0.5" read as 0.5)
+    def message(name):
+        return f"^{name} must be real, got a {kind} value$"
+
+    with pytest.raises(TypeError, match=message("gamma")):
+        _require_range(value, "gamma")
+    with pytest.raises(TypeError, match=message("gamma")):
+        masfi(value, 0.5)
+    with pytest.raises(TypeError, match=message("gamma")):
+        InformationState(0.5, 0.5, value)
+    with pytest.raises(TypeError, match=message("psi")):
+        UnitaryAngles(psi=value)
+    with pytest.raises(TypeError, match=message("gamma")):
+        minimax_search(value, 0.5)
+
+
 # ---------------------------------------------------- domain table
 
 def _inside_and_past(hi, open_upper):
