@@ -14,15 +14,17 @@ in one call), and once per (gamma, epsilon) grid in the grid checks;
 the simulation never calls them. Memory is the seeded draw, 64 B per sample
 (eight float64 parameters), plus a working set fixed by the chunk size,
 about 2.6 kB per tuple of a chunk (0.67 MB), whatever ``samples`` is. The
-draws stay up front because ``_draw_tuples`` draws column by column:
-drawing chunk by chunk would change every tuple.
+draw stays up front by choice: ``_draw_tuples`` draws column by column, and
+one ``PCG64`` per column, copied from ``default_rng(seed)``'s state,
+advanced by ``i * samples`` and drawn in ``_CHUNK``-sized pieces, would give
+the same tuples bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -94,9 +96,11 @@ def _max_last(values: np.ndarray) -> np.ndarray:
 
 
 class _Worst:
-    # Tracks the largest deviation and the first entry past tolerance. A NaN
-    # deviation is past every tolerance and sticks as the worst value.
-    def __init__(self, tolerance: float):
+    # One named check: tracks the largest deviation and the first entry past
+    # the check's tolerance. A NaN deviation is past every tolerance and
+    # sticks as the worst value.
+    def __init__(self, name: str, tolerance: float):
+        self.name = name
         self.tolerance = tolerance
         self.worst = 0.0
         self.first_fail = ""
@@ -112,9 +116,14 @@ class _Worst:
             failing = np.flatnonzero(~(deviations <= self.tolerance))
             self.first_fail = describe(int(failing[0]))
 
-    def result(self, name: str) -> CheckResult:
-        return CheckResult(name=name, tolerance=self.tolerance,
+    def result(self) -> CheckResult:
+        return CheckResult(name=self.name, tolerance=self.tolerance,
                            worst=self.worst, detail=self.first_fail)
+
+
+def _at(names: Iterable[str], values: Iterable[float]) -> str:
+    # "(n1=v1, n2=v2, ...): ", the failure detail's place, to 6 digits
+    return "(" + ", ".join(f"{n}={v:.6g}" for n, v in zip(names, values)) + "): "
 
 
 def _draw_tuples(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -152,21 +161,15 @@ def run_verification(seed: int, samples: int, *,
     rng = np.random.default_rng(seed)
     tuples = _draw_tuples(rng, samples)
 
-    oracle = _Worst(1e-10)
-    probs = _Worst(1e-12)
-    formula = _Worst(1e-12)
-    conj = _Worst(1e-12)
+    checks = oracle, probs, formula, conj = (
+        _Worst("closed-form fidelity vs density-matrix simulation", 1e-10),
+        _Worst("outcome probabilities are 1/4 and sum to 1", 1e-12),
+        _Worst("projected conditional states vs ladder-basis formula", 1e-12),
+        _Worst("sigma_r conjugation relation between branches", 1e-12),
+    )
 
     for start in range(0, samples, _CHUNK):
         chunk = tuples[start:start + _CHUNK]
-
-        def where(i: int, values: str = "") -> str:
-            alpha, beta, gamma, epsilon, chi, theta, phi, psi = chunk[i]
-            spot = (f"(alpha={alpha:.6g}, beta={beta:.6g}, gamma={gamma:.6g}, "
-                    f"epsilon={epsilon:.6g}, chi={chi:.6g}, theta={theta:.6g}, "
-                    f"phi={phi:.6g}, psi={psi:.6g})")
-            return spot + (f": {values}" if values else "")
-
         alpha, beta, gamma, epsilon, _, theta, phi, psi = chunk.T
         rho_in, probabilities, bob, fidelities = _simulate(*chunk.T)
         simulated = _mean_fidelity(probabilities, fidelities)
@@ -174,39 +177,38 @@ def run_verification(seed: int, samples: int, *,
                               dtype=float)
         if f_closed.shape != simulated.shape:
             f_closed = np.broadcast_to(f_closed, simulated.shape)
-        oracle.update_all(
-            np.abs(simulated - f_closed),
-            lambda i: where(i, f"simulated={float(simulated[i])!r} "
-                               f"closed={float(f_closed[i])!r}"))
+        oracle.update_all(np.abs(simulated - f_closed), lambda i: (
+            _at(_DOMAINS, chunk[i])
+            + f"simulated={float(simulated[i])!r} closed={float(f_closed[i])!r}"))
 
         probs.update_all(
             np.maximum(_max_last(np.abs(probabilities - 0.25)),
                        np.abs(probabilities.sum(axis=1) - 1.0)),
-            lambda i: where(i, "P=" + ", ".join(repr(float(p)) for p in probabilities[i])))
+            lambda i: _at(_DOMAINS, chunk[i])
+            + "P=" + ", ".join(repr(float(p)) for p in probabilities[i]))
 
         checked = max(0, min(len(chunk), formula_samples - start))
         if checked:
             expected = _conditional_states(rho_in[:checked], epsilon[:checked])
             formula.update_all(
                 _max_last(np.abs(bob[:checked] - expected).reshape(checked, 4, 4)),
-                lambda k: where(k // 4, f"conditional state r={k % 4}"))
+                lambda k: _at(_DOMAINS, chunk[k // 4]) + f"conditional state r={k % 4}")
             rotated = (bob[:checked, 0].reshape(checked, 4)
                        @ _CONJUGATION).reshape(checked, 3, 2, 2)
             conj.update_all(
                 _max_last(np.abs(bob[:checked, 1:] - rotated).reshape(checked, 3, 4)),
-                lambda k: where(k // 3, f"conjugation relation r={k % 3 + 1}"))
+                lambda k: _at(_DOMAINS, chunk[k // 3]) + f"conjugation relation r={k % 3 + 1}")
 
-    results = [
-        oracle.result("closed-form fidelity vs density-matrix simulation"),
-        probs.result("outcome probabilities are 1/4 and sum to 1"),
-        formula.result("projected conditional states vs ladder-basis formula"),
-        conj.result("sigma_r conjugation relation between branches"),
-        _ordering_check(),
-    ]
+    results = [check.result() for check in checks] + [_ordering_check()]
     if run_quadrature:
-        results.append(_quadrature_check())
+        angles = UnitaryAngles()
+        results.append(_grid_check(
+            "sphere-average quadrature vs closed form", 1e-8, "quadrature",
+            lambda g, e: average_fidelity_numeric(g, e, angles, nodes=64), f_av_max))
     if run_minimax:
-        results.append(_minimax_check())
+        results.append(_grid_check(
+            "nested min-max search vs assured-fidelity formula", 1e-6, "search",
+            lambda g, e: minimax_search(g, e).value, masfi))
     return results
 
 
@@ -225,23 +227,19 @@ _GRID_MESH = _mesh(_GRID_POINTS)
 _ORDERING_MESH = _mesh(11)
 
 
-def _cell(gamma: np.ndarray, epsilon: np.ndarray, k: int) -> str:
-    return f"(gamma={gamma.flat[k]:.6g}, epsilon={epsilon.flat[k]:.6g}): "
-
-
-def _grid_check(name: str, tolerance: float,
-                numeric: Callable[[float, float], float], label: str,
+def _grid_check(name: str, tolerance: float, label: str,
+                numeric: Callable[[float, float], float],
                 closed: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> CheckResult:
     # A numeric route, one call per point of the _GRID_POINTS mesh, against
     # one array call of its closed form on the whole mesh.
     gamma, epsilon = _GRID_MESH
     found = np.array([numeric(g, e) for g, e in zip(gamma.flat, epsilon.flat)])
     analytic = closed(gamma, epsilon).ravel()
-    tracker = _Worst(tolerance)
+    tracker = _Worst(name, tolerance)
     tracker.update_all(np.abs(found - analytic), lambda k: (
-        _cell(gamma, epsilon, k)
+        _at(("gamma", "epsilon"), (gamma.flat[k], epsilon.flat[k]))
         + f"{label}={float(found[k])!r} closed={float(analytic[k])!r}"))
-    return tracker.result(name)
+    return tracker.result()
 
 
 def _ordering_check() -> CheckResult:
@@ -252,23 +250,12 @@ def _ordering_check() -> CheckResult:
     lo, mid, hi = masfi(gamma, epsilon), f_av_max(gamma, epsilon), f_max(epsilon)
     violation = np.maximum.reduce([lo - mid, mid - hi, 0.5 - lo, 0.5 - mid,
                                    np.zeros_like(lo)])
-    tracker = _Worst(1e-12)
+    tracker = _Worst("ordering chain masfi <= f_av_max <= f_max with 1/2 floor", 1e-12)
     tracker.update_all(violation, lambda k: (
-        _cell(gamma, epsilon, k) + f"masfi={float(lo.flat[k])!r} "
-        f"f_av_max={float(mid.flat[k])!r} f_max={float(hi.flat[k])!r}"))
-    return tracker.result("ordering chain masfi <= f_av_max <= f_max with 1/2 floor")
-
-
-def _quadrature_check() -> CheckResult:
-    angles = UnitaryAngles()
-    return _grid_check("sphere-average quadrature vs closed form", 1e-8,
-                       lambda g, e: average_fidelity_numeric(g, e, angles, nodes=64),
-                       "quadrature", f_av_max)
-
-
-def _minimax_check() -> CheckResult:
-    return _grid_check("nested min-max search vs assured-fidelity formula", 1e-6,
-                       lambda g, e: minimax_search(g, e).value, "search", masfi)
+        _at(("gamma", "epsilon"), (gamma.flat[k], epsilon.flat[k]))
+        + f"masfi={float(lo.flat[k])!r} f_av_max={float(mid.flat[k])!r} "
+        f"f_max={float(hi.flat[k])!r}"))
+    return tracker.result()
 
 
 def worst_closed_form_deviation(results: Sequence[CheckResult]) -> float:

@@ -1,5 +1,8 @@
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +21,21 @@ def test_every_exported_name_resolves(name):
     # `from werner_teleport import *`
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_readme_library_block_runs_as_written():
+    # every expression statement of the README's "Library" block, in order,
+    # against the value its comment states
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    values = []
+    for statement in ast.parse(block).body:
+        if isinstance(statement, ast.Expr):
+            expression = compile(ast.Expression(statement.value), "README.md", "eval")
+            values.append(eval(expression, namespace))
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+    *fidelities, broadcast = values
+    assert fidelities == [pytest.approx(0.6, abs=1e-12)] * 4
+    assert broadcast.tolist() == pytest.approx([0.5, 0.6, 0.9], abs=1e-15)

@@ -29,9 +29,26 @@ def test_fast_check_lines_of_the_end_to_end_command():
     assert "\n".join(result.line() for result in results) == FAST_CHECKS_SEED_42
 
 
-def test_all_checks_pass_on_small_sample():
-    results = run_verification(seed=7, samples=40, run_minimax=False)
-    assert len(results) == 6
+# (name, tolerance) of the seven checks, in report order
+CHECKS = [
+    ("closed-form fidelity vs density-matrix simulation", 1e-10),
+    ("outcome probabilities are 1/4 and sum to 1", 1e-12),
+    ("projected conditional states vs ladder-basis formula", 1e-12),
+    ("sigma_r conjugation relation between branches", 1e-12),
+    ("ordering chain masfi <= f_av_max <= f_max with 1/2 floor", 1e-12),
+    ("sphere-average quadrature vs closed form", 1e-8),
+    ("nested min-max search vs assured-fidelity formula", 1e-6),
+]
+
+
+@pytest.mark.parametrize("run_quadrature, run_minimax", [
+    (True, True), (True, False), (False, True), (False, False),
+], ids=["both", "quadrature", "minimax", "neither"])
+def test_all_checks_pass_on_small_sample(run_quadrature, run_minimax):
+    results = run_verification(seed=7, samples=40, run_quadrature=run_quadrature,
+                               run_minimax=run_minimax)
+    expected = CHECKS[:5] + CHECKS[5:6] * run_quadrature + CHECKS[6:] * run_minimax
+    assert [(r.name, r.tolerance) for r in results] == expected
     for result in results:
         assert result.passed, result.line()
 
@@ -111,14 +128,14 @@ def test_nan_deviation_fails_and_names_its_tuple():
 
 
 def test_nan_stays_worst_and_first_failure_is_in_order():
-    tracker = verify._Worst(1.0)
+    tracker = verify._Worst("demo", 1.0)
     tracker.update_all(np.array([0.5]), lambda k: "first")
     assert (tracker.worst, tracker.first_fail) == (0.5, "")
     tracker.update_all(np.array([[0.2, math.nan], [3.0, 0.1]]), lambda k: f"entry {k}")
     tracker.update_all(np.array([2.0]), lambda k: "later")
     assert math.isnan(tracker.worst)
     assert tracker.first_fail == "entry 1"
-    single = verify._Worst(1.0)
+    single = verify._Worst("demo", 1.0)
     single.update_all(np.array([math.inf]), lambda k: f"inf at {k}")
     assert single.worst == math.inf and single.first_fail == "inf at 0"
 
