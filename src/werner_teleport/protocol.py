@@ -38,8 +38,8 @@ states (4, 2, 2, N). Every step is a handful of elementwise operations on
 run over only 2 to 8 entries and restart for every tuple; tuple-last, each
 matrix entry is one contiguous run of N tuples, a block of the composite
 included. Each entry still sees the same operations in the same order, so
-the bits do not depend on the layout, and the kernel hands its outputs back
-tuple-first, as C-ordered (N, ...) copies.
+the bits do not depend on the layout. The kernel returns these tuple-last
+arrays as they are, and its callers reduce over their leading branch axis.
 """
 
 from __future__ import annotations
@@ -278,12 +278,12 @@ def conditional_state_formula(info: np.ndarray, epsilon: float | np.ndarray,
 def _simulate(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
     """The protocol on N parameter tuples, each argument an array of length N.
 
-    Returns rho_in (N, 2, 2), the outcome probabilities (N, 4), Bob's
-    conditional states (N, 4, 2, 2) and the fidelities Tr[U_r rho_Bob_r U_r^+
-    rho_in] (N, 4), summed as Tr[rho_Bob_r sigma_r^T M sigma_r], each a
-    C-ordered copy of the tuple-last array the kernel computed it in.
-    Nothing is validated, the closed form is never called, and row i depends
-    on tuple i alone, bit for bit, whatever N is.
+    Returns the tuple-last arrays the kernel computes, uncopied: rho_in
+    (2, 2, N), the outcome probabilities (4, N), Bob's conditional states
+    (4, 2, 2, N) and the fidelities Tr[U_r rho_Bob_r U_r^+ rho_in] (4, N),
+    summed as Tr[rho_Bob_r sigma_r^T M sigma_r]. Nothing is validated, the
+    closed form is never called, and column i depends on tuple i alone, bit
+    for bit, whatever N is.
     """
     rho_in = _information_states(alpha, beta, gamma)
     n = rho_in.shape[-1]
@@ -302,15 +302,12 @@ def _simulate(alpha, beta, gamma, epsilon, chi, theta, phi, psi):
     # the trace summed as numpy sums a contiguous 2x2 block of four entries
     p = bob * rotated
     fidelities = ((p[:, 0, 0] + p[:, 0, 1]) + (p[:, 1, 0] + p[:, 1, 1])).real
-    return (rho_in.transpose(2, 0, 1).copy(), probabilities.T.copy(),
-            bob.transpose(3, 0, 1, 2).copy(), fidelities.T.copy())
+    return rho_in, probabilities, bob, fidelities
 
 
 def _mean_fidelity(probabilities: np.ndarray, fidelities: np.ndarray) -> np.ndarray:
-    """Probability-weighted mean over the last axis: sum_r p_r F_r / sum_r p_r."""
-    terms = probabilities * fidelities
-    weighted = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
-    return weighted / probabilities.sum(axis=-1)
+    """Probability-weighted mean over the branch axis 0: sum_r p_r F_r / sum_r p_r."""
+    return (probabilities * fidelities).sum(axis=0) / probabilities.sum(axis=0)
 
 
 def run_protocol(info: InformationState, resource: WernerResource,
@@ -327,10 +324,10 @@ def run_protocol(info: InformationState, resource: WernerResource,
     params = np.array([[info.alpha, info.beta, info.gamma, resource.epsilon,
                         angles.chi, angles.theta, angles.phi, angles.psi]])
     _, probabilities, _, fidelities = _simulate(*params.T)
-    total_p = float(probabilities[0].sum())
+    total_p = float(probabilities.sum())
     if abs(total_p - 1.0) > 1e-12:
         raise DensityMatrixError(f"branch probabilities sum to {total_p:.15g}")
     records = tuple(OutcomeRecord(r, float(p), float(f))
-                    for r, p, f in zip(BELL_INDICES, probabilities[0], fidelities[0]))
+                    for r, p, f in zip(BELL_INDICES, probabilities[:, 0], fidelities[:, 0]))
     return FidelityReport(outcomes=records,
                           fidelity=float(_mean_fidelity(probabilities, fidelities)[0]))

@@ -106,9 +106,9 @@ def _require_scalar(value, name: str) -> float:
 
 def _require_fields(self) -> None:
     # The __post_init__ of the parameter dataclasses: each field is the
-    # parameter of the same name.
+    # parameter of the same name, and keeps the float its check returns.
     for field in fields(self):
-        _require_scalar(getattr(self, field.name), field.name)
+        object.__setattr__(self, field.name, _require_scalar(getattr(self, field.name), field.name))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ chunk on the chunk's columns (the fidelity, and all four conditional states
 in one call), and once per (gamma, epsilon) grid in the grid checks;
 the simulation never calls them. Memory is the seeded draw, 64 B per sample
 (eight float64 parameters), plus a working set fixed by the chunk size,
-about 2.6 kB per tuple of a chunk (0.67 MB), whatever ``samples`` is. The
+about 2.4 kB per tuple of a chunk (0.62 MB), whatever ``samples`` is. The
 draw stays up front by choice: ``_draw_tuples`` draws column by column, and
 one ``PCG64`` per column, copied from ``default_rng(seed)``'s state,
 advanced by ``i * samples`` and drawn in ``_CHUNK``-sized pieces, would give
@@ -69,30 +69,20 @@ class CheckResult:
         return text
 
 
-# Tuples per kernel call. The kernel's peak working set is about 2.6 kB per
-# tuple (tracemalloc, one 256-tuple call), so about 0.67 MB per call.
+# Tuples per kernel call. The kernel's peak working set is about 2.4 kB per
+# tuple (tracemalloc, one 256-tuple call), so about 0.62 MB per call.
 _CHUNK = 256
 
 # vec(sigma_r X sigma_r^+) = kron(sigma_r, conj(sigma_r)) vec(X) with
-# row-major vec, so a stack of row vectors vec(X), (N, 4), times this (4, 12)
-# matrix gives the r = 1..3 rotations side by side.
+# row-major vec, so this (12, 4) matrix times the columns vec(X) of a
+# tuple-last (4, N) stack gives the r = 1..3 rotations stacked as (12, N).
 _CONJUGATION = np.concatenate(
-    [np.kron(s, s.conj()).T for s in correction_branch_operators()[1:]], axis=1)
+    [np.kron(s, s.conj()) for s in correction_branch_operators()[1:]])
 _CONJUGATION.setflags(write=False)
 
 # Points per axis of the (gamma, epsilon) mesh of the quadrature and minimax
 # checks.
 _GRID_POINTS = 5
-
-
-def _max_last(values: np.ndarray) -> np.ndarray:
-    # max over the last axis of a few entries, as elementwise maxima of its
-    # slices: numpy's reduction would run once per tiny row. The same values,
-    # NaN propagating as in max.
-    out = np.maximum(values[..., 0], values[..., 1])
-    for k in range(2, values.shape[-1]):
-        np.maximum(out, values[..., k], out=out)
-    return out
 
 
 class _Worst:
@@ -182,21 +172,23 @@ def run_verification(seed: int, samples: int, *,
             + f"simulated={float(simulated[i])!r} closed={float(f_closed[i])!r}"))
 
         probs.update_all(
-            np.maximum(_max_last(np.abs(probabilities - 0.25)),
-                       np.abs(probabilities.sum(axis=1) - 1.0)),
+            np.maximum(np.abs(probabilities - 0.25).max(axis=0),
+                       np.abs(probabilities.sum(axis=0) - 1.0)),
             lambda i: _at(_DOMAINS, chunk[i])
-            + "P=" + ", ".join(repr(float(p)) for p in probabilities[i]))
+            + "P=" + ", ".join(repr(float(p)) for p in probabilities[:, i]))
 
+        # (tuple, branch) deviations: the first failure is the lowest tuple, then branch
         checked = max(0, min(len(chunk), formula_samples - start))
         if checked:
-            expected = _conditional_states(rho_in[:checked], epsilon[:checked])
+            bob_checked = bob[..., :checked]
+            expected = _conditional_states(rho_in[..., :checked].transpose(2, 0, 1),
+                                           epsilon[:checked]).transpose(1, 2, 3, 0)
             formula.update_all(
-                _max_last(np.abs(bob[:checked] - expected).reshape(checked, 4, 4)),
+                np.abs(bob_checked - expected).reshape(4, 4, checked).max(axis=1).T,
                 lambda k: _at(_DOMAINS, chunk[k // 4]) + f"conditional state r={k % 4}")
-            rotated = (bob[:checked, 0].reshape(checked, 4)
-                       @ _CONJUGATION).reshape(checked, 3, 2, 2)
+            rotated = (_CONJUGATION @ bob_checked[0].reshape(4, checked)).reshape(3, 2, 2, checked)
             conj.update_all(
-                _max_last(np.abs(bob[:checked, 1:] - rotated).reshape(checked, 3, 4)),
+                np.abs(bob_checked[1:] - rotated).reshape(3, 4, checked).max(axis=1).T,
                 lambda k: _at(_DOMAINS, chunk[k // 3]) + f"conjugation relation r={k % 3 + 1}")
 
     results = [check.result() for check in checks] + [_ordering_check()]

@@ -325,10 +325,16 @@ def test_run_protocol_records_match_bsm_project_at_corners(alpha, gamma, epsilon
 
 # ------------------------------------------------------ batched kernel
 
+def _simulated(params):
+    # the kernel's tuple-last outputs as C-ordered tuple-first (N, ...) stacks,
+    # the layout of the references in helpers
+    return tuple(tuple_first(a) for a in protocol._simulate(*params.T))
+
+
 def _assert_kernel_rows_match_scalar_api(params):
     # row i of one kernel call equals run_protocol (probabilities and
     # fidelities) and bsm_project (Bob's states) on tuple i
-    rho_in, probabilities, bob, fidelities = protocol._simulate(*params.T)
+    rho_in, probabilities, bob, fidelities = _simulated(params)
     assert rho_in.shape == (len(params), 2, 2)
     assert probabilities.shape == fidelities.shape == (len(params), 4)
     assert bob.shape == (len(params), 4, 2, 2)
@@ -387,7 +393,7 @@ def _assert_kernel_equals_reference(params):
     # reference's bits; the fidelities, a cyclic trace summed in another order
     # than the conjugation, are within 4 eps of it (2.5 eps seen on 2 x 10^5
     # tuples)
-    got = protocol._simulate(*params.T)
+    got = _simulated(params)
     expected = simulate_reference(*params.T)
     for name, a, b in zip(_OUTPUTS[:3], got, expected):
         assert a.shape == b.shape, name
@@ -413,8 +419,19 @@ def test_kernel_gemms_equal_stacked_matmul_reference_at_corners():
 def test_kernel_fidelities_equal_cyclic_matmul_reference(seed, n):
     from werner_teleport.verify import _draw_tuples
     params = np.vstack([_draw_tuples(np.random.default_rng(seed), n), _corner_tuples()])
-    got = protocol._simulate(*params.T)[3]
+    got = _simulated(params)[3]
     assert got.tobytes() == cyclic_fidelities_reference(*params.T).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 100, 8193, 10**5])
+def test_mean_fidelity_adds_the_branches_in_order(n):
+    # the report's fidelity is (t0 + t1 + t2 + t3) / (p0 + p1 + p2 + p3),
+    # summed left to right, whatever the number of tuples on the last axis
+    rng = np.random.default_rng(n)
+    p, f = rng.uniform(size=(4, n)), rng.uniform(size=(4, n))
+    t = p * f
+    expected = (t[0] + t[1] + t[2] + t[3]) / (p[0] + p[1] + p[2] + p[3])
+    assert protocol._mean_fidelity(p, f).tobytes() == expected.tobytes()
 
 
 def test_signed_gather_equals_sigma_r_sandwich():
@@ -428,14 +445,14 @@ def test_signed_gather_equals_sigma_r_sandwich():
 
 
 def test_kernel_rows_do_not_depend_on_the_stack_size():
-    # 6000 tuples put the kernel's (N, 4, 2, 2) temporaries above numpy's
+    # 6000 tuples put the kernel's (4, 2, 2, N) temporaries above numpy's
     # 256 KiB threshold for eliding temporaries, where an operand that is not
     # C-ordered can change the order in which the trace is summed
     from werner_teleport.verify import _draw_tuples
     params = _draw_tuples(np.random.default_rng(83), 6000)
-    stacked = protocol._simulate(*params.T)
+    stacked = _simulated(params)
     for i in np.linspace(0, len(params) - 1, 300).astype(int).tolist():
-        single = protocol._simulate(*params[i:i + 1].T)
+        single = _simulated(params[i:i + 1])
         for name, a, b in zip(_OUTPUTS, stacked, single):
             assert a[i].tobytes() == b[0].tobytes(), (name, i)
 
@@ -468,7 +485,8 @@ def test_kernel_bytes_do_not_depend_on_the_openblas_kernel():
 def test_simulate_hands_the_projection_a_c_ordered_composite(monkeypatch):
     # _simulate passes rho_in (x) W as a C-ordered (8, 8, N) array, so each
     # 2x2 block the projection reads is one contiguous run of N tuples per
-    # entry, and Bob's states come back C-ordered, tuple-last
+    # entry, and Bob's states come back C-ordered, tuple-last, as the kernel's
+    # own outputs, uncopied
     from werner_teleport.verify import _draw_tuples
     params = np.vstack([_draw_tuples(np.random.default_rng(5), 300), _corner_tuples()])
     calls = []
@@ -490,8 +508,7 @@ def test_simulate_hands_the_projection_a_c_ordered_composite(monkeypatch):
             assert v[a, :, b].strides[-1] == 16
     assert bob_returned.shape == (4, 2, 2, len(params))
     assert bob_returned.flags.c_contiguous and p_returned.flags.c_contiguous
-    assert np.array_equal(bob, tuple_first(bob_returned))
-    assert np.array_equal(probabilities, tuple_first(p_returned))
+    assert bob is bob_returned and probabilities is p_returned
     expected = np.stack([np.kron(rho, werner_state(WernerResource(e))) for rho, e in
                          zip(tuple_first(_information_states(*params[:, :3].T)), params[:, 3])],
                         axis=-1)
@@ -516,11 +533,11 @@ def test_project_bell_subset_equals_its_column_of_the_full_projection(r):
 def test_verify_conjugation_gemm_equals_sigma_r_sandwich():
     from werner_teleport.verify import _CONJUGATION, _draw_tuples
     params = np.vstack([_draw_tuples(np.random.default_rng(42), 300), _corner_tuples()])
-    bob0 = protocol._simulate(*params.T)[2][:, 0]
-    rotated = (bob0.reshape(-1, 4) @ _CONJUGATION).reshape(-1, 3, 2, 2)
+    bob0 = protocol._simulate(*params.T)[2][0]
+    rotated = tuple_first((_CONJUGATION @ bob0.reshape(4, -1)).reshape(3, 2, 2, -1))
     sigma_r = correction_branch_operators()
     for r in (1, 2, 3):
-        expected = sigma_r[r] @ bob0 @ sigma_r[r].conj().T
+        expected = sigma_r[r] @ tuple_first(bob0) @ sigma_r[r].conj().T
         assert np.array_equal(rotated[:, r - 1], expected)
 
 

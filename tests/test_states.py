@@ -316,6 +316,19 @@ def test_complex_and_text_scalars_are_refused_by_name(value, kind):
         minimax_search(value, 0.5)
 
 
+def test_parameter_dataclasses_keep_the_checked_float():
+    # a 0-d array, a bool, an int and a float32 are stored as the Python float
+    # the range check returned, so an instance hashes and compares by value
+    info = InformationState(np.array(0.5), True, np.float32(0.1))
+    assert [type(value) for value in (info.alpha, info.beta, info.gamma)] == [float] * 3
+    assert (info.alpha, info.beta, info.gamma) == (0.5, 1.0, float(np.float32(0.1)))
+    assert hash(info) == hash(InformationState(0.5, 1.0, float(np.float32(0.1))))
+    angles = UnitaryAngles(theta=True, phi=np.int64(1))
+    assert type(angles.theta) is float and type(angles.phi) is float
+    assert angles == UnitaryAngles(0.0, 1.0, 1.0, 0.0)
+    assert type(WernerResource(np.float32(0.25)).epsilon) is float
+
+
 # ---------------------------------------------------- domain table
 
 def _inside_and_past(hi, open_upper):

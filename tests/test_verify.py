@@ -240,3 +240,34 @@ def test_peak_memory_grows_only_by_the_seeded_draw():
     small, large = 2000, 20000
     growth = _peak_bytes(large) - _peak_bytes(small)
     assert growth <= 2 * 64 * (large - small)
+
+
+def test_kernel_failure_details_name_the_first_tuple_then_branch(monkeypatch):
+    # Bob's state (tuple 5, branch 2) and (tuple 7, branch 1), and P_3 of
+    # tuple 9, each pushed 1e-3 off in the projection's (4, 2, 2, N) output:
+    # the first failure of each check is the lowest tuple, then the lowest
+    # branch of it, whatever order the kernel keeps its axes in
+    project = protocol._project_bell
+
+    def biased(rho_c, r=None):
+        p, bob = project(rho_c, r)
+        bob[2, 0, 0, 5] += 1e-3
+        bob[1, 0, 0, 7] += 1e-3
+        p[3, 9] += 1e-3
+        return p, bob
+
+    monkeypatch.setattr(protocol, "_project_bell", biased)
+    results = run_verification(3, 20, run_quadrature=False, run_minimax=False)
+    tuple_5 = ("(alpha=1.36071, beta=3.67669, gamma=0.758705, epsilon=0.205775, chi=4.4494, "
+               "theta=1.65798, phi=0.797195, psi=0.766223): ")
+    oracle, probs, formula, conj = results[:4]
+    # the fidelity's last digits move with numpy's SIMD loops, its place does not
+    assert oracle.detail.startswith(tuple_5 + "simulated=0.50372558458346")
+    assert [(r.worst, r.detail) for r in (probs, formula, conj)] == [
+        (0.0010000000000000009,
+         "(alpha=0.357111, beta=4.44199, gamma=0.393927, epsilon=0.623693, chi=0.325988, "
+         "theta=1.19529, phi=1.79558, psi=0.707223): P=0.25, 0.25, 0.25, 0.251"),
+        (0.0009999999999999454, tuple_5 + "conditional state r=2"),
+        (0.0010000000000000009, tuple_5 + "conjugation relation r=2"),
+    ]
+    assert all(r.passed for r in results[4:])
