@@ -192,17 +192,21 @@ def _project_bell(rho_c: np.ndarray,
     ``r`` lists the Bell indices (all four by default); the results have
     shapes (len(r), N) and (len(r), 2, 2, N), both C-ordered. Each branch is
     0.5 (S + s_r X) over the block tables above, exact in 1/2 and s_r, with no
-    BLAS call. With ``rho_c`` C-ordered, every block is a strided view whose
-    last axis is a contiguous run of N entries. ``rho_c`` is not checked.
-    Raises if some p_r is degenerate (below 1e-15).
+    BLAS call. r = 0, 1 share the support (0, 3) and r = 2, 3 share (1, 2), so
+    S and X are summed once per pair and X signed for both branches by one
+    product; ``r`` picks from all four, with the full projection's bytes. With
+    ``rho_c`` C-ordered, every block is a strided view whose last axis is a
+    contiguous run of N entries. ``rho_c`` is not checked. Raises if some
+    picked p_r is degenerate (below 1e-15).
     """
-    indices = list(BELL_INDICES) if r is None else r
     n = rho_c.shape[-1]
     v = rho_c.reshape(4, 2, 4, 2, n)  # v[a, :, b] = blk(a, b), a basic slice
-    bob = np.empty((len(indices), 2, 2, n), dtype=complex)
-    for k, i in enumerate(indices):
-        a, b = _SUPPORT[i]
-        bob[k] = v[a, :, a] + v[b, :, b] + _PAIR_SIGN[i] * (v[a, :, b] + v[b, :, a])
+    bob = np.empty((4, 2, 2, n), dtype=complex)
+    for k in (0, 2):
+        a, b = _SUPPORT[k]
+        np.add(v[a, :, a] + v[b, :, b],
+               _PAIR_SIGN[k:k + 2, None, None, None] * (v[a, :, b] + v[b, :, a]), out=bob[k:k + 2])
+    indices, bob = (BELL_INDICES, bob) if r is None else (r, bob[r])
     bob *= 0.5
     probability = bob[:, 0, 0].real + bob[:, 1, 1].real
     low = int(probability.argmin())

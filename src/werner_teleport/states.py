@@ -174,11 +174,15 @@ _PHI_PLUS_PROJECTOR.setflags(write=False)
 
 
 def _werner_states(epsilon) -> np.ndarray:
-    # Unchecked: resources for a broadcast epsilon array, shape (4, 4, ...).
+    # Unchecked: resources for a broadcast epsilon array, shape (4, 4, ...), from
+    # the six nonzero entries of (1 - eps)/4 I + eps |phi+><phi+|, bit for bit.
     eps = np.asarray(epsilon, dtype=float)
-    matrix = (4, 4) + (1,) * eps.ndim
-    return ((1.0 - eps) / 4.0 * np.eye(4, dtype=complex).reshape(matrix)
-            + eps * _PHI_PLUS_PROJECTOR.reshape(matrix))
+    q = (1.0 - eps) / 4.0
+    rho = np.zeros((4, 4) + eps.shape, dtype=complex)
+    rho[0, 0] = rho[3, 3] = q + eps * _PHI_PLUS_PROJECTOR[0, 0]
+    rho[1, 1] = rho[2, 2] = q
+    rho[0, 3] = rho[3, 0] = eps * _PHI_PLUS_PROJECTOR[0, 3]
+    return rho
 
 
 def werner_state(resource: WernerResource) -> np.ndarray:

@@ -12,12 +12,13 @@ The closed forms broadcast over numpy arrays, so each is called once per
 chunk on the chunk's columns (the fidelity, and all four conditional states
 in one call), and once per (gamma, epsilon) grid in the grid checks;
 the simulation never calls them. Memory is the seeded draw, 64 B per sample
-(eight float64 parameters), plus a working set fixed by the chunk size,
-about 2.4 kB per tuple of a chunk (0.62 MB), whatever ``samples`` is. The
-draw stays up front by choice: ``_draw_tuples`` draws column by column, and
-one ``PCG64`` per column, copied from ``default_rng(seed)``'s state,
-advanced by ``i * samples`` and drawn in ``_CHUNK``-sized pieces, would give
-the same tuples bit for bit.
+(eight float64 parameters, scaled in place), plus a working set fixed by the
+chunk size, about 2.4 kB per tuple of a chunk (0.62 MB), whatever
+``samples`` is. ``_draw_tuples`` draws up front in one call, with the stream
+and bits of one ``uniform(0, hi, samples)`` call per parameter, and keeps
+each parameter's column contiguous. One ``PCG64`` per column, copied from
+``default_rng(seed)``'s state, advanced by ``i * samples`` and drawn in
+``_CHUNK``-sized pieces, would give the same tuples bit for bit.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ _CONJUGATION = np.concatenate(
     [np.kron(s, s.conj()) for s in correction_branch_operators()[1:]])
 _CONJUGATION.setflags(write=False)
 
+# Each parameter's upper bound, in the domain table's order, as a column.
+_UPPER = np.array([[hi] for hi, _ in _DOMAINS.values()])
+_UPPER.setflags(write=False)
+
 # Points per axis of the (gamma, epsilon) mesh of the quadrature and minimax
 # checks.
 _GRID_POINTS = 5
@@ -117,12 +122,11 @@ def _at(names: Iterable[str], values: Iterable[float]) -> str:
 
 
 def _draw_tuples(rng: np.random.Generator, n: int) -> np.ndarray:
-    # One column per parameter, in the domain table's order (alpha, beta,
-    # gamma, epsilon, chi, theta, phi, psi), each uniform on [0, hi).
-    cols = np.empty((n, len(_DOMAINS)))
-    for i, (hi, _) in enumerate(_DOMAINS.values()):
-        cols[:, i] = rng.uniform(0.0, hi, n)
-    return cols
+    # (n, 8), a column per parameter in the domain table's order, each uniform on
+    # [0, hi) with the bits of uniform(0, hi) = 0.0 + hi * next_double per column
+    draw = rng.random((len(_DOMAINS), n))
+    draw *= _UPPER
+    return draw.T
 
 
 def run_verification(seed: int, samples: int, *,
@@ -140,13 +144,15 @@ def run_verification(seed: int, samples: int, *,
     stands for every tuple of the chunk. ``formula_samples`` caps the
     tuples used for the entrywise conditional-state comparisons. The
     quadrature and minimax checks can be skipped when only the fast checks
-    are wanted. ``samples`` is an integer >= 1 (a numpy integer too, never a
-    bool or a float).
+    are wanted. ``samples`` is an integer >= 1 and ``formula_samples`` one
+    >= 0 (a numpy integer too, never a bool or a float); anything else
+    raises ValueError naming the parameter.
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    for name, value, least in (("samples", samples, 1), ("formula_samples", formula_samples, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     closed = closed_form if closed_form is not None else fidelity_closed_form
     rng = np.random.default_rng(seed)
     tuples = _draw_tuples(rng, samples)
@@ -240,8 +246,8 @@ def _ordering_check() -> CheckResult:
     # chain holds with equality, so round-off clearance is needed.
     gamma, epsilon = _ORDERING_MESH
     lo, mid, hi = masfi(gamma, epsilon), f_av_max(gamma, epsilon), f_max(epsilon)
-    violation = np.maximum.reduce([lo - mid, mid - hi, 0.5 - lo, 0.5 - mid,
-                                   np.zeros_like(lo)])
+    violation = np.maximum(np.maximum(np.maximum(np.maximum(
+        lo - mid, mid - hi), 0.5 - lo), 0.5 - mid), 0.0)
     tracker = _Worst("ordering chain masfi <= f_av_max <= f_max with 1/2 floor", 1e-12)
     tracker.update_all(violation, lambda k: (
         _at(("gamma", "epsilon"), (gamma.flat[k], epsilon.flat[k]))

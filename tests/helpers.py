@@ -7,7 +7,12 @@ import numpy as np
 from werner_teleport import analytics
 from werner_teleport.analytics import _beta_terms, _fidelity_core
 from werner_teleport.protocol import _SIGMA_R, _base_unitaries
-from werner_teleport.states import _DOMAINS, _information_states, _werner_states
+from werner_teleport.states import (
+    _DOMAINS,
+    _PHI_PLUS_PROJECTOR,
+    _information_states,
+    _werner_states,
+)
 
 
 def tuple_first(stack):
@@ -20,6 +25,31 @@ def random_density(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+def draw_tuples_reference(rng, n):
+    """`verify._draw_tuples` as one `uniform(0, hi, n)` call per parameter.
+
+    The column-by-column draw, each column filled in the domain table's
+    order. The one-call draw must give the same (n, 8) values byte for byte
+    and leave the generator in the same state.
+    """
+    cols = np.empty((n, len(_DOMAINS)))
+    for i, (hi, _) in enumerate(_DOMAINS.values()):
+        cols[:, i] = rng.uniform(0.0, hi, n)
+    return cols
+
+
+def werner_states_reference(epsilon):
+    """`states._werner_states` as (1 - eps)/4 * I + eps * |phi+><phi+|.
+
+    The identity and projector products over all sixteen entries; the
+    entrywise build must give the same bytes, for a scalar and for an array.
+    """
+    eps = np.asarray(epsilon, dtype=float)
+    matrix = (4, 4) + (1,) * eps.ndim
+    return ((1.0 - eps) / 4.0 * np.eye(4, dtype=complex).reshape(matrix)
+            + eps * _PHI_PLUS_PROJECTOR.reshape(matrix))
 
 
 def require_range_reference(value, name):

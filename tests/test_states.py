@@ -18,6 +18,7 @@ from werner_teleport.states import (
     _DOMAINS,
     _require_range,
     _require_scalar,
+    _werner_states,
     concurrence_werner,
     information_state,
     werner_state,
@@ -25,7 +26,15 @@ from werner_teleport.states import (
 )
 from werner_teleport.verify import _draw_tuples
 
-from helpers import I_MINUS, I_PLUS, R_MINUS, R_PLUS, random_density, require_range_reference
+from helpers import (
+    I_MINUS,
+    I_PLUS,
+    R_MINUS,
+    R_PLUS,
+    random_density,
+    require_range_reference,
+    werner_states_reference,
+)
 
 
 # ------------------------------------------------- information state
@@ -155,6 +164,23 @@ def test_werner_ladder_expansion():
 def test_werner_valid_on_grid():
     for epsilon in np.linspace(0, 1, 101):
         validate_density(werner_state(WernerResource(float(epsilon))))
+
+
+@pytest.mark.parametrize("epsilons", [
+    np.random.default_rng(17).random(1000),
+    np.random.default_rng(18).random((3, 5)),
+    np.array([0.0, 1 / 3, 1.0]),
+], ids=["seeded", "seeded-2d", "corners"])
+def test_werner_states_have_the_eye_plus_projector_bytes(epsilons):
+    # the six nonzero entries written into zeros, against the products over
+    # all sixteen, for an array and for each of its entries as a scalar
+    got, expected = _werner_states(epsilons), werner_states_reference(epsilons)
+    assert got.shape == expected.shape == (4, 4) + epsilons.shape
+    assert got.tobytes() == expected.tobytes()
+    for epsilon in epsilons.flat:
+        for value in (float(epsilon), np.float64(epsilon), np.array(epsilon)):
+            got, expected = _werner_states(value), werner_states_reference(value)
+            assert got.shape == (4, 4) and got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("epsilon", [-0.01, 1.01, math.inf])

@@ -12,6 +12,8 @@ from werner_teleport.verify import (
     worst_closed_form_deviation,
 )
 
+from helpers import draw_tuples_reference
+
 ORACLE = "closed-form fidelity vs density-matrix simulation"
 
 
@@ -97,6 +99,28 @@ def test_rejects_non_integer_samples(samples):
     # refused before the draw, as protocol refuses a bool or float Bell index
     with pytest.raises(ValueError, match="samples must be an integer"):
         run_verification(seed=1, samples=samples, run_quadrature=False, run_minimax=False)
+
+
+@pytest.mark.parametrize("formula_samples", [10.5, "5", True, np.float64(5.0)])
+def test_rejects_non_integer_formula_samples(formula_samples):
+    # refused by name before the draw, as samples is; a bool is not taken as 1
+    with pytest.raises(ValueError, match="^formula_samples must be an integer"):
+        run_verification(seed=1, samples=3, formula_samples=formula_samples,
+                         run_quadrature=False, run_minimax=False)
+
+
+def test_rejects_negative_formula_samples():
+    # not silently taken as 0
+    with pytest.raises(ValueError, match="^formula_samples must be >= 0, got -3$"):
+        run_verification(seed=1, samples=3, formula_samples=-3,
+                         run_quadrature=False, run_minimax=False)
+
+
+@pytest.mark.parametrize("formula_samples", [0, np.int64(2)])
+def test_takes_zero_and_numpy_integer_formula_samples(formula_samples):
+    results = run_verification(seed=1, samples=3, formula_samples=formula_samples,
+                               run_quadrature=False, run_minimax=False)
+    assert all(result.passed for result in results)
 
 
 def test_takes_numpy_integer_samples():
@@ -240,6 +264,36 @@ def test_peak_memory_grows_only_by_the_seeded_draw():
     small, large = 2000, 20000
     growth = _peak_bytes(large) - _peak_bytes(small)
     assert growth <= 2 * 64 * (large - small)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 10**5])
+@pytest.mark.parametrize("seed", [0, 7, 42, 2026])
+def test_draw_equals_the_column_by_column_uniform_draw(seed, n):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    tuples = verify._draw_tuples(rng, n)
+    expected = draw_tuples_reference(reference_rng, n)
+    assert tuples.shape == expected.shape == (n, 8)
+    assert tuples.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    # each parameter of a chunk, as the loop hands it to the kernel, is one
+    # contiguous run
+    for start in range(0, n, verify._CHUNK):
+        assert all(column.flags.c_contiguous
+                   for column in tuples[start:start + verify._CHUNK].T)
+
+
+def test_draw_is_its_own_only_allocation():
+    # 64 B per sample and no per-column temporary: below the chunk loop's
+    # working set, so the peak of a whole run could not show one
+    n = 10**5
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        verify._draw_tuples(rng, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * n + 4096
 
 
 def test_kernel_failure_details_name_the_first_tuple_then_branch(monkeypatch):
