@@ -95,8 +95,9 @@ class MinimaxResult:
     ``argmax`` is (theta, phi, psi) with psi = 0: the worst case over the
     input cannot depend on psi, so it is not searched.
     ``iterations`` counts evaluations of the outer objective (each an exact
-    worst case over the input), the one read of ``value`` and ``argmin`` at
-    the final point included; ``tolerance_achieved`` is the wider side of
+    worst case over the input) in the zoom passes, plus the one read of
+    ``value`` and ``argmin`` at the final point; the coarse scan that seeds
+    the zoom is not counted. ``tolerance_achieved`` is the wider side of
     the final zoom bracket: each outer coordinate is pinned to within that
     width around ``argmax``.
     """
@@ -333,7 +334,9 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     only to a strictly better point, so ties keep the earlier one. The
     bracket and that point are Python floats: only the worst-case calls run
     on arrays. ``value`` and ``argmin`` are read once, at that point with
-    psi = 0, as :func:`min_over_information` reads them. The result must
+    psi = 0, as :func:`min_over_information` reads them. ``iterations``
+    counts the zoom passes' points and that read, not the coarse scan's
+    33 x 33. The result must
     agree with :func:`masfi` to much better than 1e-6.
     """
     gamma = _require_scalar(gamma, "gamma")

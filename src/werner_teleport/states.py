@@ -65,7 +65,8 @@ def _require_range(value, name: str):
     parameter ``name``, with the message a scalar would get. A complex value
     (Python or numpy, any shape) and a string or bytes scalar (Python or
     numpy, 0-d arrays included) raise TypeError naming ``name``, rather than
-    losing an imaginary part to the float cast or parsing the text."""
+    losing an imaginary part to the float cast or parsing the text, as does
+    any other value that ``float()`` refuses."""
     hi, open_upper = _DOMAINS[name]
     # Python floats skip the type tests, which would cost them half again.
     if type(value) is not float:
@@ -86,7 +87,10 @@ def _require_range(value, name: str):
                 value = value.flat[np.argmin(inside)]  # the scalar check below raises for it
         elif isinstance(value, (complex, str, bytes)):
             raise TypeError(f"{name} must be real, got a {type(value).__name__} value")
-    value = float(value)
+    try:
+        value = float(value)
+    except TypeError as exc:
+        raise TypeError(f"{name} must be a real number, got a {type(value).__name__} value") from exc
     if 0.0 <= value and (value < hi if open_upper else value <= hi):  # False for NaN
         return value
     if not math.isfinite(value):

@@ -144,11 +144,12 @@ def run_verification(seed: int, samples: int, *,
     stands for every tuple of the chunk. ``formula_samples`` caps the
     tuples used for the entrywise conditional-state comparisons. The
     quadrature and minimax checks can be skipped when only the fast checks
-    are wanted. ``samples`` is an integer >= 1 and ``formula_samples`` one
-    >= 0 (a numpy integer too, never a bool or a float); anything else
-    raises ValueError naming the parameter.
+    are wanted. ``samples`` is an integer >= 1 and ``seed`` and
+    ``formula_samples`` ones >= 0 (numpy integers too, never a bool or a
+    float); anything else raises ValueError naming the parameter.
     """
-    for name, value, least in (("samples", samples, 1), ("formula_samples", formula_samples, 0)):
+    for name, value, least in (("seed", seed, 0), ("samples", samples, 1),
+                               ("formula_samples", formula_samples, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < least:

@@ -23,6 +23,19 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+def test_root_exports_every_module_name_once():
+    # a public name is declared once, in its module's __all__; the root's
+    # __all__ is their concatenation and star-import binds each name
+    modules = [importlib.import_module(f"werner_teleport.{name}")
+               for name in ("analytics", "density", "protocol", "states", "verify")]
+    names = [n for module in modules for n in module.__all__]
+    assert werner_teleport.__all__ == names
+    assert len(set(names)) == len(names)
+    namespace = {}
+    exec("from werner_teleport import *", namespace)
+    assert all(namespace[n] is getattr(module, n) for module in modules for n in module.__all__)
+
+
 def test_readme_library_block_runs_as_written():
     # every expression statement of the README's "Library" block, in order,
     # against the value its comment states

@@ -342,6 +342,24 @@ def test_complex_and_text_scalars_are_refused_by_name(value, kind):
         minimax_search(value, 0.5)
 
 
+@pytest.mark.parametrize("value, kind", [
+    (None, "NoneType"), ([0.5], "list"), ({}, "dict"), (np.array(None, dtype=object), "ndarray"),
+], ids=["none", "list", "dict", "0-d-object"])
+def test_values_float_refuses_are_refused_by_name(value, kind):
+    # float()'s own message names no parameter
+    def message(name):
+        return f"^{name} must be a real number, got a {kind} value$"
+
+    with pytest.raises(TypeError, match=message("gamma")):
+        _require_range(value, "gamma")
+    with pytest.raises(TypeError, match=message("gamma")):
+        masfi(value, 0.5)
+    with pytest.raises(TypeError, match=message("alpha")):
+        InformationState(value, 0, 0)
+    with pytest.raises(TypeError, match=message("psi")):
+        UnitaryAngles(psi=value)
+
+
 def test_parameter_dataclasses_keep_the_checked_float():
     # a 0-d array, a bool, an int and a float32 are stored as the Python float
     # the range check returned, so an instance hashes and compares by value

@@ -123,6 +123,26 @@ def test_takes_zero_and_numpy_integer_formula_samples(formula_samples):
     assert all(result.passed for result in results)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (None, "an integer, got None"), (True, "an integer, got True"),
+    ([1, 2], r"an integer, got \[1, 2\]"), (0.5, "an integer, got 0.5"), (-1, ">= 0, got -1"),
+], ids=["none", "bool", "list", "float", "negative"])
+def test_rejects_seed_outside_the_integers_from_zero(seed, message):
+    # None would draw from fresh OS entropy, and a bool or a list would seed
+    # a report the caller did not ask for; numpy's own error names no parameter
+    with pytest.raises(ValueError, match=f"^seed must be {message}$"):
+        run_verification(seed=seed, samples=3, run_quadrature=False, run_minimax=False)
+
+
+def test_numpy_integer_seed_gives_the_int_seed_report():
+    def report(seed):
+        return [(r.name, r.worst.hex(), r.detail)
+                for r in run_verification(seed=seed, samples=3, run_quadrature=False,
+                                          run_minimax=False)]
+
+    assert report(np.int64(3)) == report(3)
+
+
 def test_takes_numpy_integer_samples():
     results = run_verification(seed=1, samples=np.int64(3), run_quadrature=False,
                                run_minimax=False)
