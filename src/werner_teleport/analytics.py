@@ -17,8 +17,8 @@ route so they can be cross-validated: ``masfi`` with a grid search over
 Bob's correction refined by a 2-D zoom, whose inner worst case over the
 input is exact (the lowest eigenvalue of a 3x3 form, in closed form), and
 ``f_av_max`` with Gauss-Legendre quadrature in cos(alpha) times a periodic
-rule in beta, summed separably: F's beta dependence is two sinusoids, so
-the beta rule reduces to two sums shared by every alpha node.
+rule in beta, summed once per node count over the functions F is linear
+in, so a call is a few float operations on the rule's moments.
 
 The closed forms (``fidelity_closed_form``, ``masfi``, ``f_av_max``,
 ``f_max``, ``fidelity_gap``) take floats or numpy arrays, which broadcast
@@ -109,21 +109,15 @@ class MinimaxResult:
     tolerance_achieved: float
 
 
-def _beta_terms(alpha, gamma, epsilon, theta, phi):
-    # Unchecked, broadcasts over numpy arrays: (A, B, C) of
-    # F = A + B sin(beta+psi) + C cos(2(beta+psi)), each row factor of
+def _fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi):
+    # Unchecked, broadcasts over numpy arrays; hot path for every grid. F is
+    # A + B sin(beta+psi) + C cos(2(beta+psi)), each row factor of
     # _row_factors at the left end of its product.
     a_cos, a_sin, b, c = _row_factors(gamma, epsilon, theta, phi)
     sin_a_sq = np.sin(alpha) ** 2
-    return (0.5 * (1.0 + a_cos * np.cos(alpha) ** 2 + a_sin * sin_a_sq),
-            b * np.sin(2.0 * alpha), c * sin_a_sq)
-
-
-def _fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi):
-    # Unchecked, broadcasts over numpy arrays; hot path for every grid.
-    a_term, b_term, c_term = _beta_terms(alpha, gamma, epsilon, theta, phi)
     turn = beta + psi
-    return a_term + b_term * np.sin(turn) + c_term * np.cos(2.0 * turn)
+    return (0.5 * (1.0 + a_cos * np.cos(alpha) ** 2 + a_sin * sin_a_sq)
+            + b * np.sin(2.0 * alpha) * np.sin(turn) + c * sin_a_sq * np.cos(2.0 * turn))
 
 
 def fidelity_closed_form(alpha: float, beta: float, gamma: float, epsilon: float,
@@ -190,18 +184,15 @@ def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles
 
     Integrates over the solid angle with measure sin(alpha) da db / (4 pi):
     Gauss-Legendre in cos(alpha) crossed with an equally weighted periodic
-    rule in beta. Independent of the closed form in :func:`f_av_max`, which
-    it must reproduce at theta = phi = 0. The rule depends on the node count
-    alone, so it is built once per count and shared, read-only, by every
-    later call with that count. ``nodes`` is an integer >= 8 (or a whole
-    float such as 64.0), never a bool.
-
-    F is A(alpha) + B(alpha) sin(beta+psi) + C(alpha) cos(2(beta+psi)), so
-    the beta rule sums each alpha node's row to n A + B S + C K, with
-    S = sum_j sin(beta_j+psi) and K = sum_j cos(2(beta_j+psi)) the same for
-    every row: a call evaluates (A, B, C) on the n alpha nodes and 2n beta
-    terms, not F on the n x n product grid, and the weighted sum of the rows
-    divided by 2n is the average.
+    rule in beta. ``nodes`` is an integer >= 8 (or a whole float such as
+    64.0), never a bool. F is linear in the correction's row factors, so a
+    call combines them and psi with the eight moments of
+    :func:`_sphere_rule` in a few float operations, with no array. The value
+    is still the rule's own: each moment is the rule's sum over its nodes,
+    and neither :func:`f_av_max` nor an analytic moment (2, 2/3, 4/3, 0)
+    enters, so a wrong coefficient in :func:`f_av_max`, or a wrong node or
+    weight, fails their comparison at theta = phi = 0. At any correction the
+    average is 1/2 + eps cos(theta)/6 + gamma^2 eps cos^2(theta/2) cos(2 phi)/3.
     """
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
@@ -211,27 +202,30 @@ def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles
     nodes = int(nodes)
     if nodes < 8:
         raise ValueError(f"nodes must be >= 8, got {nodes}")
-    alphas, w, betas = _sphere_rule(nodes)
-    a_term, b_term, c_term = _beta_terms(alphas, gamma, epsilon, angles.theta, angles.phi)
-    turn = betas + angles.psi
-    rows = nodes * a_term + b_term * np.sin(turn).sum() + c_term * np.cos(2.0 * turn).sum()
-    return float(w @ rows) / (2.0 * nodes)
+    w_sum, w_cos_sq, w_sin_sq, w_sin_2a, sin_sum, cos_sum, sin2_sum, cos2_sum = _sphere_rule(nodes)
+    a_cos, a_sin, b, c = _row_factors(gamma, epsilon, angles.theta, angles.phi)
+    psi = angles.psi  # s, k: sum_j sin(beta_j + psi), sum_j cos(2 (beta_j + psi))
+    s = sin_sum * math.cos(psi) + cos_sum * math.sin(psi)
+    k = cos2_sum * math.cos(2.0 * psi) - sin2_sum * math.sin(2.0 * psi)
+    return float(0.25 * (w_sum + a_cos * w_cos_sq + a_sin * w_sin_sq)
+                 + (b * w_sin_2a * s + c * w_sin_sq * k) / (2.0 * nodes))
 
 
 @functools.lru_cache(maxsize=8)
-def _sphere_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Polar nodes arccos(x), Gauss-Legendre weights w and periodic beta
-    nodes of the sphere rule with `nodes` points per axis.
-
-    Building the rule solves an eigenproblem that costs many times the
-    integrand, so each count is built once. The arrays are read-only,
-    since every caller with the same count shares them.
+def _sphere_rule(nodes: int) -> tuple[float, ...]:
+    """The moments of the sphere rule with `nodes` points per axis, each the
+    ``math.fsum`` of its node values, so free of BLAS and summation order:
+    sum w, sum w cos^2(alpha), sum w sin^2(alpha) and sum w sin(2 alpha) over
+    the polar nodes arccos(x) with Gauss-Legendre weights w, then sum sin(beta),
+    sum cos(beta), sum sin(2 beta) and sum cos(2 beta) over the periodic
+    nodes. Building the rule solves an eigenproblem, so each count is built
+    once; every caller shares the tuple of floats, which none can change.
     """
     x, w = np.polynomial.legendre.leggauss(nodes)
-    rule = (np.arccos(x), w, 2.0 * math.pi * np.arange(nodes) / nodes)
-    for array in rule:
-        array.flags.writeable = False
-    return rule
+    alphas, betas = np.arccos(x), 2.0 * math.pi * np.arange(nodes) / nodes
+    return tuple(math.fsum(values) for values in (
+        w, w * np.cos(alphas) ** 2, w * np.sin(alphas) ** 2, w * np.sin(2.0 * alphas),
+        np.sin(betas), np.cos(betas), np.sin(2.0 * betas), np.cos(2.0 * betas)))
 
 
 def _row_factors(gamma, epsilon, theta, phi):

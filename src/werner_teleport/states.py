@@ -66,7 +66,7 @@ def _require_range(value, name: str):
     (Python or numpy, any shape) and a string or bytes scalar (Python or
     numpy, 0-d arrays included) raise TypeError naming ``name``, rather than
     losing an imaginary part to the float cast or parsing the text, as does
-    any other value that ``float()`` refuses."""
+    any other value that ``float()`` refuses, or an array holding one."""
     hi, open_upper = _DOMAINS[name]
     # Python floats skip the type tests, which would cost them half again.
     if type(value) is not float:
@@ -81,7 +81,12 @@ def _require_range(value, name: str):
                 if value.size and kind in "fiu" and value.min() >= 0.0 and (
                         value.max() < hi if open_upper else value.max() <= hi):
                     return value.astype(float, copy=False)
-                inside = (value >= 0.0) & ((value < hi) if open_upper else (value <= hi))
+                try:
+                    inside = (value >= 0.0) & ((value < hi) if open_upper else (value <= hi))
+                except TypeError as exc:  # an entry None, text or complex: the first bad one raises
+                    for entry in value.flat:
+                        _require_range(entry, name)
+                    raise TypeError(f"{name} must be real, got a {value.dtype.name} array") from exc
                 if inside.all():
                     return value.astype(float, copy=False)
                 value = value.flat[np.argmin(inside)]  # the scalar check below raises for it

@@ -5,12 +5,13 @@ import math
 import numpy as np
 
 from werner_teleport import analytics
-from werner_teleport.analytics import _beta_terms, _fidelity_core
+from werner_teleport.analytics import _fidelity_core, _row_factors
 from werner_teleport.protocol import _SIGMA_R, _base_unitaries
 from werner_teleport.states import (
     _DOMAINS,
     _PHI_PLUS_PROJECTOR,
     _information_states,
+    _require_range,
     _werner_states,
 )
 
@@ -57,12 +58,19 @@ def require_range_reference(value, name):
 
     The range check as it was before its two-reduction fast path: an array
     is tested entry by entry, and the first entry that fails, in row-major
-    order, gets the message a scalar would get. The two must agree on every
-    input, in result, dtype and error.
+    order, gets the message a scalar would get; an array whose entries
+    cannot all be compared with a float has each entry checked alone by
+    `states._require_range`. The two must agree on every input, in result,
+    dtype and error.
     """
     hi, open_upper = _DOMAINS[name]
     if type(value) is not float and isinstance(value, np.ndarray) and value.ndim:
-        inside = (value >= 0.0) & ((value < hi) if open_upper else (value <= hi))
+        try:
+            inside = (value >= 0.0) & ((value < hi) if open_upper else (value <= hi))
+        except TypeError as exc:  # entries a float does not compare with
+            for entry in value.flat:
+                _require_range(entry, name)
+            raise TypeError(f"{name} must be real, got a {value.dtype.name} array") from exc
         if inside.all():
             return value.astype(float, copy=False)
         value = value.flat[np.argmin(inside)]
@@ -361,21 +369,33 @@ def worst_case_reference(gamma, epsilon, theta, phi):
     return 0.5 * (1 + epsilon * np.linalg.eigvalsh(quadratic)[0])
 
 
+def sphere_rule_moments(alphas, w, betas):
+    """The eight moments of `analytics._sphere_rule` for any polar nodes and
+    weights and any beta nodes, each the `math.fsum` of the node values."""
+    return tuple(math.fsum(values) for values in (
+        w, w * np.cos(alphas) ** 2, w * np.sin(alphas) ** 2, w * np.sin(2.0 * alphas),
+        np.sin(betas), np.cos(betas), np.sin(2.0 * betas), np.cos(2.0 * betas)))
+
+
 def sphere_average_reference(gamma, epsilon, angles, nodes):
     """Sphere average of F by quadrature, with the rule rebuilt on every call.
 
     Transcribes `analytics.average_fidelity_numeric` with a freshly built
-    Gauss-Legendre rule: same nodes, same separable sum (n A + B S + C K per
-    polar node) in the same order, so the two must agree bit for bit. It
+    Gauss-Legendre rule: the same eight moments, combined with the row
+    factors and psi in the same order, so the two must agree bit for bit. It
     shares the integrand with the package on purpose;
-    `sphere_average_grid_reference`, `fidelity_reference` and `f_av_max`
-    are the checks of the value.
+    `sphere_average_grid_reference`, `fidelity_reference`, `f_av_max` and
+    the general-correction average are the checks of the value.
     """
     x, w = np.polynomial.legendre.leggauss(nodes)
-    turn = 2.0 * math.pi * np.arange(nodes) / nodes + angles.psi
-    a_term, b_term, c_term = _beta_terms(np.arccos(x), gamma, epsilon, angles.theta, angles.phi)
-    rows = nodes * a_term + b_term * np.sin(turn).sum() + c_term * np.cos(2.0 * turn).sum()
-    return float(w @ rows) / (2.0 * nodes)
+    w_sum, w_cos_sq, w_sin_sq, w_sin_2a, sin_sum, cos_sum, sin2_sum, cos2_sum = sphere_rule_moments(
+        np.arccos(x), w, 2.0 * math.pi * np.arange(nodes) / nodes)
+    a_cos, a_sin, b, c = _row_factors(gamma, epsilon, angles.theta, angles.phi)
+    psi = angles.psi
+    s = sin_sum * math.cos(psi) + cos_sum * math.sin(psi)
+    k = cos2_sum * math.cos(2.0 * psi) - sin2_sum * math.sin(2.0 * psi)
+    return float(0.25 * (w_sum + a_cos * w_cos_sq + a_sin * w_sin_sq)
+                 + (b * w_sin_2a * s + c * w_sin_sq * k) / (2.0 * nodes))
 
 
 def sphere_average_grid_reference(gamma, epsilon, angles, nodes):

@@ -27,6 +27,7 @@ from helpers import (
     sequential_minimax_reference,
     sphere_average_grid_reference,
     sphere_average_reference,
+    sphere_rule_moments,
     worst_case_reference,
     zoomed_worst_case_reference,
 )
@@ -213,8 +214,18 @@ def test_average_matches_closed_form_at_optimum():
 
 
 def test_average_converges_at_general_angles():
-    # away from the optimum there is no closed form; the quadrature value
-    # must be node-count independent once resolved
+    # away from the optimum the average is 1/2 + eps cos(theta)/6 + gamma^2
+    # eps cos^2(theta/2) cos(2 phi)/3, free of psi: cos^2(alpha) averages to
+    # 1/3, sin^2(alpha) to 2/3, and the beta terms to 0
+    rng = np.random.default_rng(2026)
+    for _ in range(200):
+        gamma, epsilon = (float(v) for v in rng.random(2))
+        angles = UnitaryAngles(0.0, *(float(v) for v in rng.random(3) * math.pi))
+        want = (0.5 + epsilon * math.cos(angles.theta) / 6.0 + gamma * gamma * epsilon
+                * math.cos(0.5 * angles.theta) ** 2 * math.cos(2.0 * angles.phi) / 3.0)
+        for nodes in (8, 16, 32, 64, 96):
+            got = average_fidelity_numeric(gamma, epsilon, angles, nodes)
+            assert abs(got - want) < 1e-12, (gamma, epsilon, angles, nodes)
     angles = UnitaryAngles(0.0, 1.2, 0.7, 0.4)
     coarse = average_fidelity_numeric(0.6, 0.9, angles, 32)
     fine = average_fidelity_numeric(0.6, 0.9, angles, 96)
@@ -265,18 +276,39 @@ def test_average_agrees_with_the_grid_sum(nodes):
         assert abs(got - want) <= 1e-15, (gamma, epsilon, angles)
 
 
+def test_average_turns_the_beta_sums_by_psi(monkeypatch):
+    # the periodic rule's beta sums and sum w sin(2 alpha) are round-off, so
+    # no test on the real rule sees how psi and the B S + C K term enter; a
+    # rule of uneven nodes and weights makes them count, and the moment form
+    # must still give that rule's grid sum of F
+    rng = np.random.default_rng(31)
+    alphas, betas = rng.random(16) * math.pi, rng.random(16) * 2.0 * math.pi
+    w = 2.0 * rng.random(16) / 16.0
+    moments = sphere_rule_moments(alphas, w, betas)
+    monkeypatch.setattr(analytics, "_sphere_rule", lambda nodes: moments)
+    for _ in range(200):
+        gamma, epsilon = (float(v) for v in rng.random(2))
+        angles = UnitaryAngles(0.0, *(float(v) for v in rng.random(3) * math.pi))
+        grid = fidelity_reference(alphas[:, None], betas[None, :], gamma, epsilon,
+                                  angles.theta, angles.phi, angles.psi)
+        want = float(w @ grid.sum(axis=1)) / 32.0
+        assert abs(average_fidelity_numeric(gamma, epsilon, angles, 16) - want) < 1e-13
+
+
 def test_average_allocates_no_grid():
-    # with the rule cached, a call holds a few n-entry rows at a time; the
-    # n x n grid it no longer forms would take 1.2 MB at 256 nodes
+    # with the rule's moments cached, a call makes no array at all: its peak
+    # is a few floats at any node count (the n x n grid it once formed would
+    # take 1.2 MB at 256 nodes, the per-node rows 15 kB)
     angles = UnitaryAngles(0.0, 1.2, 0.7, 0.4)
-    average_fidelity_numeric(0.6, 0.9, angles, 256)
-    tracemalloc.start()
-    try:
-        average_fidelity_numeric(0.6, 0.9, angles, 256)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024
+    for nodes in (64, 256):
+        average_fidelity_numeric(0.6, 0.9, angles, nodes)
+        tracemalloc.start()
+        try:
+            average_fidelity_numeric(0.6, 0.9, angles, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024, (nodes, peak)
 
 
 def test_average_builds_rule_once_per_node_count(monkeypatch):
@@ -305,13 +337,12 @@ def test_average_builds_rule_once_per_node_count(monkeypatch):
 
 
 def test_average_rule_is_read_only():
+    # every caller with a node count shares its rule: eight floats in a tuple
     angles = UnitaryAngles(0.0, 1.2, 0.7, 0.4)
     before = average_fidelity_numeric(0.6, 0.9, angles, 64)
-    for array in analytics._sphere_rule(64):
-        with pytest.raises(ValueError):
-            array[0] = 0.0
-        with pytest.raises(ValueError):
-            array *= 2.0
+    rule = analytics._sphere_rule(64)
+    assert type(rule) is tuple and len(rule) == 8
+    assert all(type(moment) is float for moment in rule)
     assert average_fidelity_numeric(0.6, 0.9, angles, 64) == before
 
 

@@ -226,6 +226,8 @@ def test_require_range_array_in_range_is_returned_as_floats():
     assert _require_range(values, "gamma") is values
     ints = _require_range(np.array([0, 1]), "gamma")
     assert ints.dtype == float and ints.tolist() == [0.0, 1.0]
+    objects = _require_range(np.array([0.5, 0.2], dtype=object), "gamma")
+    assert objects.dtype == float and objects.tolist() == [0.5, 0.2]
 
 
 def _range_outcome(check, value, name):
@@ -342,18 +344,27 @@ def test_complex_and_text_scalars_are_refused_by_name(value, kind):
         minimax_search(value, 0.5)
 
 
-@pytest.mark.parametrize("value, kind", [
-    (None, "NoneType"), ([0.5], "list"), ({}, "dict"), (np.array(None, dtype=object), "ndarray"),
-], ids=["none", "list", "dict", "0-d-object"])
-def test_values_float_refuses_are_refused_by_name(value, kind):
-    # float()'s own message names no parameter
+@pytest.mark.parametrize("value, refusal", [
+    (None, "a real number, got a NoneType value"), ([0.5], "a real number, got a list value"),
+    ({}, "a real number, got a dict value"),
+    (np.array(None, dtype=object), "a real number, got a ndarray value"),
+    (np.array([None], dtype=object), "a real number, got a NoneType value"),
+    (np.array([0.5, "x"], dtype=object), "real, got a str value"),
+    (np.array(["0.5"]), "real, got a str96 value"),
+], ids=["none", "list", "dict", "0-d-object", "object-none", "object-text", "text-array"])
+def test_values_float_refuses_are_refused_by_name(value, refusal):
+    # float()'s own message names no parameter, nor does numpy's for an array
+    # whose entries it cannot compare with a float; such an array fails on
+    # its first bad entry, with that entry's message
     def message(name):
-        return f"^{name} must be a real number, got a {kind} value$"
+        return f"^{name} must be {refusal}$"
 
     with pytest.raises(TypeError, match=message("gamma")):
         _require_range(value, "gamma")
     with pytest.raises(TypeError, match=message("gamma")):
         masfi(value, 0.5)
+    if isinstance(value, np.ndarray) and value.ndim:
+        return  # the parameter dataclasses refuse it by its shape
     with pytest.raises(TypeError, match=message("alpha")):
         InformationState(value, 0, 0)
     with pytest.raises(TypeError, match=message("psi")):

@@ -6,6 +6,7 @@ import pytest
 
 from werner_teleport import density, protocol, states, verify
 from werner_teleport.analytics import fidelity_closed_form, masfi
+from werner_teleport.cli import main
 from werner_teleport.verify import (
     CheckResult,
     run_verification,
@@ -17,18 +18,26 @@ from helpers import draw_tuples_reference
 ORACLE = "closed-form fidelity vs density-matrix simulation"
 
 
-FAST_CHECKS_SEED_42 = """\
+# The full text of `werner-teleport verify --seed 42 --samples 10000`. CI
+# diffs the installed console script's output against this constant.
+VERIFY_SEED_42 = """\
 [PASS] closed-form fidelity vs density-matrix simulation: worst deviation 6.661e-16 (tolerance 1e-10)
 [PASS] outcome probabilities are 1/4 and sum to 1: worst deviation 5.551e-16 (tolerance 1e-12)
 [PASS] projected conditional states vs ladder-basis formula: worst deviation 4.441e-16 (tolerance 1e-12)
 [PASS] sigma_r conjugation relation between branches: worst deviation 0.000e+00 (tolerance 1e-12)
-[PASS] ordering chain masfi <= f_av_max <= f_max with 1/2 floor: worst deviation 1.110e-16 (tolerance 1e-12)"""
+[PASS] ordering chain masfi <= f_av_max <= f_max with 1/2 floor: worst deviation 1.110e-16 (tolerance 1e-12)
+[PASS] sphere-average quadrature vs closed form: worst deviation 4.441e-16 (tolerance 1e-08)
+[PASS] nested min-max search vs assured-fidelity formula: worst deviation 0.000e+00 (tolerance 1e-06)
+max |F_simulated - F_closed_form| = 6.661e-16
+all 7 checks passed
+"""
 
 
-def test_fast_check_lines_of_the_end_to_end_command():
-    # the five fast checks of `werner-teleport verify --seed 42 --samples 10000`
-    results = run_verification(42, 10000, run_quadrature=False, run_minimax=False)
-    assert "\n".join(result.line() for result in results) == FAST_CHECKS_SEED_42
+def test_verify_seed_42_text_of_the_end_to_end_command(capsys):
+    assert main(["verify", "--seed", "42", "--samples", "10000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == VERIFY_SEED_42
+    assert captured.err == ""
 
 
 # (name, tolerance) of the seven checks, in report order
