@@ -23,9 +23,9 @@ in, so a call is a few float operations on the rule's moments.
 The closed forms (``fidelity_closed_form``, ``masfi``, ``f_av_max``,
 ``f_max``, ``fidelity_gap``) take floats or numpy arrays, which broadcast
 against each other, so a whole grid or a chunk of tuples is one call. Each
-argument is range-checked once; an array fails on its first bad entry in
-row-major order, with the message that entry alone would get. Floats give
-a float back.
+argument is checked once: a value that is not real raises TypeError, and an
+array fails on its first bad entry in row-major order, with the message
+that entry alone would get. Floats give a float back.
 
 The global phase chi of Bob's unitary cancels from every conjugation, so
 it does not appear in F and is excluded from all searches. F depends on

@@ -15,6 +15,7 @@ concurrence (3 epsilon - 1)/2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -60,42 +61,34 @@ _DOMAINS = {
 
 def _require_range(value, name: str):
     """``value`` as a float, or as a float array when it is a numpy array
-    with at least one axis; raises ValueError for the first entry, in
-    row-major order, that is not finite or lies outside the domain of the
-    parameter ``name``, with the message a scalar would get. A complex value
-    (Python or numpy, any shape) and a string or bytes scalar (Python or
-    numpy, 0-d arrays included) raise TypeError naming ``name``, rather than
-    losing an imaginary part to the float cast or parsing the text, as does
-    any other value that ``float()`` refuses, or an array holding one."""
+    with at least one axis. Accepted are a real number (``numbers.Real``:
+    bool and Fraction too), a numpy scalar or array of kind b, i, u or f,
+    and an object array (0-d too) whose every entry :func:`_require_scalar`
+    accepts; anything else raises TypeError naming ``name``. ValueError names
+    the first entry, in row-major order, that is not finite or lies outside
+    the domain of ``name``, with the message a scalar would get."""
     hi, open_upper = _DOMAINS[name]
     # Python floats skip the type tests, which would cost them half again.
     if type(value) is not float:
         if isinstance(value, (np.ndarray, np.generic)):
             kind = value.dtype.kind
-            if kind == "c" or kind in "SU" and not value.ndim:
-                raise TypeError(f"{name} must be real, got a {value.dtype.name} value")
+            if kind == "O":  # entry by entry, the first bad one raising its own error
+                for entry in value.flat:
+                    _require_scalar(entry, name)
+                value = value.astype(float)
+            elif kind not in "biuf":
+                raise TypeError(f"{name} must be a real number, got a {value.dtype.name} value")
             if value.ndim:
-                # Two reductions pass a non-empty numeric array in range (NaN
-                # propagates to both); the entrywise test below takes every
-                # other array and names the first bad entry.
-                if value.size and kind in "fiu" and value.min() >= 0.0 and (
+                # Two reductions pass an array in range (NaN propagates to both);
+                # the entrywise test below finds the first bad entry.
+                if not value.size or value.min() >= 0.0 and (
                         value.max() < hi if open_upper else value.max() <= hi):
                     return value.astype(float, copy=False)
-                try:
-                    inside = (value >= 0.0) & ((value < hi) if open_upper else (value <= hi))
-                except TypeError as exc:  # an entry None, text or complex: the first bad one raises
-                    for entry in value.flat:
-                        _require_range(entry, name)
-                    raise TypeError(f"{name} must be real, got a {value.dtype.name} array") from exc
-                if inside.all():
-                    return value.astype(float, copy=False)
+                inside = (value >= 0.0) & ((value < hi) if open_upper else (value <= hi))
                 value = value.flat[np.argmin(inside)]  # the scalar check below raises for it
-        elif isinstance(value, (complex, str, bytes)):
-            raise TypeError(f"{name} must be real, got a {type(value).__name__} value")
-    try:
-        value = float(value)
-    except TypeError as exc:
-        raise TypeError(f"{name} must be a real number, got a {type(value).__name__} value") from exc
+        elif not isinstance(value, (int, numbers.Real)):  # int first: the ABC test is slow
+            raise TypeError(f"{name} must be a real number, got a {type(value).__name__} value")
+    value = float(value)
     if 0.0 <= value and (value < hi if open_upper else value <= hi):  # False for NaN
         return value
     if not math.isfinite(value):

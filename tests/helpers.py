@@ -1,5 +1,6 @@
 """Shared test utilities: random states and reference formulas."""
 
+import functools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from werner_teleport.states import (
     _DOMAINS,
     _PHI_PLUS_PROJECTOR,
     _information_states,
-    _require_range,
+    _require_scalar,
     _werner_states,
 )
 
@@ -57,30 +58,24 @@ def require_range_reference(value, name):
     """`states._require_range` with the entrywise array test alone.
 
     The range check as it was before its two-reduction fast path: an array
-    is tested entry by entry, and the first entry that fails, in row-major
-    order, gets the message a scalar would get; an array whose entries
-    cannot all be compared with a float has each entry checked alone by
-    `states._require_range`. The two must agree on every input, in result,
+    of kind b, i, u or f is tested entry by entry, and the first entry that
+    fails, in row-major order, gets the message a scalar would get; an
+    object array has each entry checked alone; any other array is refused
+    by its dtype. Scalars and entries go through `states._require_scalar`,
+    never the array path. The two must agree on every input, in result,
     dtype and error.
     """
+    if not (isinstance(value, np.ndarray) and value.ndim):
+        return _require_scalar(value, name)
+    if value.dtype.kind == "O":
+        return np.array([_require_scalar(entry, name) for entry in value.flat]).reshape(value.shape)
+    if value.dtype.kind not in "biuf":
+        raise TypeError(f"{name} must be a real number, got a {value.dtype.name} value")
     hi, open_upper = _DOMAINS[name]
-    if type(value) is not float and isinstance(value, np.ndarray) and value.ndim:
-        try:
-            inside = (value >= 0.0) & ((value < hi) if open_upper else (value <= hi))
-        except TypeError as exc:  # entries a float does not compare with
-            for entry in value.flat:
-                _require_range(entry, name)
-            raise TypeError(f"{name} must be real, got a {value.dtype.name} array") from exc
-        if inside.all():
-            return value.astype(float, copy=False)
-        value = value.flat[np.argmin(inside)]
-    value = float(value)
-    if 0.0 <= value and (value < hi if open_upper else value <= hi):
-        return value
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    bracket = ")" if open_upper else "]"
-    raise ValueError(f"{name} must lie in [0.0, {hi}{bracket}, got {value}")
+    inside = (value >= 0.0) & ((value < hi) if open_upper else (value <= hi))
+    if inside.all():
+        return value.astype(float, copy=False)
+    return _require_scalar(value.flat[np.argmin(inside)], name)  # raises for the entry
 
 
 def _literal(rows):
@@ -377,19 +372,32 @@ def sphere_rule_moments(alphas, w, betas):
         np.sin(betas), np.cos(betas), np.sin(2.0 * betas), np.cos(2.0 * betas)))
 
 
-def sphere_average_reference(gamma, epsilon, angles, nodes):
-    """Sphere average of F by quadrature, with the rule rebuilt on every call.
+@functools.lru_cache(maxsize=None)
+def _polar_rule(nodes):
+    # The polar nodes arccos(x) and the Gauss-Legendre weights w, read-only.
+    # leggauss solves an eigenproblem, so each count is built once, here and
+    # never through `analytics._sphere_rule`, the cache the references check.
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    alphas = np.arccos(x)
+    alphas.setflags(write=False)
+    w.setflags(write=False)
+    return alphas, w
 
-    Transcribes `analytics.average_fidelity_numeric` with a freshly built
+
+def sphere_average_reference(gamma, epsilon, angles, nodes):
+    """Sphere average of F by quadrature, with the moments summed on every
+    call from a rule built apart from the package's cache.
+
+    Transcribes `analytics.average_fidelity_numeric` with its own
     Gauss-Legendre rule: the same eight moments, combined with the row
     factors and psi in the same order, so the two must agree bit for bit. It
     shares the integrand with the package on purpose;
     `sphere_average_grid_reference`, `fidelity_reference`, `f_av_max` and
     the general-correction average are the checks of the value.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    alphas, w = _polar_rule(nodes)
     w_sum, w_cos_sq, w_sin_sq, w_sin_2a, sin_sum, cos_sum, sin2_sum, cos2_sum = sphere_rule_moments(
-        np.arccos(x), w, 2.0 * math.pi * np.arange(nodes) / nodes)
+        alphas, w, 2.0 * math.pi * np.arange(nodes) / nodes)
     a_cos, a_sin, b, c = _row_factors(gamma, epsilon, angles.theta, angles.phi)
     psi = angles.psi
     s = sin_sum * math.cos(psi) + cos_sum * math.sin(psi)
@@ -406,8 +414,7 @@ def sphere_average_grid_reference(gamma, epsilon, angles, nodes):
     row summed, then the Gauss-Legendre weights. The same rule on the same
     integrand, so the separable sum must agree with it to round-off.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    alphas = np.arccos(x)
+    alphas, w = _polar_rule(nodes)
     betas = 2.0 * math.pi * np.arange(nodes) / nodes
     grid = _fidelity_core(alphas[:, None], betas[None, :], gamma, epsilon,
                           angles.theta, angles.phi, angles.psi)

@@ -1,6 +1,8 @@
 import inspect
 import math
 from dataclasses import fields
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -304,20 +306,20 @@ def test_require_scalar_rejects_arrays():
 def test_complex_input_is_refused_not_truncated(value):
     # a float cast would keep the real part alone (0.5 + 1j read as 0.5)
     # with only a ComplexWarning
-    with pytest.raises(TypeError, match="^gamma must be real"):
+    with pytest.raises(TypeError, match="^gamma must be a real number, got a complex"):
         _require_range(value, "gamma")
-    with pytest.raises(TypeError, match="^epsilon must be real"):
+    with pytest.raises(TypeError, match="^epsilon must be a real number, got a complex"):
         masfi(0.5, value)
     if value.ndim == 0:
-        with pytest.raises(TypeError, match="^gamma must be real"):
+        with pytest.raises(TypeError, match="^gamma must be a real number, got a complex"):
             _require_scalar(value, "gamma")
-        with pytest.raises(TypeError, match="^gamma must be real"):
+        with pytest.raises(TypeError, match="^gamma must be a real number, got a complex"):
             minimax_search(value, 0.5)
-        with pytest.raises(TypeError, match="^gamma must be real"):
+        with pytest.raises(TypeError, match="^gamma must be a real number, got a complex"):
             InformationState(0.5, 0.5, value)
-        with pytest.raises(TypeError, match="^epsilon must be real"):
+        with pytest.raises(TypeError, match="^epsilon must be a real number, got a complex"):
             WernerResource(value)
-        with pytest.raises(TypeError, match="^psi must be real"):
+        with pytest.raises(TypeError, match="^psi must be a real number, got a complex"):
             UnitaryAngles(psi=value)
 
 
@@ -330,7 +332,7 @@ def test_complex_and_text_scalars_are_refused_by_name(value, kind):
     # float() would name no parameter for a complex, and would parse the text
     # of a string ("0.5" read as 0.5)
     def message(name):
-        return f"^{name} must be real, got a {kind} value$"
+        return f"^{name} must be a real number, got a {kind} value$"
 
     with pytest.raises(TypeError, match=message("gamma")):
         _require_range(value, "gamma")
@@ -344,20 +346,17 @@ def test_complex_and_text_scalars_are_refused_by_name(value, kind):
         minimax_search(value, 0.5)
 
 
-@pytest.mark.parametrize("value, refusal", [
-    (None, "a real number, got a NoneType value"), ([0.5], "a real number, got a list value"),
-    ({}, "a real number, got a dict value"),
-    (np.array(None, dtype=object), "a real number, got a ndarray value"),
-    (np.array([None], dtype=object), "a real number, got a NoneType value"),
-    (np.array([0.5, "x"], dtype=object), "real, got a str value"),
-    (np.array(["0.5"]), "real, got a str96 value"),
+@pytest.mark.parametrize("value, kind", [
+    (None, "NoneType"), ([0.5], "list"), ({}, "dict"),
+    (np.array(None, dtype=object), "NoneType"), (np.array([None], dtype=object), "NoneType"),
+    (np.array([0.5, "x"], dtype=object), "str"), (np.array(["0.5"]), "str96"),
 ], ids=["none", "list", "dict", "0-d-object", "object-none", "object-text", "text-array"])
-def test_values_float_refuses_are_refused_by_name(value, refusal):
+def test_values_float_refuses_are_refused_by_name(value, kind):
     # float()'s own message names no parameter, nor does numpy's for an array
-    # whose entries it cannot compare with a float; such an array fails on
+    # whose entries it cannot compare with a float; an object array fails on
     # its first bad entry, with that entry's message
     def message(name):
-        return f"^{name} must be {refusal}$"
+        return f"^{name} must be a real number, got a {kind} value$"
 
     with pytest.raises(TypeError, match=message("gamma")):
         _require_range(value, "gamma")
@@ -369,6 +368,40 @@ def test_values_float_refuses_are_refused_by_name(value, refusal):
         InformationState(value, 0, 0)
     with pytest.raises(TypeError, match=message("psi")):
         UnitaryAngles(psi=value)
+
+
+class _FloatOnly:
+    # float() takes it, but it is not a numbers.Real
+    def __float__(self):
+        return 0.5
+
+
+@pytest.mark.parametrize("value, accepted", [
+    (True, True), (Fraction(1, 2), True), (np.bool_(True), True),
+    (np.array(0.5, dtype=object), True), (np.float16(0.5), True),
+    (Decimal("0.5"), False), (_FloatOnly(), False), (np.timedelta64(1, "s"), False),
+    (0.5 + 0j, False), ("0.5", False), (None, False),
+    (np.array([0.5, None], dtype=object), False),
+], ids=["bool", "fraction", "np-bool", "0-d-object", "float16", "decimal", "float-only",
+        "timedelta", "complex", "str", "none", "object-none"])
+def test_parameters_take_the_declared_input_classes(value, accepted):
+    # Taken: a numbers.Real, a numpy value of kind b, i, u or f, and an object
+    # array of such entries, each as its float. Refused with a TypeError that
+    # names the parameter: the rest, Decimal and a __float__-only object
+    # included, which float() would take.
+    entry_points = [
+        ("gamma", lambda v: _require_range(v, "gamma")), ("epsilon", lambda v: masfi(0.5, v)),
+        ("alpha", lambda v: InformationState(v, 0.0, 0.0)), ("psi", lambda v: UnitaryAngles(psi=v)),
+        ("gamma", lambda v: minimax_search(v, 0.5)),
+    ]
+    for name, entry_point in entry_points:
+        if accepted:
+            assert entry_point(value) == entry_point(float(value))
+        else:
+            with pytest.raises(TypeError, match=f"^{name} must be a (real number|scalar), got a"):
+                entry_point(value)
+    if accepted:
+        assert type(_require_range(value, "gamma")) is float
 
 
 def test_parameter_dataclasses_keep_the_checked_float():
