@@ -19,9 +19,9 @@ it takes N parameter tuples as arrays and runs every step on all N at
 once, so the cross-checks in :mod:`werner_teleport.verify` simulate many
 tuples per numpy call. :func:`run_protocol` is its N = 1 case. Raw matrices
 are validated where they enter (:func:`composite`, :func:`bsm_project`);
-the kernel builds its states from parameters that its callers range-check
-(the dataclasses of :func:`run_protocol`, the seeded draws of ``verify``)
-and validates nothing.
+the kernel validates nothing: its parameters are range-checked by the
+dataclasses of :func:`run_protocol`, and ``verify``'s seeded draws lie in
+their domains by construction.
 
 Each Bell vector has two entries of +-1/sqrt(2), so branch r is 1/2 times
 a signed sum of four 2x2 blocks of the composite, and the fidelity is the

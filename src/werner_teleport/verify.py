@@ -9,20 +9,23 @@ reproducible. A deviation that is not finite fails its check.
 The simulation checks run the batched protocol kernel of
 :mod:`werner_teleport.protocol` on fixed-size chunks of ``_CHUNK`` tuples.
 The closed forms broadcast over numpy arrays, so each is called once per
-chunk on the chunk's columns (the fidelity, and all four conditional states
-in one call), and once per (gamma, epsilon) grid in the grid checks;
-the simulation never calls them. Memory is the seeded draw, 64 B per sample
-(eight float64 parameters, scaled in place), plus a working set fixed by the
-chunk size, about 2.4 kB per tuple of a chunk (0.62 MB), whatever
+chunk on the chunk's columns (the fidelity, by default its unchecked core,
+and all four conditional states in one call), once per (gamma, epsilon)
+grid in the grid checks, and once per set of closed forms in the ordering
+chain; the simulation never calls them. Memory is the seeded draw, 64 B per
+sample (eight float64 parameters, scaled in place), plus a working set fixed
+by the chunk size, about 2.4 kB per tuple of a chunk (0.62 MB), whatever
 ``samples`` is. ``_draw_tuples`` draws up front in one call, with the stream
 and bits of one ``uniform(0, hi, samples)`` call per parameter, and keeps
-each parameter's column contiguous. One ``PCG64`` per column, copied from
+each parameter's column contiguous; each entry ``hi * u`` (``u`` at most
+``1 - 2**-53``) lies inside its domain. One ``PCG64`` per column, copied from
 ``default_rng(seed)``'s state, advanced by ``i * samples`` and drawn in
 ``_CHUNK``-sized pieces, would give the same tuples bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -30,10 +33,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .analytics import (
+    _fidelity_core,
     average_fidelity_numeric,
     f_av_max,
     f_max,
-    fidelity_closed_form,
     masfi,
     minimax_search,
 )
@@ -140,9 +143,11 @@ def run_verification(seed: int, samples: int, *,
     the simulation; supplying a corrupted function is how the suite's own
     sensitivity is tested. It is called once per chunk with the chunk's
     seven columns (alpha, beta, gamma, epsilon, theta, phi, psi) as arrays,
-    so it must broadcast like :func:`fidelity_closed_form`; a scalar result
-    stands for every tuple of the chunk. ``formula_samples`` caps the
-    tuples used for the entrywise conditional-state comparisons. The
+    so it must broadcast like :func:`fidelity_closed_form`, whose unchecked
+    core is the default; a scalar result stands for every tuple of the chunk,
+    and another shape raises ValueError naming ``closed_form``. The ordering
+    chain is computed once per set of closed forms. ``formula_samples`` caps
+    the tuples used for the entrywise conditional-state comparisons. The
     quadrature and minimax checks can be skipped when only the fast checks
     are wanted. ``samples`` is an integer >= 1 and ``seed`` and
     ``formula_samples`` ones >= 0 (numpy integers too, never a bool or a
@@ -154,7 +159,7 @@ def run_verification(seed: int, samples: int, *,
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
-    closed = closed_form if closed_form is not None else fidelity_closed_form
+    closed = closed_form if closed_form is not None else _fidelity_core
     rng = np.random.default_rng(seed)
     tuples = _draw_tuples(rng, samples)
 
@@ -173,7 +178,11 @@ def run_verification(seed: int, samples: int, *,
         f_closed = np.asarray(closed(alpha, beta, gamma, epsilon, theta, phi, psi),
                               dtype=float)
         if f_closed.shape != simulated.shape:
-            f_closed = np.broadcast_to(f_closed, simulated.shape)
+            try:
+                f_closed = np.broadcast_to(f_closed, simulated.shape)
+            except ValueError:
+                raise ValueError(f"closed_form returned shape {f_closed.shape}, which does "
+                                 f"not broadcast to the chunk's {simulated.shape}") from None
         oracle.update_all(np.abs(simulated - f_closed), lambda i: (
             _at(_DOMAINS, chunk[i])
             + f"simulated={float(simulated[i])!r} closed={float(f_closed[i])!r}"))
@@ -198,7 +207,7 @@ def run_verification(seed: int, samples: int, *,
                 np.abs(bob_checked[1:] - rotated).reshape(3, 4, checked).max(axis=1).T,
                 lambda k: _at(_DOMAINS, chunk[k // 3]) + f"conjugation relation r={k % 3 + 1}")
 
-    results = [check.result() for check in checks] + [_ordering_check()]
+    results = [check.result() for check in checks] + [_ordering_check(masfi, f_av_max, f_max)]
     if run_quadrature:
         angles = UnitaryAngles()
         results.append(_grid_check(
@@ -221,9 +230,8 @@ def _mesh(points: int) -> tuple[np.ndarray, np.ndarray]:
     return grid
 
 
-# The meshes of the grid checks and of the ordering check, built once.
+# The mesh of the grid checks, built once.
 _GRID_MESH = _mesh(_GRID_POINTS)
-_ORDERING_MESH = _mesh(11)
 
 
 def _grid_check(name: str, tolerance: float, label: str,
@@ -241,11 +249,13 @@ def _grid_check(name: str, tolerance: float, label: str,
     return tracker.result()
 
 
-def _ordering_check() -> CheckResult:
-    # masfi <= f_av_max <= f_max with both lower quantities >= 1/2; the
-    # "deviation" is how far any inequality is violated. At gamma = 1 the
-    # chain holds with equality, so round-off clearance is needed.
-    gamma, epsilon = _ORDERING_MESH
+@functools.lru_cache(maxsize=1)
+def _ordering_check(masfi, f_av_max, f_max) -> CheckResult:
+    # masfi <= f_av_max <= f_max with both lower quantities >= 1/2, by how far
+    # any inequality is violated (at gamma = 1 it holds with equality, so
+    # round-off clearance is needed). A closed form is a pure function of its
+    # arguments, so the frozen result stands until one of the three is rebound.
+    gamma, epsilon = _mesh(11)
     lo, mid, hi = masfi(gamma, epsilon), f_av_max(gamma, epsilon), f_max(epsilon)
     violation = np.maximum(np.maximum(np.maximum(np.maximum(
         lo - mid, mid - hi), 0.5 - lo), 0.5 - mid), 0.0)

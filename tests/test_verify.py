@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from werner_teleport import density, protocol, states, verify
-from werner_teleport.analytics import fidelity_closed_form, masfi
+from werner_teleport.analytics import _fidelity_core, fidelity_closed_form, masfi
 from werner_teleport.cli import main
+from werner_teleport.states import _DOMAINS
 from werner_teleport.verify import (
     CheckResult,
     run_verification,
@@ -214,28 +215,82 @@ def test_ordering_failure_detail_text(monkeypatch, biased, worst, detail):
     assert [r.name for r in results if not r.passed] == [ORDERING]
 
 
-def test_closed_forms_are_called_once_per_chunk_or_grid(monkeypatch):
+def _count_calls(monkeypatch, names):
+    # rebinds each verify.<name> to a wrapper that logs the name per call
     calls = []
 
-    def counting(name):
-        fn = getattr(verify, name)
-
+    def counting(name, fn):
         def wrapped(*args):
             calls.append(name)
             return fn(*args)
         return wrapped
 
-    for name in ("fidelity_closed_form", "_conditional_states", "masfi",
-                 "f_av_max", "f_max"):
-        monkeypatch.setattr(verify, name, counting(name))
+    for name in names:
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    return calls
+
+
+def test_closed_forms_are_called_once_per_chunk_or_grid(monkeypatch):
+    calls = _count_calls(monkeypatch, ("_fidelity_core", "_conditional_states", "masfi",
+                                       "f_av_max", "f_max"))
     monkeypatch.setattr(verify, "_CHUNK", 10)
     results = run_verification(5, 25, formula_samples=15, run_minimax=False)
     assert all(r.passed for r in results)
     # 3 chunks, 2 of them with conditional-state checks (all four Bell
     # indices in one call), the ordering chain, and the quadrature check's f_av_max
-    assert sorted(calls) == sorted(["fidelity_closed_form"] * 3
+    assert sorted(calls) == sorted(["_fidelity_core"] * 3
                                    + ["_conditional_states"] * 2
                                    + ["masfi", "f_av_max", "f_max", "f_av_max"])
+
+
+def test_ordering_chain_is_computed_once_per_set_of_closed_forms(monkeypatch):
+    calls = _count_calls(monkeypatch, ("masfi", "f_av_max", "f_max"))
+
+    def run():
+        return run_verification(3, 5, run_quadrature=False, run_minimax=False)
+
+    assert all(r.passed for r in run())
+    assert sorted(calls) == ["f_av_max", "f_max", "masfi"]
+    calls.clear()
+    assert all(r.passed for r in run())
+    assert calls == []
+    # a rebound closed form is a new key: checked anew, with the pinned text
+    counted = verify.masfi
+    monkeypatch.setattr(verify, "masfi", lambda g, e: masfi(g, e) + 1e-3)
+    ordering = {r.name: r for r in run()}[ORDERING]
+    assert not ordering.passed
+    assert ordering.detail == "(gamma=0, epsilon=0): masfi=0.501 f_av_max=0.5 f_max=0.5"
+    monkeypatch.setattr(verify, "masfi", counted)
+    assert all(r.passed for r in run())
+
+
+def test_closed_form_of_another_shape_is_named():
+    with pytest.raises(ValueError, match=r"^closed_form returned shape \(3,\), which does not "
+                                         r"broadcast to the chunk's \(20,\)$"):
+        run_verification(1, 20, closed_form=lambda *a: np.zeros(3),
+                         run_quadrature=False, run_minimax=False)
+    # one entry, or a scalar, stands for every tuple of the chunk
+    for constant in (np.zeros(1), 0.5):
+        results = run_verification(1, 20, closed_form=lambda *a: constant,
+                                   run_quadrature=False, run_minimax=False)
+        assert [r.passed for r in results] == [False, True, True, True, True]
+
+
+@pytest.mark.parametrize("seed, samples", [(0, 1), (7, 256), (42, 1000), (2026, 10**4)])
+def test_draws_lie_in_their_domains_so_the_unchecked_core_is_exact(seed, samples):
+    # verify hands its draws to analytics._fidelity_core without a range
+    # check: each is hi * u with u in [0, 1), so at most (1 - 2**-53) * hi,
+    # which rounds below every upper bound, the open ones too
+    assert np.nextafter(1.0, 0.0) == 1.0 - 2.0**-53
+    tuples = verify._draw_tuples(np.random.default_rng(seed), samples)
+    for column, (name, (hi, open_upper)) in zip(tuples.T, _DOMAINS.items()):
+        assert (1.0 - 2.0**-53) * hi < hi, name
+        assert column.min() >= 0.0 and (column.max() < hi if open_upper else column.max() <= hi)
+    chunk = tuples[:verify._CHUNK]
+    alpha, beta, gamma, epsilon, _, theta, phi, psi = chunk.T
+    core = _fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi)
+    checked = fidelity_closed_form(alpha, beta, gamma, epsilon, theta, phi, psi)
+    assert core.dtype == checked.dtype and core.tobytes() == checked.tobytes()
 
 
 def _late_bias(alpha, beta, gamma, epsilon, theta, phi, psi):
