@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .protocol import UnitaryAngles
-from .states import _require_range, _require_scalar
+from .states import _require_count, _require_range, _require_scalar
 
 __all__ = [
     "REFINE_TOL",
@@ -183,25 +183,20 @@ def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles
     """Uniform Bloch-sphere average of F at fixed purity, by quadrature.
 
     Integrates over the solid angle with measure sin(alpha) da db / (4 pi):
-    Gauss-Legendre in cos(alpha) crossed with an equally weighted periodic
-    rule in beta. ``nodes`` is an integer >= 8 (or a whole float such as
-    64.0), never a bool. F is linear in the correction's row factors, so a
-    call combines them and psi with the eight moments of
-    :func:`_sphere_rule` in a few float operations, with no array. The value
-    is still the rule's own: each moment is the rule's sum over its nodes,
-    and neither :func:`f_av_max` nor an analytic moment (2, 2/3, 4/3, 0)
-    enters, so a wrong coefficient in :func:`f_av_max`, or a wrong node or
-    weight, fails their comparison at theta = phi = 0. At any correction the
-    average is 1/2 + eps cos(theta)/6 + gamma^2 eps cos^2(theta/2) cos(2 phi)/3.
+    Gauss-Legendre in cos(alpha) crossed with an equally weighted periodic rule
+    in beta. ``nodes`` is an integer >= 8, never a bool or a float. F is linear
+    in the correction's row factors, so a call combines them and psi with the
+    eight moments of :func:`_sphere_rule` in a few float operations, with no
+    array. The value is still the rule's own: each moment is the rule's sum
+    over its nodes, and neither :func:`f_av_max` nor an analytic moment
+    (2, 2/3, 4/3, 0) enters, so a wrong coefficient in :func:`f_av_max`, or a
+    wrong node or weight, fails their comparison at theta = phi = 0. At any
+    correction the average is
+    1/2 + eps cos(theta)/6 + gamma^2 eps cos^2(theta/2) cos(2 phi)/3.
     """
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
-    if isinstance(nodes, bool) or not (isinstance(nodes, (int, np.integer))
-                                       or isinstance(nodes, float) and nodes.is_integer()):
-        raise ValueError(f"nodes must be an integer, got {nodes!r}")
-    nodes = int(nodes)
-    if nodes < 8:
-        raise ValueError(f"nodes must be >= 8, got {nodes}")
+    nodes = _require_count(nodes, "nodes", 8)
     w_sum, w_cos_sq, w_sin_sq, w_sin_2a, sin_sum, cos_sum, sin2_sum, cos2_sum = _sphere_rule(nodes)
     a_cos, a_sin, b, c = _row_factors(gamma, epsilon, angles.theta, angles.phi)
     psi = angles.psi  # s, k: sum_j sin(beta_j + psi), sum_j cos(2 (beta_j + psi))

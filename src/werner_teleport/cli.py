@@ -27,7 +27,7 @@ import numpy as np
 
 from .analytics import f_av_max, f_max, fidelity_closed_form, fidelity_gap, masfi
 from .protocol import UnitaryAngles, run_protocol
-from .states import _DOMAINS, InformationState, WernerResource
+from .states import _DOMAINS, InformationState, WernerResource, _require_count
 from .verify import run_verification, worst_closed_form_deviation
 
 __all__ = ["SweepConfig", "build_parser", "main", "entry_point"]
@@ -103,11 +103,7 @@ def _parse_grid(text: str, flag: str) -> tuple[float, float, int]:
         raise ValueError(f"{flag} must look like min:max:count, got {text!r}") from None
     if not (0.0 <= lo <= hi <= 1.0):
         raise ValueError(f"{flag} bounds must satisfy 0 <= min <= max <= 1, got {text!r}")
-    if count < 2:
-        raise ValueError(f"{flag} count must be >= 2, got {count}")
-    if count > _MAX_GRID_COUNT:
-        raise ValueError(f"{flag} count must be <= {_MAX_GRID_COUNT}, got {count}")
-    return lo, hi, count
+    return lo, hi, _require_count(count, f"{flag} count", 2, _MAX_GRID_COUNT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,13 +215,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    if args.samples > _MAX_SAMPLES:
-        raise ValueError(f"--samples must be <= {_MAX_SAMPLES}, got {args.samples}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
-    results = run_verification(args.seed, args.samples)
+    samples = _require_count(args.samples, "--samples", 1, _MAX_SAMPLES)
+    results = run_verification(_require_count(args.seed, "--seed", 0), samples)
     for result in results:
         print(result.line())
     print(f"max |F_simulated - F_closed_form| = "

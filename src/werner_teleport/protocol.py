@@ -62,6 +62,7 @@ from .states import (
     WernerResource,
     _BELL_VECTORS,
     _information_states,
+    _require_count,
     _require_fields,
     _require_range,
     _werner_states,
@@ -178,13 +179,6 @@ def composite(info: np.ndarray, resource: np.ndarray) -> np.ndarray:
     return np.kron(info, resource)
 
 
-def _require_bell_index(r) -> None:
-    # An int or numpy integer in BELL_INDICES; a bool or a float equal to one
-    # (True == 1, 1.0 == 1) is refused, not taken as an index.
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r not in BELL_INDICES:
-        raise ValueError(f"Bell index must be one of {BELL_INDICES}, got {r}")
-
-
 def _project_bell(rho_c: np.ndarray,
                   r: list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(p_r, K_r^+ rho_c K_r / p_r) for N composites stacked as (8, 8, N).
@@ -230,7 +224,7 @@ def bsm_project(composite_state: np.ndarray, r: int) -> BsmOutcome:
     if composite_state.shape != (8, 8):
         raise DensityMatrixError(
             f"expected a three-qubit (8x8) composite, got {composite_state.shape}")
-    _require_bell_index(r)
+    r = _require_count(r, "Bell index", 0, BELL_INDICES[-1])
     probability, bob = _project_bell(composite_state[..., None], [r])
     return BsmOutcome(r=r, probability=float(probability[0, 0]), bob_state=bob[0, ..., 0])
 
@@ -271,7 +265,7 @@ def conditional_state_formula(info: np.ndarray, epsilon: float | np.ndarray,
     of conditional states, one per input. Any other shape of ``info``
     raises :class:`DensityMatrixError`.
     """
-    _require_bell_index(r)
+    r = _require_count(r, "Bell index", 0, BELL_INDICES[-1])
     epsilon = _require_range(epsilon, "epsilon")
     info = np.asarray(info, dtype=complex)
     if info.shape[-2:] != (2, 2):

@@ -97,6 +97,19 @@ def _require_range(value, name: str):
     raise ValueError(f"{name} must lie in [0.0, {hi}{bracket}, got {value}")
 
 
+def _require_count(value, name: str, least: int, most: int | None = None) -> int:
+    """An int or numpy integer ``value`` in [least, most] (``most`` None: no bound)
+    as an int; any other value, a bool or 3.0 too, raises ValueError naming it."""
+    if type(value) is not int:  # a Python int skips the class tests
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < least or most is not None and value > most:
+        bound = f">= {least}" if value < least else f"<= {most}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
 def _require_scalar(value, name: str) -> float:
     # _require_range for parameters that do not broadcast. An array with an
     # axis is refused here, one entry or many: whether float() takes a

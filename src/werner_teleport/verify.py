@@ -47,7 +47,7 @@ from .protocol import (
     _simulate,
     correction_branch_operators,
 )
-from .states import _DOMAINS
+from .states import _DOMAINS, _require_count
 
 __all__ = ["CheckResult", "run_verification", "worst_closed_form_deviation"]
 
@@ -149,16 +149,13 @@ def run_verification(seed: int, samples: int, *,
     chain is computed once per set of closed forms. ``formula_samples`` caps
     the tuples used for the entrywise conditional-state comparisons. The
     quadrature and minimax checks can be skipped when only the fast checks
-    are wanted. ``samples`` is an integer >= 1 and ``seed`` and
-    ``formula_samples`` ones >= 0 (numpy integers too, never a bool or a
-    float); anything else raises ValueError naming the parameter.
+    are wanted. ``samples`` is an integer >= 1, ``seed`` and ``formula_samples``
+    ones >= 0, each by the one integer rule ``states._require_count`` (numpy
+    integers too, never a bool or a float); else ValueError names the parameter.
     """
-    for name, value, least in (("seed", seed, 0), ("samples", samples, 1),
-                               ("formula_samples", formula_samples, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    seed = _require_count(seed, "seed", 0)
+    samples = _require_count(samples, "samples", 1)
+    formula_samples = _require_count(formula_samples, "formula_samples", 0)
     closed = closed_form if closed_form is not None else _fidelity_core
     rng = np.random.default_rng(seed)
     tuples = _draw_tuples(rng, samples)

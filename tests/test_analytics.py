@@ -239,7 +239,9 @@ def test_average_converges_at_general_angles():
     ("64", "nodes must be an integer, got '64'"),
     (np.float64(16.5), r"nodes must be an integer, got (np\.float64\()?16\.5"),
     (True, "nodes must be an integer, got True"),  # once refused as 1
-], ids=["7", "int64-7", "8.9", "str-64", "float64-16.5", "True"])
+    (64.0, "nodes must be an integer, got 64.0"),  # once taken as 64
+    (np.float64(64.0), r"nodes must be an integer, got (np\.float64\()?64\.0"),
+], ids=["7", "int64-7", "8.9", "str-64", "float64-16.5", "True", "64.0", "float64-64.0"])
 def test_average_rejects_few_nodes(nodes, message):
     with pytest.raises(ValueError, match=message):
         average_fidelity_numeric(0.5, 0.5, UnitaryAngles(), nodes)
@@ -328,7 +330,7 @@ def test_average_builds_rule_once_per_node_count(monkeypatch):
             average_fidelity_numeric(0.6, 0.9, angles, 32)
             average_fidelity_numeric(0.6, 0.9, angles, 96)
     assert sorted(builds) == [32, 64, 96]
-    assert average_fidelity_numeric(0.6, 0.9, angles, 64.0) == value
+    assert average_fidelity_numeric(0.6, 0.9, angles, np.int64(64)) == value
     assert len(builds) == 3
     with pytest.raises(ValueError):
         average_fidelity_numeric(0.6, 0.9, angles, 7)

@@ -287,7 +287,7 @@ def test_sweep_grid_count_is_bounded(capsys, flag):
     assert captured.err == f"error: {flag} count must be <= 1001, got 1002\n"
 
 
-@pytest.mark.parametrize("grid", ["0:1", "0:2:5", "1:0:5", "0:1:1", "a:b:c"])
+@pytest.mark.parametrize("grid", ["0:1", "0:2:5", "1:0:5", "0:1:1", "a:b:c", "0:1:3.0"])
 def test_sweep_bad_grid_exits_2(capsys, grid):
     code = main(["sweep", "--quantity", "masfi", "--gamma-grid", grid])
     captured = capsys.readouterr()
@@ -302,6 +302,20 @@ def test_verify_zero_samples_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "--samples" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["verify", "--samples", "0"], "--samples must be >= 1, got 0"),
+    (["sweep", "--quantity", "masfi", "--gamma-grid", "0:1:1"],
+     "--gamma-grid count must be >= 2, got 1"),
+], ids=["seed", "samples", "grid-count"])
+def test_integer_flag_below_its_least_exits_2(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_verify_samples_are_bounded(capsys, monkeypatch):

@@ -1,5 +1,7 @@
+import argparse
 import inspect
 import math
+import re
 from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
@@ -10,9 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from werner_teleport import cli
-from werner_teleport.analytics import fidelity_closed_form, masfi, minimax_search
+from werner_teleport.analytics import (
+    average_fidelity_numeric,
+    fidelity_closed_form,
+    masfi,
+    minimax_search,
+)
 from werner_teleport.density import kron, validate_density
-from werner_teleport.protocol import UnitaryAngles
+from werner_teleport.protocol import UnitaryAngles, bsm_project, conditional_state_formula
 from werner_teleport.states import (
     InformationState,
     WernerResource,
@@ -26,7 +33,7 @@ from werner_teleport.states import (
     werner_state,
     wootters_concurrence,
 )
-from werner_teleport.verify import _draw_tuples
+from werner_teleport.verify import CheckResult, _draw_tuples, run_verification
 
 from helpers import (
     I_MINUS,
@@ -402,6 +409,65 @@ def test_parameters_take_the_declared_input_classes(value, accepted):
                 entry_point(value)
     if accepted:
         assert type(_require_range(value, "gamma")) is float
+
+
+def _count_entry_points(monkeypatch):
+    # (name, an accepted value, call): each call hands its value to one
+    # integer entry point and returns what that value gave, floats as bits
+    rho_in = information_state(InformationState(0.7, 0.3, 0.8))
+    rho_c = kron(rho_in, werner_state(WernerResource(0.6)))
+    angles = UnitaryAngles(0.0, 1.2, 0.7, 0.4)
+    asked = []
+
+    def fake_verification(seed, samples):
+        asked.append((seed, samples))
+        return [CheckResult("closed-form fidelity vs density-matrix simulation", 1e-10, 0.0)]
+
+    monkeypatch.setattr(cli, "run_verification", fake_verification)
+
+    def report(**counts):
+        counts = {"seed": 1, "samples": 3, **counts}
+        return [(r.name, r.worst.hex(), r.detail) for r in run_verification(
+            **counts, run_quadrature=False, run_minimax=False)]
+
+    def cli_verify(**flags):
+        asked.clear()
+        cli.cmd_verify(argparse.Namespace(**{"seed": 1, "samples": 3, **flags}))
+        return [(value, type(value)) for value in asked.pop()]
+
+    def outcome(r):
+        found = bsm_project(rho_c, r)
+        return type(found.r), found.r, found.probability.hex(), found.bob_state.tobytes()
+
+    return [
+        ("seed", 3, lambda v: report(seed=v)),
+        ("samples", 3, lambda v: report(samples=v)),
+        ("formula_samples", 3, lambda v: report(formula_samples=v)),
+        ("nodes", 8, lambda v: average_fidelity_numeric(0.6, 0.9, angles, v).hex()),
+        ("Bell index", 3, outcome),
+        ("Bell index", 3, lambda v: conditional_state_formula(rho_in, 0.6, v).tobytes()),
+        ("--seed", 3, lambda v: cli_verify(seed=v)),
+        ("--samples", 3, lambda v: cli_verify(samples=v)),
+    ]
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint8])
+def test_counts_take_numpy_integers_as_their_int(monkeypatch, kind):
+    # every integer entry point goes through the one rule, which hands on
+    # an int: a numpy integer gives exactly what the int gives
+    for name, value, entry_point in _count_entry_points(monkeypatch):
+        assert entry_point(kind(value)) == entry_point(value), name
+
+
+@pytest.mark.parametrize("value", [
+    True, np.bool_(True), 3.0, np.float64(3.0), "3", None, Fraction(3, 1),
+], ids=["bool", "np-bool", "float", "float64", "str", "none", "fraction"])
+def test_counts_refuse_every_other_class(monkeypatch, value):
+    # a bool is not taken as 1 nor a whole float as its int: ValueError names
+    # the parameter, whichever entry point it came in by
+    for name, _, entry_point in _count_entry_points(monkeypatch):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got "):
+            entry_point(value)
 
 
 def test_parameter_dataclasses_keep_the_checked_float():

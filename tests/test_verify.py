@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,29 @@ def test_rejects_negative_formula_samples():
 def test_takes_zero_and_numpy_integer_formula_samples(formula_samples):
     results = run_verification(seed=1, samples=3, formula_samples=formula_samples,
                                run_quadrature=False, run_minimax=False)
+    assert all(result.passed for result in results)
+
+
+@pytest.mark.parametrize("formula_samples", [np.uint8(5), np.uint64(5), np.int64(5)],
+                         ids=["uint8", "uint64", "int64"])
+def test_numpy_formula_samples_check_exactly_their_tuples(monkeypatch, formula_samples):
+    # formula_samples - start in unsigned numpy arithmetic once wrapped past
+    # the first chunk (uint64: 5 + 256 + 88 tuples checked, with overflow
+    # warnings) or raised (uint8: 256 is out of its bounds); the integer rule
+    # hands the chunk loop an int
+    checked = []
+    conditional_states = verify._conditional_states
+
+    def counted(info, epsilon):
+        checked.append(len(epsilon))
+        return conditional_states(info, epsilon)
+
+    monkeypatch.setattr(verify, "_conditional_states", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = run_verification(1, 600, formula_samples=formula_samples,
+                                   run_quadrature=False, run_minimax=False)
+    assert checked == [5]
     assert all(result.passed for result in results)
 
 
