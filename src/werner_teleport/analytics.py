@@ -186,19 +186,19 @@ def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles
     Gauss-Legendre in cos(alpha) crossed with an equally weighted periodic rule
     in beta. ``nodes`` is an integer >= 8, never a bool or a float. F is linear
     in the correction's row factors, so a call combines them and psi with the
-    eight moments of :func:`_sphere_rule` in a few float operations, with no
-    array. The value is still the rule's own: each moment is the rule's sum
-    over its nodes, and neither :func:`f_av_max` nor an analytic moment
-    (2, 2/3, 4/3, 0) enters, so a wrong coefficient in :func:`f_av_max`, or a
-    wrong node or weight, fails their comparison at theta = phi = 0. At any
-    correction the average is
+    eight moments of :func:`_sphere_rule` in a few operations on Python floats,
+    with no numpy call once the rule is built. The value is the rule's own: each
+    moment is the rule's sum over its nodes, and neither :func:`f_av_max` nor an
+    analytic moment (2, 2/3, 4/3, 0) enters, so a wrong coefficient in
+    :func:`f_av_max`, or a wrong node or weight, fails their comparison at
+    theta = phi = 0. At any correction the average is
     1/2 + eps cos(theta)/6 + gamma^2 eps cos^2(theta/2) cos(2 phi)/3.
     """
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
     nodes = _require_count(nodes, "nodes", 8)
     w_sum, w_cos_sq, w_sin_sq, w_sin_2a, sin_sum, cos_sum, sin2_sum, cos2_sum = _sphere_rule(nodes)
-    a_cos, a_sin, b, c = _row_factors(gamma, epsilon, angles.theta, angles.phi)
+    a_cos, a_sin, b, c = _row_factors(gamma, epsilon, angles.theta, angles.phi, math)
     psi = angles.psi  # s, k: sum_j sin(beta_j + psi), sum_j cos(2 (beta_j + psi))
     s = sin_sum * math.cos(psi) + cos_sum * math.sin(psi)
     k = cos2_sum * math.cos(2.0 * psi) - sin2_sum * math.sin(2.0 * psi)
@@ -223,16 +223,19 @@ def _sphere_rule(nodes: int) -> tuple[float, ...]:
         np.sin(betas), np.cos(betas), np.sin(2.0 * betas), np.cos(2.0 * betas)))
 
 
-def _row_factors(gamma, epsilon, theta, phi):
+def _row_factors(gamma, epsilon, theta, phi, xp=np):
     # The alpha-free factors of F, one set per correction row:
     # eps cos(theta), gamma ge cos^2(theta/2) cos(2 phi), 0.5 ge sin(theta)
     # sin(phi) and -0.5 gamma ge sin^2(theta/2), with ge = gamma eps. Each is
-    # the left end of its product in F, so the split keeps every float.
+    # the left end of its product in F, so the split keeps every float. xp is
+    # math for average_fidelity_numeric's floats, numpy (the default) for the
+    # arrays of _fidelity_core and _worst_cases. Keep each product's order and
+    # ** 2 (libm pow on a float or a numpy scalar) as written: both give the same bits.
     ge = gamma * epsilon
-    return (epsilon * np.cos(theta),
-            gamma * ge * np.cos(0.5 * theta) ** 2 * np.cos(2.0 * phi),
-            0.5 * ge * np.sin(theta) * np.sin(phi),
-            -0.5 * gamma * ge * np.sin(0.5 * theta) ** 2)
+    return (epsilon * xp.cos(theta),
+            gamma * ge * xp.cos(0.5 * theta) ** 2 * xp.cos(2.0 * phi),
+            0.5 * ge * xp.sin(theta) * xp.sin(phi),
+            -0.5 * gamma * ge * xp.sin(0.5 * theta) ** 2)
 
 
 def _worst_cases(gamma: float, epsilon: float, theta: np.ndarray,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from werner_teleport import analytics
+from werner_teleport import analytics, verify
 from werner_teleport.analytics import (
     average_fidelity_numeric,
     f_av_max,
@@ -346,6 +346,89 @@ def test_average_rule_is_read_only():
     assert type(rule) is tuple and len(rule) == 8
     assert all(type(moment) is float for moment in rule)
     assert average_fidelity_numeric(0.6, 0.9, angles, 64) == before
+
+
+def _row_factor_bits(gamma, epsilon, theta, phi, *xp):
+    return tuple(float(f).hex() for f in analytics._row_factors(gamma, epsilon, theta, phi, *xp))
+
+
+def test_row_factors_on_math_match_numpy_bit_for_bit():
+    # the quadrature takes cos and sin from math, every other caller from
+    # numpy: on the same floats the one transcription must give the same bits
+    # either way (a numpy scalar squares by libm pow, as a float does)
+    rng = np.random.default_rng(34)
+    draws = np.column_stack([rng.random((100_000, 2)), rng.random((100_000, 2)) * math.pi])
+    corners = [(gamma, epsilon, theta, phi) for gamma in (0.0, 1.0) for epsilon in (0.0, 1.0)
+               for theta in (0.0, 0.5 * math.pi, math.pi) for phi in (0.0, 0.5 * math.pi, math.pi)]
+    for point in draws.tolist() + corners:
+        assert _row_factor_bits(*point, math) == _row_factor_bits(*point), point
+
+
+# average_fidelity_numeric at 64 nodes, bit for bit as float.hex: on verify's
+# 5x5 (gamma, epsilon) grid at the identity correction, and at (0.6, 0.9)
+# under four general corrections (chi, theta, phi, psi)
+_QUADRATURE_GRID = {
+    (0.0, 0.0): "0x1.0000000000000p-1",
+    (0.0, 0.25): "0x1.1555555555554p-1",
+    (0.0, 0.5): "0x1.2aaaaaaaaaaa9p-1",
+    (0.0, 0.75): "0x1.3fffffffffffdp-1",
+    (0.0, 1.0): "0x1.5555555555551p-1",
+    (0.25, 0.0): "0x1.0000000000000p-1",
+    (0.25, 0.25): "0x1.17fffffffffffp-1",
+    (0.25, 0.5): "0x1.2fffffffffffep-1",
+    (0.25, 0.75): "0x1.47ffffffffffdp-1",
+    (0.25, 1.0): "0x1.5fffffffffffcp-1",
+    (0.5, 0.0): "0x1.0000000000000p-1",
+    (0.5, 0.25): "0x1.1ffffffffffffp-1",
+    (0.5, 0.5): "0x1.3ffffffffffffp-1",
+    (0.5, 0.75): "0x1.5fffffffffffep-1",
+    (0.5, 1.0): "0x1.7fffffffffffdp-1",
+    (0.75, 0.0): "0x1.0000000000000p-1",
+    (0.75, 0.25): "0x1.2d55555555555p-1",
+    (0.75, 0.5): "0x1.5aaaaaaaaaaaap-1",
+    (0.75, 0.75): "0x1.87fffffffffffp-1",
+    (0.75, 1.0): "0x1.b555555555554p-1",
+    (1.0, 0.0): "0x1.0000000000000p-1",
+    (1.0, 0.25): "0x1.4000000000000p-1",
+    (1.0, 0.5): "0x1.8000000000000p-1",
+    (1.0, 0.75): "0x1.c000000000000p-1",
+    (1.0, 1.0): "0x1.0000000000000p+0",
+}
+_QUADRATURE_GENERAL = {
+    (0.0, 1.2, 0.7, 0.4): "0x1.223b2bd159d89p-1",
+    (1.0, 0.3, 2.5, 1.9): "0x1.58b4773c9a8f5p-1",
+    (2.0, 2.2, 1.3, 0.9): "0x1.921bbe6859616p-2",
+    (5.5, 2.9, 0.1, 3.0): "0x1.6c6f494ade3d2p-2",
+}
+
+
+def test_average_pinned_bit_for_bit_on_verify_grid():
+    # verify's quadrature line prints three digits of the worst deviation, so
+    # only these pins see a last-bit change; the points are verify's own mesh
+    gamma, epsilon = verify._GRID_MESH
+    assert [(float(g), float(e)) for g, e in zip(gamma.flat, epsilon.flat)] == list(_QUADRATURE_GRID)
+    for g, e in zip(gamma.flat, epsilon.flat):
+        got = average_fidelity_numeric(g, e, UnitaryAngles(), 64)
+        assert got.hex() == _QUADRATURE_GRID[float(g), float(e)], (g, e)
+    for angles, want in _QUADRATURE_GENERAL.items():
+        assert average_fidelity_numeric(0.6, 0.9, UnitaryAngles(*angles), 64).hex() == want, angles
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} reached")
+
+
+def test_average_makes_no_numpy_call_once_its_rule_is_built(monkeypatch):
+    # the cost side of the pins above: with the rule cached, a call is float
+    # arithmetic on math's cos and sin, and gives the same bits without numpy
+    analytics._sphere_rule(64)
+    cases = [(gamma, epsilon, UnitaryAngles(*angles))
+             for gamma, epsilon in ((0.6, 0.9), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
+             for angles in [(0.0,) * 4, *_QUADRATURE_GENERAL]]
+    before = [average_fidelity_numeric(*case, 64).hex() for case in cases]
+    monkeypatch.setattr(analytics, "np", _NoNumpy())
+    assert [average_fidelity_numeric(*case, 64).hex() for case in cases] == before
 
 
 # ------------------------------------------- minimization over inputs
