@@ -15,10 +15,13 @@ the optimal correction (``f_av_max``), and the absolute ceiling
 (``f_max``). Each closed form here is paired with an independent numeric
 route so they can be cross-validated: ``masfi`` with a grid search over
 Bob's correction refined by a 2-D zoom, whose inner worst case over the
-input is exact (the lowest eigenvalue of a 3x3 form, in closed form), and
-``f_av_max`` with Gauss-Legendre quadrature in cos(alpha) times a periodic
-rule in beta, summed once per node count over the functions F is linear
-in, so a call is a few float operations on the rule's moments.
+input is exact (the lowest eigenvalue of a 3x3 form, in closed form). The
+trig of each correction grid is a table, built once per grid, so a search
+is array arithmetic on tables, and it reads its result from the arrays of
+the pass that found its best point. ``f_av_max`` is paired with
+Gauss-Legendre quadrature in cos(alpha) times a periodic rule in beta,
+summed once per node count over the functions F is linear in, so a call is
+a few float operations on the rule's moments.
 
 The closed forms (``fidelity_closed_form``, ``masfi``, ``f_av_max``,
 ``f_max``, ``fidelity_gap``) take floats or numpy arrays, which broadcast
@@ -72,6 +75,11 @@ _OUTER_GRID = 33
 # shrinks by k/2 per pass (by k when the best point is on its edge).
 _ZOOM_K = 16
 
+# Zoom grids kept by _zoom_grid. Every real search zooms through the same
+# 7 brackets (its coarse best point is always the identity); only a
+# substituted landscape, in the tests, walks others.
+_ZOOM_GRIDS = 32
+
 # The coarse scan's axis and the zoom's sub-step fractions, built once and
 # shared, read-only, by every search.
 _COARSE_AXIS = np.linspace(0.0, math.pi, _OUTER_GRID)
@@ -95,9 +103,10 @@ class MinimaxResult:
     ``argmax`` is (theta, phi, psi) with psi = 0: the worst case over the
     input cannot depend on psi, so it is not searched.
     ``iterations`` counts evaluations of the outer objective (each an exact
-    worst case over the input) in the zoom passes, plus the one read of
-    ``value`` and ``argmin`` at the final point; the coarse scan that seeds
-    the zoom is not counted. ``tolerance_achieved`` is the wider side of
+    worst case over the input) in the zoom passes, plus one for the read of
+    ``value`` and ``argmin`` at the final point, taken from the arrays of the
+    pass (or coarse scan) that found it; the coarse scan that seeds the zoom
+    is not counted. ``tolerance_achieved`` is the wider side of
     the final zoom bracket: each outer coordinate is pinned to within that
     width around ``argmax``.
     """
@@ -113,7 +122,7 @@ def _fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi):
     # Unchecked, broadcasts over numpy arrays; hot path for every grid. F is
     # A + B sin(beta+psi) + C cos(2(beta+psi)), each row factor of
     # _row_factors at the left end of its product.
-    a_cos, a_sin, b, c = _row_factors(gamma, epsilon, theta, phi)
+    a_cos, a_sin, b, c = _row_factors(gamma, epsilon, _angle_factors(theta, phi))
     sin_a_sq = np.sin(alpha) ** 2
     turn = beta + psi
     return (0.5 * (1.0 + a_cos * np.cos(alpha) ** 2 + a_sin * sin_a_sq)
@@ -198,7 +207,8 @@ def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles
     epsilon = _require_scalar(epsilon, "epsilon")
     nodes = _require_count(nodes, "nodes", 8)
     w_sum, w_cos_sq, w_sin_sq, w_sin_2a, sin_sum, cos_sum, sin2_sum, cos2_sum = _sphere_rule(nodes)
-    a_cos, a_sin, b, c = _row_factors(gamma, epsilon, angles.theta, angles.phi, math)
+    columns = _angle_factors(angles.theta, angles.phi, math)
+    a_cos, a_sin, b, c = _row_factors(gamma, epsilon, columns)
     psi = angles.psi  # s, k: sum_j sin(beta_j + psi), sum_j cos(2 (beta_j + psi))
     s = sin_sum * math.cos(psi) + cos_sum * math.sin(psi)
     k = cos2_sum * math.cos(2.0 * psi) - sin2_sum * math.sin(2.0 * psi)
@@ -223,40 +233,85 @@ def _sphere_rule(nodes: int) -> tuple[float, ...]:
         np.sin(betas), np.cos(betas), np.sin(2.0 * betas), np.cos(2.0 * betas)))
 
 
-def _row_factors(gamma, epsilon, theta, phi, xp=np):
-    # The alpha-free factors of F, one set per correction row:
-    # eps cos(theta), gamma ge cos^2(theta/2) cos(2 phi), 0.5 ge sin(theta)
-    # sin(phi) and -0.5 gamma ge sin^2(theta/2), with ge = gamma eps. Each is
-    # the left end of its product in F, so the split keeps every float. xp is
-    # math for average_fidelity_numeric's floats, numpy (the default) for the
-    # arrays of _fidelity_core and _worst_cases. Keep each product's order and
-    # ** 2 (libm pow on a float or a numpy scalar) as written: both give the same bits.
+def _angle_factors(theta, phi, xp=np):
+    # The correction's factors in F: cos(theta), cos^2(theta/2), sin(theta),
+    # sin^2(theta/2), cos(2 phi) and sin(phi). xp is math for
+    # average_fidelity_numeric's floats, numpy (the default) for arrays. Keep
+    # each ** 2 (libm pow on a float or a numpy scalar): both give the same bits.
+    return (xp.cos(theta), xp.cos(0.5 * theta) ** 2, xp.sin(theta), xp.sin(0.5 * theta) ** 2,
+            xp.cos(2.0 * phi), xp.sin(phi))
+
+
+def _row_factors(gamma, epsilon, columns):
+    # The alpha-free factors of F, one set per correction row, from the six
+    # columns of _angle_factors: eps cos(theta), gamma ge cos^2(theta/2)
+    # cos(2 phi), 0.5 ge sin(theta) sin(phi) and -0.5 gamma ge sin^2(theta/2),
+    # with ge = gamma eps. Each is the left end of its product in F, so the
+    # split keeps every float; keep each product's order as written.
+    cos_t, cos_h_sq, sin_t, sin_h_sq, cos_2p, sin_p = columns
     ge = gamma * epsilon
-    return (epsilon * xp.cos(theta),
-            gamma * ge * xp.cos(0.5 * theta) ** 2 * xp.cos(2.0 * phi),
-            0.5 * ge * xp.sin(theta) * xp.sin(phi),
-            -0.5 * gamma * ge * xp.sin(0.5 * theta) ** 2)
+    return (epsilon * cos_t,
+            gamma * ge * cos_h_sq * cos_2p,
+            0.5 * ge * sin_t * sin_p,
+            -0.5 * gamma * ge * sin_h_sq)
 
 
-def _worst_cases(gamma: float, epsilon: float, theta: np.ndarray,
-                 phi: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    # Exact worst case over the input at each correction (theta, phi),
-    # elementwise over their broadcast shape, as (values, form). In the
-    # channel form (Bowen & Bose, PRL 87, 267901, 2001), F = (1 + n.M n)/2
-    # over unit Bloch directions n = (sin a cos(b+psi), sin a sin(b+psi),
-    # cos a), with the symmetric M = eps D sym(R) D, so the worst case is
-    # (1 + lambda_min(M))/2. From the row factors, M = xx on x alone plus the
-    # (y, z) block [[yy, yz], [yz, zz]]. The block's lower eigenvalue is
+class _Grid(NamedTuple):
+    # Corrections for _worst_cases: theta and phi, which broadcast against
+    # each other, and the six columns of _angle_factors on them.
+    theta: np.ndarray
+    phi: np.ndarray
+    columns: tuple[np.ndarray, ...]
+
+
+def _grid(theta: np.ndarray, phi: np.ndarray) -> _Grid:
+    return _Grid(theta, phi, _angle_factors(theta, phi))
+
+
+def _shared_grid(theta: np.ndarray, phi: np.ndarray) -> _Grid:
+    # A grid every search reads, made read-only. Its columns are taken on
+    # theta and phi as given, then copied out to the grid's full shape, so
+    # _worst_cases multiplies arrays of one shape and each form array can be
+    # read at the index of the best point.
+    shape = np.broadcast_shapes(theta.shape, phi.shape)
+    columns = tuple(np.broadcast_to(f, shape).copy() for f in _angle_factors(theta, phi))
+    for array in (theta, phi, *columns):
+        array.setflags(write=False)
+    return _Grid(theta, phi, columns)
+
+
+_COARSE_GRID = _shared_grid(_COARSE_AXIS[:, None], _COARSE_AXIS[None, :])
+
+
+@functools.lru_cache(maxsize=_ZOOM_GRIDS)
+def _zoom_grid(t_lo: float, t_hi: float, p_lo: float, p_hi: float) -> _Grid:
+    # the (k + 1) x (k + 1) grid of one zoom bracket, its last points exactly
+    # the bracket's upper ends, which keeps every point inside the bracket
+    t_axis, p_axis = t_lo + (t_hi - t_lo) * _FRACTIONS, p_lo + (p_hi - p_lo) * _FRACTIONS
+    t_axis[-1], p_axis[-1] = t_hi, p_hi
+    return _shared_grid(t_axis[:, None], p_axis[None, :])
+
+
+def _worst_cases(gamma: float, epsilon: float,
+                 grid: _Grid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    # Exact worst case over the input at each correction of the grid, over
+    # its broadcast shape, as (values, form). In the channel form (Bowen &
+    # Bose, PRL 87, 267901, 2001), F = (1 + n.M n)/2 over unit Bloch
+    # directions n = (sin a cos(b+psi), sin a sin(b+psi), cos a), with the
+    # symmetric M = eps D sym(R) D, so the worst case is (1 + lambda_min(M))/2.
+    # From the row factors, M = xx on x alone plus the (y, z) block
+    # [[yy, yz], [yz, zz]]. The block's lower eigenvalue is
     # min(yy, zz) - yz^2 / (|h| + hypot(h, yz)), h = (yy - zz)/2: written
     # this way it cancels nothing (mean - hypot(h, yz) is an ulp off when
     # yz = 0, enough to move the outer search). The divisor is 0 only where
-    # yz is, so it is replaced there, with no 0/0. form holds (xx, yy, zz,
-    # yz, block) for _argmin.
-    a_cos, a_sin, b, c = _row_factors(gamma, epsilon, theta, phi)
-    xx, yy, zz, yz = a_sin + 2.0 * c, a_sin - 2.0 * c, a_cos, 2.0 * b
+    # yz is, so it is raised to the least subnormal there: 0/tiny is 0, with
+    # no 0/0. form holds (xx, yy, zz, yz, block) for _argmin.
+    a_cos, a_sin, b, c = _row_factors(gamma, epsilon, grid.columns)
+    c2 = 2.0 * c
+    xx, yy, zz, yz = a_sin + c2, a_sin - c2, a_cos, 2.0 * b
     h = 0.5 * (yy - zz)
     gap = np.abs(h) + np.hypot(h, yz)
-    block = np.minimum(yy, zz) - yz * yz / np.where(gap > 0.0, gap, 1.0)
+    block = np.minimum(yy, zz) - yz * yz / np.maximum(gap, 5e-324)
     return 0.5 * (1.0 + np.minimum(xx, block)), (xx, yy, zz, yz, block)
 
 
@@ -279,14 +334,6 @@ def _argmin(xx: float, yy: float, zz: float, yz: float, block: float,
     return (alpha + math.pi if alpha < 0.0 else alpha + 0.0), (beta if beta < two_pi else 0.0)
 
 
-def _worst_case_at(gamma: float, epsilon: float, theta: float, phi: float,
-                   psi: float) -> InformationMinimum:
-    # one correction's worst case and its argmin, as a one-row _worst_cases call
-    values, form = _worst_cases(gamma, epsilon, np.array([theta]), np.array([phi]))
-    alpha, beta = _argmin(*(float(f[0]) for f in form), psi)
-    return InformationMinimum(value=float(values[0]), alpha=alpha, beta=beta)
-
-
 def min_over_information(gamma: float, epsilon: float,
                          angles: UnitaryAngles) -> InformationMinimum:
     """Worst-case fidelity over the input state at a fixed correction.
@@ -307,7 +354,10 @@ def min_over_information(gamma: float, epsilon: float,
     """
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
-    return _worst_case_at(gamma, epsilon, angles.theta, angles.phi, angles.psi)
+    grid = _grid(np.array([angles.theta]), np.array([angles.phi]))
+    values, form = _worst_cases(gamma, epsilon, grid)
+    alpha, beta = _argmin(*(float(f[0]) for f in form), angles.psi)
+    return InformationMinimum(value=float(values[0]), alpha=alpha, beta=beta)
 
 
 def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
@@ -325,39 +375,42 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     neither side is wider than ``REFINE_TOL``. The best point seen moves
     only to a strictly better point, so ties keep the earlier one. The
     bracket and that point are Python floats: only the worst-case calls run
-    on arrays. ``value`` and ``argmin`` are read once, at that point with
-    psi = 0, as :func:`min_over_information` reads them. ``iterations``
-    counts the zoom passes' points and that read, not the coarse scan's
-    33 x 33. The result must
-    agree with :func:`masfi` to much better than 1e-6.
+    on arrays. Each grid's trig is tabulated once: the coarse grid's when
+    the module loads, a zoom bracket's on its first pass, kept in a bounded
+    cache (every real search zooms through the same brackets). ``value`` and
+    ``argmin`` are read, with psi = 0, from the arrays of the call that
+    found the best point, at its index: the bits
+    :func:`min_over_information` gives there. ``iterations`` counts the zoom
+    passes' points and that read, not the coarse scan's 33 x 33. The result
+    must agree with :func:`masfi` to much better than 1e-6.
     """
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
 
-    coarse, _ = _worst_cases(gamma, epsilon, _COARSE_AXIS[:, None], _COARSE_AXIS[None, :])
-    it, ip = divmod(int(coarse.argmax()), _OUTER_GRID)
-    theta, phi, best_v = float(_COARSE_AXIS[it]), float(_COARSE_AXIS[ip]), float(coarse[it, ip])
+    values, form = _worst_cases(gamma, epsilon, _COARSE_GRID)
+    it, ip = divmod(int(values.argmax()), _OUTER_GRID)
+    theta, phi, best_v = float(_COARSE_AXIS[it]), float(_COARSE_AXIS[ip]), float(values[it, ip])
+    best_form, best_at = form, (it, ip)
     step = math.pi / (_OUTER_GRID - 1)
     t_lo, t_hi = max(theta - step, 0.0), min(theta + step, math.pi)
     p_lo, p_hi = max(phi - step, 0.0), min(phi + step, math.pi)
     evaluations = 1  # the final read
     while max(t_hi - t_lo, p_hi - p_lo) > REFINE_TOL:
-        t_axis, p_axis = t_lo + (t_hi - t_lo) * _FRACTIONS, p_lo + (p_hi - p_lo) * _FRACTIONS
-        t_axis[-1], p_axis[-1] = t_hi, p_hi  # keeps every point inside the bracket
-        values, _ = _worst_cases(gamma, epsilon, t_axis[:, None], p_axis[None, :])
+        grid = _zoom_grid(t_lo, t_hi, p_lo, p_hi)
+        values, form = _worst_cases(gamma, epsilon, grid)
         evaluations += values.size
         i, j = divmod(int(values.argmax()), _ZOOM_K + 1)
-        t, p, v = float(t_axis[i]), float(p_axis[j]), float(values[i, j])
+        t, p, v = float(grid.theta[i, 0]), float(grid.phi[0, j]), float(values[i, j])
         if v > best_v:
-            theta, phi, best_v = t, p, v
+            theta, phi, best_v, best_form, best_at = t, p, v, form, (i, j)
         t_sub, p_sub = (t_hi - t_lo) / _ZOOM_K, (p_hi - p_lo) / _ZOOM_K
         t_lo, t_hi = max(t_lo, t - t_sub), min(t_hi, t + t_sub)
         p_lo, p_hi = max(p_lo, p - p_sub), min(p_hi, p + p_sub)
 
-    final = _worst_case_at(gamma, epsilon, theta, phi, 0.0)
+    alpha, beta = _argmin(*(float(f[best_at]) for f in best_form), 0.0)
     return MinimaxResult(
-        value=final.value,
-        argmin=(final.alpha, final.beta),
+        value=best_v,
+        argmin=(alpha, beta),
         argmax=(theta, phi, 0.0),
         iterations=evaluations,
         tolerance_achieved=max(t_hi - t_lo, p_hi - p_lo),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from werner_teleport import analytics
-from werner_teleport.analytics import _fidelity_core, _row_factors
+from werner_teleport.analytics import _angle_factors, _fidelity_core, _row_factors
 from werner_teleport.protocol import _SIGMA_R, _base_unitaries
 from werner_teleport.states import (
     _DOMAINS,
@@ -236,14 +236,15 @@ def sequential_minimax_reference(gamma, epsilon):
     evaluations, the seed point's included.
     """
     corrections = np.linspace(0.0, math.pi, analytics._OUTER_GRID)
-    coarse, _ = analytics._worst_cases(gamma, epsilon, corrections[:, None],
-                                       corrections[None, :])
+    coarse, _ = analytics._worst_cases(
+        gamma, epsilon, analytics._grid(corrections[:, None], corrections[None, :]))
     it, ip = divmod(int(np.argmax(coarse)), analytics._OUTER_GRID)
     current = [float(corrections[it]), float(corrections[ip])]
     seen = {}
 
     def outer_values(points):
-        values, form = analytics._worst_cases(gamma, epsilon, points[:, 0], points[:, 1])
+        values, form = analytics._worst_cases(
+            gamma, epsilon, analytics._grid(points[:, 0], points[:, 1]))
         seen.update(zip(map(tuple, points.tolist()),
                         zip(values.tolist(), *(f.tolist() for f in form))))
         return values
@@ -398,7 +399,7 @@ def sphere_average_reference(gamma, epsilon, angles, nodes):
     alphas, w = _polar_rule(nodes)
     w_sum, w_cos_sq, w_sin_sq, w_sin_2a, sin_sum, cos_sum, sin2_sum, cos2_sum = sphere_rule_moments(
         alphas, w, 2.0 * math.pi * np.arange(nodes) / nodes)
-    a_cos, a_sin, b, c = _row_factors(gamma, epsilon, angles.theta, angles.phi)
+    a_cos, a_sin, b, c = _row_factors(gamma, epsilon, _angle_factors(angles.theta, angles.phi))
     psi = angles.psi
     s = sin_sum * math.cos(psi) + cos_sum * math.sin(psi)
     k = cos2_sum * math.cos(2.0 * psi) - sin2_sum * math.sin(2.0 * psi)

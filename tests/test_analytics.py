@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -349,7 +350,8 @@ def test_average_rule_is_read_only():
 
 
 def _row_factor_bits(gamma, epsilon, theta, phi, *xp):
-    return tuple(float(f).hex() for f in analytics._row_factors(gamma, epsilon, theta, phi, *xp))
+    columns = analytics._angle_factors(theta, phi, *xp)
+    return tuple(float(f).hex() for f in analytics._row_factors(gamma, epsilon, columns))
 
 
 def test_row_factors_on_math_match_numpy_bit_for_bit():
@@ -499,7 +501,7 @@ def test_batched_worst_cases_rows_match_min_over_information():
     thetas, phis = rng.uniform(0, math.pi, (2, 17))
     thetas[:4] = phis[:4] = (0.0, math.pi, 1e-9, 0.0)
     for gamma, epsilon in ((0.6, 0.7), (1.0, 0.4), (0.3, 0.0), (0.0, 1.0)):
-        values, form = analytics._worst_cases(gamma, epsilon, thetas, phis)
+        values, form = analytics._worst_cases(gamma, epsilon, analytics._grid(thetas, phis))
         for i, (theta, phi) in enumerate(zip(thetas, phis)):
             alone = min_over_information(gamma, epsilon, UnitaryAngles(0, theta, phi, 0))
             row = [float(f[i]) for f in form]
@@ -516,7 +518,7 @@ def test_worst_cases_match_zoomed_profile_reference():
                         for t in (0.0, math.pi)])
     gamma, epsilon, theta, phi = (np.concatenate([a, c]) for a, c in
                                   zip((gamma, epsilon, theta, phi), corners.T))
-    values, _ = analytics._worst_cases(gamma, epsilon, theta, phi)
+    values, _ = analytics._worst_cases(gamma, epsilon, analytics._grid(theta, phi))
     zoomed = zoomed_worst_case_reference(gamma, epsilon, theta, phi)
     exact = np.array([worst_case_reference(*row) for row in zip(gamma, epsilon, theta, phi)])
     assert np.abs(values - zoomed).max() < 1e-12
@@ -535,9 +537,9 @@ def _worst_case_shapes(monkeypatch):
     shapes = []
     inner = analytics._worst_cases
 
-    def recording(gamma, epsilon, theta, phi):
-        shapes.append((np.shape(theta), np.shape(phi)))
-        return inner(gamma, epsilon, theta, phi)
+    def recording(gamma, epsilon, grid):
+        shapes.append((np.shape(grid.theta), np.shape(grid.phi)))
+        return inner(gamma, epsilon, grid)
 
     monkeypatch.setattr(analytics, "_worst_cases", recording)
     return shapes
@@ -684,15 +686,24 @@ def test_minimax_pinned_bit_for_bit_on_verify_grid():
         assert result.tolerance_achieved.hex() == _MINIMAX_BRACKET
 
 
+# (t_lo, t_hi, p_lo, p_hi) of the first zoom pass of every real search: one
+# coarse step either side of the identity, where the coarse scan ends,
+# clipped at 0
+_FIRST_BRACKET = (0.0, math.pi / 32, 0.0, math.pi / 32)
+
+
 @pytest.mark.parametrize("gamma, epsilon", [(0.7, 0.9), (0.6, 0.0), (1.0, 0.8)])
 def test_minimax_result_holds_python_numbers(gamma, epsilon):
     # a general point, epsilon = 0 and gamma = 1: no numpy scalar leaks into
-    # the result, and the search's shared grid constants cannot be written
+    # the result, and the search's shared grid constants and cached zoom
+    # tables cannot be written
     result = minimax_search(gamma, epsilon)
     fields = (result.value, *result.argmin, *result.argmax, result.tolerance_achieved)
     assert all(type(x) is float for x in fields), [type(x) for x in fields]
     assert type(result.iterations) is int
-    for constant in (analytics._COARSE_AXIS, analytics._FRACTIONS):
+    shared = [analytics._COARSE_GRID, analytics._zoom_grid(*_FIRST_BRACKET)]
+    for constant in (analytics._COARSE_AXIS, analytics._FRACTIONS,
+                     *(a for grid in shared for a in (grid.theta, grid.phi, *grid.columns))):
         assert not constant.flags.writeable
         with pytest.raises(ValueError):
             constant[0] = 1.0
@@ -732,22 +743,49 @@ def test_minimax_matches_nested_brute_force():
         assert exact < searched + 1e-12
 
 
-# _worst_cases calls per search: one for the coarse scan, one per pass of
-# the 2-D zoom, 7 from the grid point (0, 0), each on 17 x 17 points, and
-# one read of value and argmin at the final point
-_WORST_CASE_CALLS = 1 + 7 + 1
+# _worst_cases calls per search: one for the coarse scan and one per pass of
+# the 2-D zoom, 7 from the grid point (0, 0), each on 17 x 17 points; value
+# and argmin are read from the arrays of the call that found the best point
+_WORST_CASE_CALLS = 1 + 7
 
 
 @pytest.mark.parametrize("gamma, epsilon", [(0.3, 0.0), (1.0, 0.4), (0.7, 0.9), (0.0, 0.5)])
 def test_minimax_golden_call_budget(monkeypatch, gamma, epsilon):
     # flat points (epsilon = 0, gamma = 1) once cost 4326 and 2339 scalar
     # golden-section searches against 134 at a general point; every point
-    # now costs 1 + 7 * 17^2 evaluations in the same number of array calls
+    # now costs 1 + 7 * 17^2 evaluations in the same number of array calls.
+    # The 7 zoom grids are the same for every real point, so a search after
+    # the first builds none of them.
+    minimax_search(0.5, 0.5)
+    misses = analytics._zoom_grid.cache_info().misses
     calls = _worst_case_shapes(monkeypatch)
     result = minimax_search(gamma, epsilon)
     assert result.iterations == 2024
     assert len(calls) == _WORST_CASE_CALLS
+    assert analytics._zoom_grid.cache_info().misses == misses
     assert abs(result.value - masfi(gamma, epsilon)) <= 2.0 ** -53
+
+
+def test_zoom_grid_cache_equals_fresh_build():
+    # a cached zoom grid holds the bits a fresh build gives, for the first
+    # bracket of every real search and for one off the coarse grid
+    step = math.pi / 32
+    for bracket in (_FIRST_BRACKET, (1.0 - step, 1.0 + step, 2.0 - step, 2.0 + step)):
+        cached, fresh = analytics._zoom_grid(*bracket), analytics._zoom_grid.__wrapped__(*bracket)
+        for got, want in zip((cached.theta, cached.phi, *cached.columns),
+                             (fresh.theta, fresh.phi, *fresh.columns)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), bracket
+        assert all(f.shape == (17, 17) for f in cached.columns)
+
+
+def _seeded_minimax_points():
+    # 300 seeded (gamma, epsilon) draws, then the epsilon = 0, gamma = 1 and
+    # gamma = 0 rows at 23 points each
+    rng = np.random.default_rng(17)
+    points = [tuple(p) for p in rng.uniform(0, 1, (300, 2)).tolist()]
+    for x in np.linspace(0, 1, 23).tolist():
+        points += [(x, 0.0), (1.0, x), (0.0, x)]
+    return points
 
 
 def test_minimax_cost_and_value_on_seeded_points():
@@ -756,14 +794,26 @@ def test_minimax_cost_and_value_on_seeded_points():
     # eigenvalue written as mean - hypot(h, yz) instead is an ulp low at
     # yz = 0, which sends the zoom after a better point that is not there
     # (iterations 2313).
-    rng = np.random.default_rng(17)
-    points = [tuple(p) for p in rng.uniform(0, 1, (300, 2)).tolist()]
-    for x in np.linspace(0, 1, 23).tolist():
-        points += [(x, 0.0), (1.0, x), (0.0, x)]
-    for gamma, epsilon in points:
+    for gamma, epsilon in _seeded_minimax_points():
         result = minimax_search(gamma, epsilon)
         assert result.iterations == 2024, (gamma, epsilon)
         assert abs(result.value - masfi(gamma, epsilon)) <= 2.0 ** -53, (gamma, epsilon)
+
+
+# sha256 over _seeded_minimax_points of one line per search: every field of
+# its MinimaxResult as float.hex, then iterations. It shares no code with the
+# search (sequential_minimax_reference shares _worst_cases), so it also sees
+# a rounding change that the search and that reference would make alike.
+_SEEDED_MINIMAX_DIGEST = "ac46a1e8cedf18db33b99514ee08c2ee6c7fd4369f088d275d0f2329f5eabc06"
+
+
+def test_minimax_pinned_bit_for_bit_on_seeded_points():
+    digest = hashlib.sha256()
+    for gamma, epsilon in _seeded_minimax_points():
+        r = minimax_search(gamma, epsilon)
+        fields = (r.value, *r.argmin, *r.argmax, r.tolerance_achieved)
+        digest.update(" ".join([*(x.hex() for x in fields), str(r.iterations)]).encode() + b"\n")
+    assert digest.hexdigest() == _SEEDED_MINIMAX_DIGEST
 
 
 def _reports_min_over_information(gamma, epsilon, result):
@@ -800,7 +850,8 @@ def _synthetic_worst_cases(theta_star, phi_star, cross):
     gives (no flat rows, yz = -theta, yy = phi), so _argmin's alpha, 0.5
     atan2(theta, phi / 2), depends on which point the search ends at.
     """
-    def worst_cases(gamma, epsilon, theta, phi):
+    def worst_cases(gamma, epsilon, grid):
+        theta, phi = grid.theta, grid.phi
         dt, dp = theta - theta_star, phi - phi_star
         values = 0.9 - dt * dt - dp * dp - cross * dt * dp
         zeros = np.zeros_like(values)
@@ -827,7 +878,7 @@ def test_minimax_zoom_reaches_off_grid_maxima(monkeypatch, theta_star, phi_star,
                         _synthetic_worst_cases(theta_star, phi_star, cross))
     calls = _worst_case_shapes(monkeypatch)
     result = minimax_search(0.5, 0.5)
-    passes = calls[1:-1]  # between the coarse scan and the final read
+    passes = calls[1:]  # after the coarse scan
 
     assert abs(result.argmax[0] - theta_star) < 1e-7 and abs(result.argmax[1] - phi_star) < 1e-7
     assert _reports_min_over_information(0.5, 0.5, result)
@@ -837,13 +888,15 @@ def test_minimax_zoom_reaches_off_grid_maxima(monkeypatch, theta_star, phi_star,
     assert passes == [((17, 1), (1, 17))] * len(passes)
     assert result.iterations == 1 + len(passes) * 17 ** 2
     assert result.tolerance_achieved <= analytics.REFINE_TOL
+    # these brackets miss the zoom cache, which stays within its bound
+    info = analytics._zoom_grid.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_minimax_never_searches_psi(monkeypatch):
     # the worst case over beta cannot depend on psi, so psi stays at 0: the
-    # coarse scan is one (33, 1) x (1, 33) call, each zoom pass one
-    # (17, 1) x (1, 17) call and the final read one (theta, phi) row, and the
-    # argmin's beta is taken at psi = 0
+    # coarse scan is one (33, 1) x (1, 33) call and each zoom pass one
+    # (17, 1) x (1, 17) call, and the argmin's beta is taken at psi = 0
     psis = []
     argmin = analytics._argmin
 
@@ -859,9 +912,8 @@ def test_minimax_never_searches_psi(monkeypatch):
     monkeypatch.setattr(analytics, "min_over_information", unexpected)
     result = minimax_search(0.7, 0.9)
     assert shapes[0] == ((33, 1), (1, 33))
-    assert shapes[1:-1] == [((17, 1), (1, 17))] * (len(shapes) - 2)
-    assert shapes[-1] == ((1,), (1,))
-    assert 1 + 17 ** 2 * (len(shapes) - 2) == result.iterations
+    assert shapes[1:] == [((17, 1), (1, 17))] * (len(shapes) - 1)
+    assert 1 + 17 ** 2 * (len(shapes) - 1) == result.iterations
     assert psis == [0.0]
     assert result.argmax[2] == 0.0
 
