@@ -193,9 +193,10 @@ def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles
 
     Integrates over the solid angle with measure sin(alpha) da db / (4 pi):
     Gauss-Legendre in cos(alpha) crossed with an equally weighted periodic rule
-    in beta. ``nodes`` is an integer >= 8, never a bool or a float. F is linear
-    in the correction's row factors, so a call combines them and psi with the
-    eight moments of :func:`_sphere_rule` in a few operations on Python floats,
+    in beta. ``nodes`` is an integer >= 8: a bool, a float or another class
+    raises TypeError, an integer below 8 ValueError. F is linear in the
+    correction's row factors, so a call combines them and psi with the eight
+    moments of :func:`_sphere_rule` in a few operations on Python floats,
     with no numpy call once the rule is built. The value is the rule's own: each
     moment is the rule's sum over its nodes, and neither :func:`f_av_max` nor an
     analytic moment (2, 2/3, 4/3, 0) enters, so a wrong coefficient in

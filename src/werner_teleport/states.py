@@ -99,10 +99,11 @@ def _require_range(value, name: str):
 
 def _require_count(value, name: str, least: int, most: int | None = None) -> int:
     """An int or numpy integer ``value`` in [least, most] (``most`` None: no bound)
-    as an int; any other value, a bool or 3.0 too, raises ValueError naming it."""
+    as an int. Any other class, a bool or 3.0 too, raises TypeError naming it;
+    an integer outside the bounds raises ValueError."""
     if type(value) is not int:  # a Python int skips the class tests
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+            raise TypeError(f"{name} must be an integer, got {value!r}")
         value = int(value)
     if value < least or most is not None and value > most:
         bound = f">= {least}" if value < least else f"<= {most}"

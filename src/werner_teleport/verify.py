@@ -14,13 +14,15 @@ and all four conditional states in one call), once per (gamma, epsilon)
 grid in the grid checks, and once per set of closed forms in the ordering
 chain; the simulation never calls them. Memory is the seeded draw, 64 B per
 sample (eight float64 parameters, scaled in place), plus a working set fixed
-by the chunk size, about 2.4 kB per tuple of a chunk (0.62 MB), whatever
-``samples`` is. ``_draw_tuples`` draws up front in one call, with the stream
-and bits of one ``uniform(0, hi, samples)`` call per parameter, and keeps
-each parameter's column contiguous; each entry ``hi * u`` (``u`` at most
-``1 - 2**-53``) lies inside its domain. One ``PCG64`` per column, copied from
-``default_rng(seed)``'s state, advanced by ``i * samples`` and drawn in
-``_CHUNK``-sized pieces, would give the same tuples bit for bit.
+by the chunk size, whatever ``samples`` is: 0.62 MB for one chunk and 0.90 MB
+from two chunks on, since the previous chunk's arrays stay bound until the
+next ``_simulate`` call returns. ``_draw_tuples`` draws up front in one
+call, with the stream and bits of one ``uniform(0, hi, samples)`` call per
+parameter, and keeps each parameter's column contiguous; each entry
+``hi * u`` (``u`` at most ``1 - 2**-53``) lies inside its domain. One
+``PCG64`` per column, copied from ``default_rng(seed)``'s state, advanced by
+``i * samples`` and drawn in ``_CHUNK``-sized pieces, would give the same
+tuples bit for bit.
 """
 
 from __future__ import annotations
@@ -73,8 +75,9 @@ class CheckResult:
         return text
 
 
-# Tuples per kernel call. The kernel's peak working set is about 2.4 kB per
-# tuple (tracemalloc, one 256-tuple call), so about 0.62 MB per call.
+# Tuples per kernel call. Beyond the draw, tracemalloc reads a peak of 0.62 MB
+# for one chunk (256 samples) and 0.90 MB from two on (2,000 or 10^5 samples):
+# the previous chunk's arrays stay bound until the next _simulate returns.
 _CHUNK = 256
 
 # vec(sigma_r X sigma_r^+) = kron(sigma_r, conj(sigma_r)) vec(X) with
@@ -151,7 +154,8 @@ def run_verification(seed: int, samples: int, *,
     quadrature and minimax checks can be skipped when only the fast checks
     are wanted. ``samples`` is an integer >= 1, ``seed`` and ``formula_samples``
     ones >= 0, each by the one integer rule ``states._require_count`` (numpy
-    integers too, never a bool or a float); else ValueError names the parameter.
+    integers too, never a bool or a float). A value of another class raises
+    TypeError, an integer below its bound ValueError; each names the parameter.
     """
     seed = _require_count(seed, "seed", 0)
     samples = _require_count(samples, "samples", 1)

@@ -233,19 +233,23 @@ def test_average_converges_at_general_angles():
     assert abs(coarse - fine) < 1e-9
 
 
-@pytest.mark.parametrize("nodes, message", [
-    (7, "nodes must be >= 8, got 7"),
-    (np.int64(7), "nodes must be >= 8, got 7"),
-    (8.9, "nodes must be an integer, got 8.9"),  # once truncated to 8
-    ("64", "nodes must be an integer, got '64'"),
-    (np.float64(16.5), r"nodes must be an integer, got (np\.float64\()?16\.5"),
-    (True, "nodes must be an integer, got True"),  # once refused as 1
-    (64.0, "nodes must be an integer, got 64.0"),  # once taken as 64
-    (np.float64(64.0), r"nodes must be an integer, got (np\.float64\()?64\.0"),
-], ids=["7", "int64-7", "8.9", "str-64", "float64-16.5", "True", "64.0", "float64-64.0"])
-def test_average_rejects_few_nodes(nodes, message):
-    with pytest.raises(ValueError, match=message):
-        average_fidelity_numeric(0.5, 0.5, UnitaryAngles(), nodes)
+@pytest.mark.parametrize("gamma, nodes, error, message", [
+    # an integer below the bound
+    (0.5, 7, ValueError, "nodes must be >= 8, got 7"),
+    (0.5, np.int64(7), ValueError, "nodes must be >= 8, got 7"),
+    # a wrong class, in nodes as in gamma: TypeError from both rules
+    (0.5, 8.9, TypeError, "nodes must be an integer, got 8.9"),  # once truncated to 8
+    (0.5, "64", TypeError, "nodes must be an integer, got '64'"),
+    ("0.5", 64, TypeError, "gamma must be a real number, got a str value"),
+    (0.5, np.float64(16.5), TypeError, r"nodes must be an integer, got (np\.float64\()?16\.5"),
+    (0.5, True, TypeError, "nodes must be an integer, got True"),  # once refused as 1
+    (0.5, 64.0, TypeError, "nodes must be an integer, got 64.0"),  # once taken as 64
+    (0.5, np.float64(64.0), TypeError, r"nodes must be an integer, got (np\.float64\()?64\.0"),
+], ids=["7", "int64-7", "8.9", "str-64", "str-gamma", "float64-16.5", "True", "64.0",
+        "float64-64.0"])
+def test_average_rejects_few_nodes(gamma, nodes, error, message):
+    with pytest.raises(error, match=message):
+        average_fidelity_numeric(gamma, 0.5, UnitaryAngles(), nodes)
 
 
 _QUADRATURE_CORNERS = [(gamma, epsilon, UnitaryAngles(0.0, theta, phi, 0.0))
@@ -814,6 +818,22 @@ def test_minimax_pinned_bit_for_bit_on_seeded_points():
         fields = (r.value, *r.argmin, *r.argmax, r.tolerance_achieved)
         digest.update(" ".join([*(x.hex() for x in fields), str(r.iterations)]).encode() + b"\n")
     assert digest.hexdigest() == _SEEDED_MINIMAX_DIGEST
+
+
+# sha256 of _worst_cases' values and form on _COARSE_GRID at 25 seeded
+# (gamma, epsilon), as the arrays' bytes. The coarse grid holds corrections
+# away from the identity, where the search and the pins above never look, so
+# this sees a rounding change in the worst case's own arithmetic.
+_COARSE_WORST_CASES_DIGEST = "28538c5be68267db575c1b345667215713a60cbee792b76a82ed2150a341d46c"
+
+
+def test_worst_cases_pinned_bit_for_bit_on_the_coarse_grid():
+    digest = hashlib.sha256()
+    for gamma, epsilon in np.random.default_rng(36).uniform(0, 1, (25, 2)).tolist():
+        values, form = analytics._worst_cases(gamma, epsilon, analytics._COARSE_GRID)
+        for array in (values, *form):
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == _COARSE_WORST_CASES_DIGEST
 
 
 def _reports_min_over_information(gamma, epsilon, result):

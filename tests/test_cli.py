@@ -287,7 +287,8 @@ def test_sweep_grid_count_is_bounded(capsys, flag):
     assert captured.err == f"error: {flag} count must be <= 1001, got 1002\n"
 
 
-@pytest.mark.parametrize("grid", ["0:1", "0:2:5", "1:0:5", "0:1:1", "a:b:c", "0:1:3.0"])
+@pytest.mark.parametrize("grid", ["0:1", "0:2:5", "1:0:5", "0:1:1", "a:b:c", "0:1:3.0",
+                                  "0:1:2.5"])
 def test_sweep_bad_grid_exits_2(capsys, grid):
     code = main(["sweep", "--quantity", "masfi", "--gamma-grid", grid])
     captured = capsys.readouterr()
@@ -298,10 +299,16 @@ def test_sweep_bad_grid_exits_2(capsys, grid):
 # ----------------------------------------------------------- verify
 
 def test_verify_zero_samples_is_usage_error(capsys):
-    code = main(["verify", "--samples", "0"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "--samples" in captured.err
+    # 0 is refused by the integer rule, 2.5 by argparse's int: both exit 2,
+    # so no TypeError of the integer rule reaches main
+    for word in ("0", "2.5"):
+        try:
+            code = main(["verify", "--samples", word])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2, word
+        assert "--samples" in captured.err, word
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -163,20 +163,23 @@ def test_bsm_rejects_bad_index_and_shape():
         bsm_project(negative, 0)
 
 
-@pytest.mark.parametrize("r, message", [
-    (True, "an integer, got True"), (False, "an integer, got False"),
-    (np.bool_(True), r"an integer, got (np\.)?True_?"), (1.0, "an integer, got 1.0"),
-    (np.float64(2.0), r"an integer, got (np\.float64\()?2\.0\)?"),
-    (4, "<= 3, got 4"), (-1, ">= 0, got -1"),
+@pytest.mark.parametrize("r, error, message", [
+    # a wrong class
+    (True, TypeError, "an integer, got True"), (False, TypeError, "an integer, got False"),
+    (np.bool_(True), TypeError, r"an integer, got (np\.)?True_?"),
+    (1.0, TypeError, "an integer, got 1.0"),
+    (np.float64(2.0), TypeError, r"an integer, got (np\.float64\()?2\.0\)?"),
+    # an integer out of range
+    (4, ValueError, "<= 3, got 4"), (-1, ValueError, ">= 0, got -1"),
 ], ids=["True", "False", "r2", "1.0", "2.0", "4", "-1"])
-def test_bell_index_refuses_bools_floats_and_out_of_range(r, message):
+def test_bell_index_refuses_bools_floats_and_out_of_range(r, error, message):
     # True == 1 and 1.0 == 1, so membership in BELL_INDICES alone let them in
     rho_in = information_state(InformationState(0.7, 0.3, 0.8))
     rho_c = composite(rho_in, werner_state(WernerResource(0.6)))
     message = f"^Bell index must be {message}$"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         bsm_project(rho_c, r)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         conditional_state_formula(rho_in, 0.6, r)
 
 

@@ -463,10 +463,10 @@ def test_counts_take_numpy_integers_as_their_int(monkeypatch, kind):
     True, np.bool_(True), 3.0, np.float64(3.0), "3", None, Fraction(3, 1),
 ], ids=["bool", "np-bool", "float", "float64", "str", "none", "fraction"])
 def test_counts_refuse_every_other_class(monkeypatch, value):
-    # a bool is not taken as 1 nor a whole float as its int: ValueError names
+    # a bool is not taken as 1 nor a whole float as its int: TypeError names
     # the parameter, whichever entry point it came in by
     for name, _, entry_point in _count_entry_points(monkeypatch):
-        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got "):
+        with pytest.raises(TypeError, match=f"^{re.escape(name)} must be an integer, got "):
             entry_point(value)
 
 

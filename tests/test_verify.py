@@ -108,14 +108,14 @@ def test_rejects_nonpositive_samples():
 @pytest.mark.parametrize("samples", [True, 2.5, 3.0, "3", np.float64(3.0)])
 def test_rejects_non_integer_samples(samples):
     # refused before the draw, as protocol refuses a bool or float Bell index
-    with pytest.raises(ValueError, match="samples must be an integer"):
+    with pytest.raises(TypeError, match="samples must be an integer"):
         run_verification(seed=1, samples=samples, run_quadrature=False, run_minimax=False)
 
 
 @pytest.mark.parametrize("formula_samples", [10.5, "5", True, np.float64(5.0)])
 def test_rejects_non_integer_formula_samples(formula_samples):
     # refused by name before the draw, as samples is; a bool is not taken as 1
-    with pytest.raises(ValueError, match="^formula_samples must be an integer"):
+    with pytest.raises(TypeError, match="^formula_samples must be an integer"):
         run_verification(seed=1, samples=3, formula_samples=formula_samples,
                          run_quadrature=False, run_minimax=False)
 
@@ -157,14 +157,17 @@ def test_numpy_formula_samples_check_exactly_their_tuples(monkeypatch, formula_s
     assert all(result.passed for result in results)
 
 
-@pytest.mark.parametrize("seed, message", [
-    (None, "an integer, got None"), (True, "an integer, got True"),
-    ([1, 2], r"an integer, got \[1, 2\]"), (0.5, "an integer, got 0.5"), (-1, ">= 0, got -1"),
+@pytest.mark.parametrize("seed, error, message", [
+    # a wrong class
+    (None, TypeError, "an integer, got None"), (True, TypeError, "an integer, got True"),
+    ([1, 2], TypeError, r"an integer, got \[1, 2\]"), (0.5, TypeError, "an integer, got 0.5"),
+    # an integer out of range
+    (-1, ValueError, ">= 0, got -1"),
 ], ids=["none", "bool", "list", "float", "negative"])
-def test_rejects_seed_outside_the_integers_from_zero(seed, message):
+def test_rejects_seed_outside_the_integers_from_zero(seed, error, message):
     # None would draw from fresh OS entropy, and a bool or a list would seed
     # a report the caller did not ask for; numpy's own error names no parameter
-    with pytest.raises(ValueError, match=f"^seed must be {message}$"):
+    with pytest.raises(error, match=f"^seed must be {message}$"):
         run_verification(seed=seed, samples=3, run_quadrature=False, run_minimax=False)
 
 
