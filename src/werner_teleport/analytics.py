@@ -123,9 +123,9 @@ def _fidelity_core(alpha, beta, gamma, epsilon, theta, phi, psi):
     # A + B sin(beta+psi) + C cos(2(beta+psi)), each row factor of
     # _row_factors at the left end of its product.
     a_cos, a_sin, b, c = _row_factors(gamma, epsilon, _angle_factors(theta, phi))
-    sin_a_sq = np.sin(alpha) ** 2
-    turn = beta + psi
-    return (0.5 * (1.0 + a_cos * np.cos(alpha) ** 2 + a_sin * sin_a_sq)
+    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+    sin_a_sq, turn = sin_a * sin_a, beta + psi
+    return (0.5 * (1.0 + a_cos * (cos_a * cos_a) + a_sin * sin_a_sq)
             + b * np.sin(2.0 * alpha) * np.sin(turn) + c * sin_a_sq * np.cos(2.0 * turn))
 
 
@@ -221,25 +221,27 @@ def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles
 def _sphere_rule(nodes: int) -> tuple[float, ...]:
     """The moments of the sphere rule with `nodes` points per axis, each the
     ``math.fsum`` of its node values, so free of BLAS and summation order:
-    sum w, sum w cos^2(alpha), sum w sin^2(alpha) and sum w sin(2 alpha) over
-    the polar nodes arccos(x) with Gauss-Legendre weights w, then sum sin(beta),
-    sum cos(beta), sum sin(2 beta) and sum cos(2 beta) over the periodic
-    nodes. Building the rule solves an eigenproblem, so each count is built
-    once; every caller shares the tuple of floats, which none can change.
+    sum w, sum w x^2, sum w s^2 and sum w 2 x s over the Gauss-Legendre nodes
+    x = cos(alpha) and weights w, s = sqrt((1 - x)(1 + x)) = sin(alpha), by
+    correctly rounded operations (sum w 2 x s is 0: the nodes are symmetric),
+    then sum sin(beta), sum cos(beta), sum sin(2 beta) and sum cos(2 beta) over
+    the periodic nodes. Building the rule solves an eigenproblem, so each count
+    is built once; every caller shares the tuple of floats, which none can change.
     """
     x, w = np.polynomial.legendre.leggauss(nodes)
-    alphas, betas = np.arccos(x), 2.0 * math.pi * np.arange(nodes) / nodes
+    s, betas = np.sqrt((1.0 - x) * (1.0 + x)), 2.0 * math.pi * np.arange(nodes) / nodes
     return tuple(math.fsum(values) for values in (
-        w, w * np.cos(alphas) ** 2, w * np.sin(alphas) ** 2, w * np.sin(2.0 * alphas),
+        w, w * (x * x), w * (s * s), w * (2.0 * x * s),
         np.sin(betas), np.cos(betas), np.sin(2.0 * betas), np.cos(2.0 * betas)))
 
 
 def _angle_factors(theta, phi, xp=np):
     # The correction's factors in F: cos(theta), cos^2(theta/2), sin(theta),
     # sin^2(theta/2), cos(2 phi) and sin(phi). xp is math for
-    # average_fidelity_numeric's floats, numpy (the default) for arrays. Keep
-    # each ** 2 (libm pow on a float or a numpy scalar): both give the same bits.
-    return (xp.cos(theta), xp.cos(0.5 * theta) ** 2, xp.sin(theta), xp.sin(0.5 * theta) ** 2,
+    # average_fidelity_numeric's floats, numpy (the default) for arrays. Each
+    # square is a product, which rounds the same on math floats, numpy scalars and arrays.
+    cos_h, sin_h = xp.cos(0.5 * theta), xp.sin(0.5 * theta)
+    return (xp.cos(theta), cos_h * cos_h, xp.sin(theta), sin_h * sin_h,
             xp.cos(2.0 * phi), xp.sin(phi))
 
 

@@ -14,15 +14,14 @@ and all four conditional states in one call), once per (gamma, epsilon)
 grid in the grid checks, and once per set of closed forms in the ordering
 chain; the simulation never calls them. Memory is the seeded draw, 64 B per
 sample (eight float64 parameters, scaled in place), plus a working set fixed
-by the chunk size, whatever ``samples`` is: 0.62 MB for one chunk and 0.90 MB
-from two chunks on, since the previous chunk's arrays stay bound until the
-next ``_simulate`` call returns. ``_draw_tuples`` draws up front in one
-call, with the stream and bits of one ``uniform(0, hi, samples)`` call per
-parameter, and keeps each parameter's column contiguous; each entry
-``hi * u`` (``u`` at most ``1 - 2**-53``) lies inside its domain. One
-``PCG64`` per column, copied from ``default_rng(seed)``'s state, advanced by
-``i * samples`` and drawn in ``_CHUNK``-sized pieces, would give the same
-tuples bit for bit.
+by the chunk size, whatever ``samples`` is: 0.62 MB, since each chunk's
+arrays are released before the next chunk's kernel call. ``_draw_tuples``
+draws up front in one call, with the stream and bits of one
+``uniform(0, hi, samples)`` call per parameter, and keeps each parameter's
+column contiguous; each entry ``hi * u`` (``u`` at most ``1 - 2**-53``) lies
+inside its domain. One ``PCG64`` per column, copied from
+``default_rng(seed)``'s state, advanced by ``i * samples`` and drawn in
+``_CHUNK``-sized pieces, would give the same tuples bit for bit.
 """
 
 from __future__ import annotations
@@ -76,8 +75,7 @@ class CheckResult:
 
 
 # Tuples per kernel call. Beyond the draw, tracemalloc reads a peak of 0.62 MB
-# for one chunk (256 samples) and 0.90 MB from two on (2,000 or 10^5 samples):
-# the previous chunk's arrays stay bound until the next _simulate returns.
+# at any sample count (256, 2,000, 20,000 or 10^5): one chunk's arrays at most.
 _CHUNK = 256
 
 # vec(sigma_r X sigma_r^+) = kron(sigma_r, conj(sigma_r)) vec(X) with
@@ -207,6 +205,9 @@ def run_verification(seed: int, samples: int, *,
             conj.update_all(
                 np.abs(bob_checked[1:] - rotated).reshape(3, 4, checked).max(axis=1).T,
                 lambda k: _at(_DOMAINS, chunk[k // 3]) + f"conjugation relation r={k % 3 + 1}")
+            del bob_checked, expected, rotated
+        # released before the next chunk's kernel call: one chunk's arrays at a time
+        del rho_in, probabilities, bob, fidelities, simulated, f_closed
 
     results = [check.result() for check in checks] + [_ordering_check(masfi, f_av_max, f_max)]
     if run_quadrature:

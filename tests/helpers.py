@@ -365,24 +365,25 @@ def worst_case_reference(gamma, epsilon, theta, phi):
     return 0.5 * (1 + epsilon * np.linalg.eigvalsh(quadratic)[0])
 
 
-def sphere_rule_moments(alphas, w, betas):
-    """The eight moments of `analytics._sphere_rule` for any polar nodes and
-    weights and any beta nodes, each the `math.fsum` of the node values."""
+def sphere_rule_moments(x, w, betas):
+    """The eight moments of `analytics._sphere_rule` for any polar nodes
+    x = cos(alpha) in [-1, 1] and weights w and any beta nodes, each the
+    `math.fsum` of the node values, with sin(alpha) = sqrt((1 - x)(1 + x))."""
+    s = np.sqrt((1.0 - x) * (1.0 + x))
     return tuple(math.fsum(values) for values in (
-        w, w * np.cos(alphas) ** 2, w * np.sin(alphas) ** 2, w * np.sin(2.0 * alphas),
+        w, w * (x * x), w * (s * s), w * (2.0 * x * s),
         np.sin(betas), np.cos(betas), np.sin(2.0 * betas), np.cos(2.0 * betas)))
 
 
 @functools.lru_cache(maxsize=None)
 def _polar_rule(nodes):
-    # The polar nodes arccos(x) and the Gauss-Legendre weights w, read-only.
+    # The Gauss-Legendre nodes x = cos(alpha) and weights w, read-only.
     # leggauss solves an eigenproblem, so each count is built once, here and
     # never through `analytics._sphere_rule`, the cache the references check.
     x, w = np.polynomial.legendre.leggauss(nodes)
-    alphas = np.arccos(x)
-    alphas.setflags(write=False)
+    x.setflags(write=False)
     w.setflags(write=False)
-    return alphas, w
+    return x, w
 
 
 def sphere_average_reference(gamma, epsilon, angles, nodes):
@@ -396,9 +397,9 @@ def sphere_average_reference(gamma, epsilon, angles, nodes):
     `sphere_average_grid_reference`, `fidelity_reference`, `f_av_max` and
     the general-correction average are the checks of the value.
     """
-    alphas, w = _polar_rule(nodes)
+    x, w = _polar_rule(nodes)
     w_sum, w_cos_sq, w_sin_sq, w_sin_2a, sin_sum, cos_sum, sin2_sum, cos2_sum = sphere_rule_moments(
-        alphas, w, 2.0 * math.pi * np.arange(nodes) / nodes)
+        x, w, 2.0 * math.pi * np.arange(nodes) / nodes)
     a_cos, a_sin, b, c = _row_factors(gamma, epsilon, _angle_factors(angles.theta, angles.phi))
     psi = angles.psi
     s = sin_sum * math.cos(psi) + cos_sum * math.sin(psi)
@@ -415,8 +416,8 @@ def sphere_average_grid_reference(gamma, epsilon, angles, nodes):
     row summed, then the Gauss-Legendre weights. The same rule on the same
     integrand, so the separable sum must agree with it to round-off.
     """
-    alphas, w = _polar_rule(nodes)
-    betas = 2.0 * math.pi * np.arange(nodes) / nodes
+    x, w = _polar_rule(nodes)
+    alphas, betas = np.arccos(x), 2.0 * math.pi * np.arange(nodes) / nodes
     grid = _fidelity_core(alphas[:, None], betas[None, :], gamma, epsilon,
                           angles.theta, angles.phi, angles.psi)
     return float(w @ grid.sum(axis=1)) / (2.0 * nodes)

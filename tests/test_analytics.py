@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -99,16 +102,14 @@ def _agreement_rows():
 def test_closed_forms_on_arrays_agree_with_scalar_calls():
     rows = _agreement_rows()
     gamma, epsilon = rows[:, 2], rows[:, 3]
-    for func, args in ((masfi, (gamma, epsilon)), (f_av_max, (gamma, epsilon)),
-                       (fidelity_gap, (gamma, epsilon)), (f_max, (epsilon,))):
+    for func, args in ((fidelity_closed_form, rows.T), (masfi, (gamma, epsilon)),
+                       (f_av_max, (gamma, epsilon)), (fidelity_gap, (gamma, epsilon)),
+                       (f_max, (epsilon,))):
         values = func(*args)
         assert isinstance(values, np.ndarray) and values.shape == gamma.shape
         scalar = [func(*point) for point in zip(*(a.tolist() for a in args))]
         assert all(type(v) is float for v in scalar)
         assert np.array_equal(values, scalar), func.__name__
-    values = fidelity_closed_form(*rows.T)
-    scalar = np.array([fidelity_closed_form(*row) for row in rows.tolist()])
-    assert np.abs(values - scalar).max() <= 2.2e-16
 
 
 def test_closed_forms_broadcast_and_check_every_entry():
@@ -291,7 +292,7 @@ def test_average_turns_the_beta_sums_by_psi(monkeypatch):
     rng = np.random.default_rng(31)
     alphas, betas = rng.random(16) * math.pi, rng.random(16) * 2.0 * math.pi
     w = 2.0 * rng.random(16) / 16.0
-    moments = sphere_rule_moments(alphas, w, betas)
+    moments = sphere_rule_moments(np.cos(alphas), w, betas)
     monkeypatch.setattr(analytics, "_sphere_rule", lambda nodes: moments)
     for _ in range(200):
         gamma, epsilon = (float(v) for v in rng.random(2))
@@ -353,21 +354,23 @@ def test_average_rule_is_read_only():
     assert average_fidelity_numeric(0.6, 0.9, angles, 64) == before
 
 
-def _row_factor_bits(gamma, epsilon, theta, phi, *xp):
-    columns = analytics._angle_factors(theta, phi, *xp)
-    return tuple(float(f).hex() for f in analytics._row_factors(gamma, epsilon, columns))
+def _row_factors_on(gamma, epsilon, theta, phi, xp):
+    return analytics._row_factors(gamma, epsilon, analytics._angle_factors(theta, phi, xp))
 
 
 def test_row_factors_on_math_match_numpy_bit_for_bit():
-    # the quadrature takes cos and sin from math, every other caller from
-    # numpy: on the same floats the one transcription must give the same bits
-    # either way (a numpy scalar squares by libm pow, as a float does)
+    # the quadrature takes cos and sin from math on floats, every grid from
+    # numpy on arrays: on the same floats the one transcription must give the
+    # same bits either way (each square is a product, correctly rounded on both)
     rng = np.random.default_rng(34)
     draws = np.column_stack([rng.random((100_000, 2)), rng.random((100_000, 2)) * math.pi])
     corners = [(gamma, epsilon, theta, phi) for gamma in (0.0, 1.0) for epsilon in (0.0, 1.0)
                for theta in (0.0, 0.5 * math.pi, math.pi) for phi in (0.0, 0.5 * math.pi, math.pi)]
-    for point in draws.tolist() + corners:
-        assert _row_factor_bits(*point, math) == _row_factor_bits(*point), point
+    points = draws.tolist() + corners
+    on_arrays = np.column_stack(_row_factors_on(*np.array(points).T, np))
+    on_math = np.array([_row_factors_on(*point, math) for point in points])
+    differ = (on_math.view(np.int64) != on_arrays.view(np.int64)).any(axis=1)
+    assert not differ.any(), (int(differ.sum()), points[int(differ.argmax())])
 
 
 # average_fidelity_numeric at 64 nodes, bit for bit as float.hex: on verify's
@@ -435,6 +438,36 @@ def test_average_makes_no_numpy_call_once_its_rule_is_built(monkeypatch):
     before = [average_fidelity_numeric(*case, 64).hex() for case in cases]
     monkeypatch.setattr(analytics, "np", _NoNumpy())
     assert [average_fidelity_numeric(*case, 64).hex() for case in cases] == before
+
+
+_AVERAGES_FROM_STDIN = """
+import sys
+import numpy as np
+from werner_teleport.analytics import average_fidelity_numeric
+from werner_teleport.protocol import UnitaryAngles
+draws = np.frombuffer(sys.stdin.buffer.read()).reshape(-1, 6).tolist()
+sys.stdout.buffer.write(np.array([average_fidelity_numeric(g, e, UnitaryAngles(*angles), nodes)
+                                  for nodes in (8, 64) for g, e, *angles in draws]).tobytes())
+"""
+
+
+def test_average_bits_do_not_depend_on_numpy_dispatch():
+    # A child process with numpy's X86_V3 and X86_V4 loops switched off gives
+    # seeded 8- and 64-node averages at general corrections the bits they have
+    # here: the rule's polar moments are products and a sqrt of its nodes,
+    # correctly rounded in any loop, where an arccos of them was not.
+    rng = np.random.default_rng(37)
+    draws = np.column_stack([rng.random((10**4, 2)), rng.random((10**4, 4)) * math.pi])
+    expected = np.array([average_fidelity_numeric(g, e, UnitaryAngles(*angles), nodes)
+                         for nodes in (8, 64) for g, e, *angles in draws.tolist()])
+    package_root = os.path.dirname(os.path.dirname(analytics.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4", PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _AVERAGES_FROM_STDIN], input=draws.tobytes(),
+                          capture_output=True, env=env, check=True)
+    got = np.frombuffer(proc.stdout).reshape(2, -1)
+    for nodes, want, have in zip((8, 64), expected.reshape(2, -1), got):
+        assert hashlib.sha256(have).hexdigest() == hashlib.sha256(want).hexdigest(), nodes
 
 
 # ------------------------------------------- minimization over inputs

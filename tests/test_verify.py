@@ -377,6 +377,17 @@ def test_peak_memory_grows_only_by_the_seeded_draw():
     assert growth <= 2 * 64 * (large - small)
 
 
+def test_working_set_beyond_the_draw_does_not_grow_with_samples():
+    # each chunk's arrays are released before the next kernel call, so past
+    # the draw's 64 B per sample a run of many chunks holds no more than a
+    # run of one full chunk (0.62 MB at 256 tuples; two chunks' arrays held
+    # at once would add about 0.28 MB)
+    run_verification(1, verify._CHUNK, run_quadrature=False, run_minimax=False)
+    one_chunk = _peak_bytes(verify._CHUNK) - 64 * verify._CHUNK
+    for samples in (2000, 20000):
+        assert _peak_bytes(samples) - 64 * samples <= one_chunk + 16 * 1024, samples
+
+
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 10**5])
 @pytest.mark.parametrize("seed", [0, 7, 42, 2026])
 def test_draw_equals_the_column_by_column_uniform_draw(seed, n):
