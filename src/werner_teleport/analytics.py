@@ -15,13 +15,17 @@ the optimal correction (``f_av_max``), and the absolute ceiling
 (``f_max``). Each closed form here is paired with an independent numeric
 route so they can be cross-validated: ``masfi`` with a grid search over
 Bob's correction refined by a 2-D zoom, whose inner worst case over the
-input is exact (the lowest eigenvalue of a 3x3 form, in closed form). The
-trig of each correction grid is a table, built once per grid, so a search
-is array arithmetic on tables, and it reads its result from the arrays of
-the pass that found its best point. ``f_av_max`` is paired with
-Gauss-Legendre quadrature in cos(alpha) times a periodic rule in beta,
-summed once per node count over the functions F is linear in, so a call is
-a few float operations on the rule's moments.
+input is exact (the lowest eigenvalue of a 3x3 form, in closed form).
+Every real search walks the same grids, from its coarse best point, the
+identity, through the same zoom brackets at the identity's corner. At
+import these grids' trig is stacked into one table, the corner path, so a
+search takes its worst cases on all of them in one array call, evaluates a
+grid of its own only for a bracket off that path (none of the real inputs
+tried reaches one), and reads its result from the arrays that found its
+best point. ``f_av_max`` is paired with Gauss-Legendre quadrature in
+cos(alpha) times a periodic rule in beta, summed once per node count over
+the functions F is linear in, so a call is a few float operations on the
+rule's moments.
 
 The closed forms (``fidelity_closed_form``, ``masfi``, ``f_av_max``,
 ``f_max``, ``fidelity_gap``) take floats or numpy arrays, which broadcast
@@ -74,11 +78,6 @@ _OUTER_GRID = 33
 # keeps the pass's best point plus or minus one sub-step, so each side
 # shrinks by k/2 per pass (by k when the best point is on its edge).
 _ZOOM_K = 16
-
-# Zoom grids kept by _zoom_grid. Every real search zooms through the same
-# 7 brackets (its coarse best point is always the identity); only a
-# substituted landscape, in the tests, walks others.
-_ZOOM_GRIDS = 32
 
 # The coarse scan's axis and the zoom's sub-step fractions, built once and
 # shared, read-only, by every search.
@@ -271,28 +270,81 @@ def _grid(theta: np.ndarray, phi: np.ndarray) -> _Grid:
     return _Grid(theta, phi, _angle_factors(theta, phi))
 
 
-def _shared_grid(theta: np.ndarray, phi: np.ndarray) -> _Grid:
-    # A grid every search reads, made read-only. Its columns are taken on
-    # theta and phi as given, then copied out to the grid's full shape, so
-    # _worst_cases multiplies arrays of one shape and each form array can be
-    # read at the index of the best point.
-    shape = np.broadcast_shapes(theta.shape, phi.shape)
-    columns = tuple(np.broadcast_to(f, shape).copy() for f in _angle_factors(theta, phi))
+def _read_only(theta: np.ndarray, phi: np.ndarray, columns: tuple[np.ndarray, ...]) -> _Grid:
     for array in (theta, phi, *columns):
         array.setflags(write=False)
     return _Grid(theta, phi, columns)
 
 
+def _shared_grid(theta: np.ndarray, phi: np.ndarray) -> _Grid:
+    # A read-only grid. Its columns are taken on theta and phi as given,
+    # then copied out to the grid's full shape, so _worst_cases multiplies
+    # arrays of one shape and each form array can be read at the index of
+    # the best point.
+    shape = np.broadcast_shapes(theta.shape, phi.shape)
+    return _read_only(theta, phi, tuple(np.broadcast_to(f, shape).copy()
+                                        for f in _angle_factors(theta, phi)))
+
+
 _COARSE_GRID = _shared_grid(_COARSE_AXIS[:, None], _COARSE_AXIS[None, :])
 
 
-@functools.lru_cache(maxsize=_ZOOM_GRIDS)
 def _zoom_grid(t_lo: float, t_hi: float, p_lo: float, p_hi: float) -> _Grid:
     # the (k + 1) x (k + 1) grid of one zoom bracket, its last points exactly
     # the bracket's upper ends, which keeps every point inside the bracket
     t_axis, p_axis = t_lo + (t_hi - t_lo) * _FRACTIONS, p_lo + (p_hi - p_lo) * _FRACTIONS
     t_axis[-1], p_axis[-1] = t_hi, p_hi
     return _shared_grid(t_axis[:, None], p_axis[None, :])
+
+
+def _shrink(bracket: tuple[float, float, float, float], theta: float, phi: float,
+            parts: int = _ZOOM_K) -> tuple[float, float, float, float]:
+    # (t_lo, t_hi, p_lo, p_hi) cut to (theta, phi) plus or minus one of its
+    # `parts` sub-steps on each side, clipped to the bracket
+    t_lo, t_hi, p_lo, p_hi = bracket
+    t_sub, p_sub = (t_hi - t_lo) / parts, (p_hi - p_lo) / parts
+    return (max(t_lo, theta - t_sub), min(t_hi, theta + t_sub),
+            max(p_lo, phi - p_sub), min(p_hi, phi + p_sub))
+
+
+def _width(bracket: tuple[float, float, float, float]) -> float:
+    return max(bracket[1] - bracket[0], bracket[3] - bracket[2])
+
+
+# The coarse scan's bracket: the whole range of theta and phi, whose 33 grid
+# points are 32 sub-steps apart.
+_WHOLE = (0.0, math.pi, 0.0, math.pi)
+
+
+def _corner_path() -> tuple[_Grid, tuple[tuple[float, float, float, float], ...]]:
+    # The walk of a search whose best point in every grid is the grid's
+    # (0, 0) corner, the identity correction, as in every real search: the
+    # coarse grid and the zoom grid of each bracket the walk passes, flat and
+    # stacked in walk order into one read-only grid, and those brackets. The
+    # zoom grids are _zoom_grid's, so each entry holds the bits of its own
+    # grid, and _worst_cases, being elementwise, gives it the same bits.
+    grids, brackets = [_COARSE_GRID], []
+    bracket = _shrink(_WHOLE, float(_COARSE_GRID.theta[0, 0]), float(_COARSE_GRID.phi[0, 0]),
+                      _OUTER_GRID - 1)
+    while _width(bracket) > REFINE_TOL:
+        grid = _zoom_grid(*bracket)
+        grids.append(grid)
+        brackets.append(bracket)
+        bracket = _shrink(bracket, float(grid.theta[0, 0]), float(grid.phi[0, 0]))
+    sizes = [g.columns[0].size for g in grids]
+    table, start = np.empty((8, sum(sizes))), 0
+    for g, size in zip(grids, sizes):  # theta, phi and the six columns, a row each
+        block = table[:, start:start + size].reshape(8, *g.columns[0].shape)
+        for row, field in zip(block, (g.theta, g.phi, *g.columns)):
+            row[...] = field
+        start += size
+    theta, phi, *columns = table
+    return _read_only(theta, phi, tuple(columns)), tuple(brackets)
+
+
+# The corner path: 33 x 33 coarse points, then 17 x 17 for each of its 7
+# brackets, 3112 corrections that every real search evaluates in one call.
+_PATH_GRID, _PATH_BRACKETS = _corner_path()
 
 
 def _worst_cases(gamma: float, epsilon: float,
@@ -378,9 +430,15 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     neither side is wider than ``REFINE_TOL``. The best point seen moves
     only to a strictly better point, so ties keep the earlier one. The
     bracket and that point are Python floats: only the worst-case calls run
-    on arrays. Each grid's trig is tabulated once: the coarse grid's when
-    the module loads, a zoom bracket's on its first pass, kept in a bounded
-    cache (every real search zooms through the same brackets). ``value`` and
+    on arrays. A real search stays at the (0, 0) corner of each grid, the
+    identity, so it walks the same 7 brackets: the corner path. Their
+    grids and the coarse grid are tabulated once, at import, as one flat
+    grid of 3112 corrections, and the search makes one worst-case call on
+    it. A pass reads its values from that call while its bracket equals the
+    path's next one (exactly, as floats); from its first bracket off the
+    path it evaluates that bracket's own grid, built for the pass, and so
+    does every later pass. Each entry's arithmetic is elementwise, so it
+    gives the same bits in either array. ``value`` and
     ``argmin`` are read, with psi = 0, from the arrays of the call that
     found the best point, at its index: the bits
     :func:`min_over_information` gives there. ``iterations`` counts the zoom
@@ -390,31 +448,36 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
 
-    values, form = _worst_cases(gamma, epsilon, _COARSE_GRID)
-    it, ip = divmod(int(values.argmax()), _OUTER_GRID)
-    theta, phi, best_v = float(_COARSE_AXIS[it]), float(_COARSE_AXIS[ip]), float(values[it, ip])
-    best_form, best_at = form, (it, ip)
-    step = math.pi / (_OUTER_GRID - 1)
-    t_lo, t_hi = max(theta - step, 0.0), min(theta + step, math.pi)
-    p_lo, p_hi = max(phi - step, 0.0), min(phi + step, math.pi)
-    evaluations = 1  # the final read
-    while max(t_hi - t_lo, p_hi - p_lo) > REFINE_TOL:
-        grid = _zoom_grid(t_lo, t_hi, p_lo, p_hi)
-        values, form = _worst_cases(gamma, epsilon, grid)
-        evaluations += values.size
-        i, j = divmod(int(values.argmax()), _ZOOM_K + 1)
-        t, p, v = float(grid.theta[i, 0]), float(grid.phi[0, j]), float(values[i, j])
+    path_values, path_form = _worst_cases(gamma, epsilon, _PATH_GRID)
+    at = int(path_values[:_OUTER_GRID ** 2].argmax())
+    theta, phi = float(_PATH_GRID.theta[at]), float(_PATH_GRID.phi[at])
+    best_v = float(path_values[at])
+    best_form, best_at = path_form, at
+    bracket = _shrink(_WHOLE, theta, phi, _OUTER_GRID - 1)
+    passes, on_path, size = 0, True, (_ZOOM_K + 1) ** 2
+    while _width(bracket) > REFINE_TOL:
+        on_path = on_path and passes < len(_PATH_BRACKETS) and bracket == _PATH_BRACKETS[passes]
+        if on_path:
+            start = _OUTER_GRID ** 2 + passes * size
+            values, form = path_values, path_form
+            at = start + int(values[start:start + size].argmax())
+            t, p = float(_PATH_GRID.theta[at]), float(_PATH_GRID.phi[at])
+        else:
+            grid = _zoom_grid(*bracket)
+            values, form = _worst_cases(gamma, epsilon, grid)
+            at = divmod(int(values.argmax()), _ZOOM_K + 1)
+            t, p = float(grid.theta[at[0], 0]), float(grid.phi[0, at[1]])
+        v = float(values[at])
         if v > best_v:
-            theta, phi, best_v, best_form, best_at = t, p, v, form, (i, j)
-        t_sub, p_sub = (t_hi - t_lo) / _ZOOM_K, (p_hi - p_lo) / _ZOOM_K
-        t_lo, t_hi = max(t_lo, t - t_sub), min(t_hi, t + t_sub)
-        p_lo, p_hi = max(p_lo, p - p_sub), min(p_hi, p + p_sub)
+            theta, phi, best_v, best_form, best_at = t, p, v, form, at
+        bracket = _shrink(bracket, t, p)
+        passes += 1
 
     alpha, beta = _argmin(*(float(f[best_at]) for f in best_form), 0.0)
     return MinimaxResult(
         value=best_v,
         argmin=(alpha, beta),
         argmax=(theta, phi, 0.0),
-        iterations=evaluations,
-        tolerance_achieved=max(t_hi - t_lo, p_hi - p_lo),
+        iterations=1 + passes * size,  # the zoom passes' points and the final read
+        tolerance_achieved=_width(bracket),
     )

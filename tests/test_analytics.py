@@ -732,13 +732,13 @@ _FIRST_BRACKET = (0.0, math.pi / 32, 0.0, math.pi / 32)
 @pytest.mark.parametrize("gamma, epsilon", [(0.7, 0.9), (0.6, 0.0), (1.0, 0.8)])
 def test_minimax_result_holds_python_numbers(gamma, epsilon):
     # a general point, epsilon = 0 and gamma = 1: no numpy scalar leaks into
-    # the result, and the search's shared grid constants and cached zoom
-    # tables cannot be written
+    # the result, and the search's shared grid constants, its path grid and
+    # its zoom tables cannot be written
     result = minimax_search(gamma, epsilon)
     fields = (result.value, *result.argmin, *result.argmax, result.tolerance_achieved)
     assert all(type(x) is float for x in fields), [type(x) for x in fields]
     assert type(result.iterations) is int
-    shared = [analytics._COARSE_GRID, analytics._zoom_grid(*_FIRST_BRACKET)]
+    shared = [analytics._COARSE_GRID, analytics._zoom_grid(*_FIRST_BRACKET), analytics._PATH_GRID]
     for constant in (analytics._COARSE_AXIS, analytics._FRACTIONS,
                      *(a for grid in shared for a in (grid.theta, grid.phi, *grid.columns))):
         assert not constant.flags.writeable
@@ -780,39 +780,80 @@ def test_minimax_matches_nested_brute_force():
         assert exact < searched + 1e-12
 
 
-# _worst_cases calls per search: one for the coarse scan and one per pass of
-# the 2-D zoom, 7 from the grid point (0, 0), each on 17 x 17 points; value
-# and argmin are read from the arrays of the call that found the best point
-_WORST_CASE_CALLS = 1 + 7
+def _zoom_brackets(monkeypatch):
+    """Record the bracket of every call of analytics._zoom_grid."""
+    brackets = []
+    inner = analytics._zoom_grid
+
+    def recording(*bracket):
+        brackets.append(bracket)
+        return inner(*bracket)
+
+    monkeypatch.setattr(analytics, "_zoom_grid", recording)
+    return brackets
+
+
+# _worst_cases calls per search: one, on the path grid, which holds the
+# coarse scan's 33 x 33 points and the 17 x 17 of each of the 7 passes of the
+# 2-D zoom from the grid point (0, 0); value and argmin are read from its
+# arrays at the best point
+_WORST_CASE_CALLS = 1
 
 
 @pytest.mark.parametrize("gamma, epsilon", [(0.3, 0.0), (1.0, 0.4), (0.7, 0.9), (0.0, 0.5)])
 def test_minimax_golden_call_budget(monkeypatch, gamma, epsilon):
     # flat points (epsilon = 0, gamma = 1) once cost 4326 and 2339 scalar
     # golden-section searches against 134 at a general point; every point
-    # now costs 1 + 7 * 17^2 evaluations in the same number of array calls.
-    # The 7 zoom grids are the same for every real point, so a search after
-    # the first builds none of them.
-    minimax_search(0.5, 0.5)
-    misses = analytics._zoom_grid.cache_info().misses
+    # now costs 1 + 7 * 17^2 evaluations in one array call. Every real point
+    # walks the corner path, so a search builds no zoom grid of its own.
     calls = _worst_case_shapes(monkeypatch)
+    zooms = _zoom_brackets(monkeypatch)
     result = minimax_search(gamma, epsilon)
     assert result.iterations == 2024
     assert len(calls) == _WORST_CASE_CALLS
-    assert analytics._zoom_grid.cache_info().misses == misses
+    assert zooms == []
     assert abs(result.value - masfi(gamma, epsilon)) <= 2.0 ** -53
 
 
-def test_zoom_grid_cache_equals_fresh_build():
-    # a cached zoom grid holds the bits a fresh build gives, for the first
-    # bracket of every real search and for one off the coarse grid
-    step = math.pi / 32
-    for bracket in (_FIRST_BRACKET, (1.0 - step, 1.0 + step, 2.0 - step, 2.0 + step)):
-        cached, fresh = analytics._zoom_grid(*bracket), analytics._zoom_grid.__wrapped__(*bracket)
-        for got, want in zip((cached.theta, cached.phi, *cached.columns),
-                             (fresh.theta, fresh.phi, *fresh.columns)):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), bracket
-        assert all(f.shape == (17, 17) for f in cached.columns)
+def _path_segments():
+    # (start, grid) of each segment of the path grid in walk order: the
+    # coarse grid, then a fresh zoom grid of each path bracket
+    yield 0, analytics._COARSE_GRID
+    for n, bracket in enumerate(analytics._PATH_BRACKETS):
+        yield 33 ** 2 + n * 17 ** 2, analytics._zoom_grid(*bracket)
+
+
+def test_path_grid_holds_each_grids_bits():
+    # The path grid is the coarse grid and the 7 zoom grids of a walk that
+    # stays at each grid's (0, 0) corner, flat and in walk order. Its
+    # corrections and columns, and _worst_cases on it, segment by segment,
+    # must equal byte for byte what each grid alone holds and gives, at
+    # seeded points and on the epsilon = 0 and gamma = 1 rows.
+    path = analytics._PATH_GRID
+    widths = [math.pi / 32 / 16 ** n for n in range(7)]
+    assert analytics._PATH_BRACKETS == tuple((0.0, w, 0.0, w) for w in widths)
+    assert analytics._PATH_BRACKETS[0] == _FIRST_BRACKET
+    assert path.theta.shape == path.phi.shape == (33 ** 2 + 7 * 17 ** 2,)
+    segments = list(_path_segments())
+    for start, grid in segments:
+        shape = grid.columns[0].shape
+        assert all(f.shape == shape for f in grid.columns) and shape in ((33, 33), (17, 17))
+        stop = start + grid.columns[0].size
+        for got, want in zip((path.theta, path.phi, *path.columns),
+                             (grid.theta, grid.phi, *grid.columns)):
+            assert got[start:stop].tobytes() == np.broadcast_to(want, shape).tobytes(), start
+    assert stop == path.theta.size
+
+    points = [tuple(p) for p in np.random.default_rng(38).uniform(0, 1, (20, 2)).tolist()]
+    for x in np.linspace(0, 1, 6).tolist():
+        points += [(x, 0.0), (1.0, x)]
+    for gamma, epsilon in points:
+        values, form = analytics._worst_cases(gamma, epsilon, path)
+        for start, grid in segments:
+            want_values, want_form = analytics._worst_cases(gamma, epsilon, grid)
+            stop = start + want_values.size
+            for got, want in zip((values, *form), (want_values, *want_form)):
+                assert got[start:stop].tobytes() == want.tobytes(), (gamma, epsilon, start)
 
 
 def _seeded_minimax_points():
@@ -914,6 +955,11 @@ def _synthetic_worst_cases(theta_star, phi_star, cross):
 
 _ON_GRID = math.pi / 2  # linspace(0, pi, 33)[16]
 
+# (theta_star, phi_star) -> the zoom passes a search reads from the path call
+# before its bracket leaves the corner path; the other maxima leave it at the
+# coarse scan
+_PASSES_ON_PATH = {(0.01, 0.02): 1, (1e-4, 0.0): 3}
+
 
 @pytest.mark.parametrize("theta_star, phi_star, cross", [
     (1.0, _ON_GRID, 0.0),  # off the coarse grid in theta only
@@ -922,34 +968,44 @@ _ON_GRID = math.pi / 2  # linspace(0, pi, 33)[16]
     # ridges: a coordinate ascent stops 1.5e-3 and 3.5e-2 short of these
     (1.0, 2.0, -1.5),
     (1.0, 2.0, 1.9),
+    # inside the first corner bracket, off its corner: the best point of
+    # pass 1 leaves the corner, and that of pass 3
+    (0.01, 0.02, 0.0),
+    (1e-4, 0.0, 0.0),
 ])
 def test_minimax_zoom_reaches_off_grid_maxima(monkeypatch, theta_star, phi_star, cross):
     # no real point moves off the coarse scan's (0, 0), so these landscapes
-    # stand in for the worst case to reach maxima between grid points
+    # stand in for the worst case to reach maxima between grid points, and
+    # to leave the corner path at the coarse scan or mid-walk
     assert np.linspace(0.0, math.pi, 33)[16] == _ON_GRID
     monkeypatch.setattr(analytics, "_worst_cases",
                         _synthetic_worst_cases(theta_star, phi_star, cross))
     calls = _worst_case_shapes(monkeypatch)
+    zooms = _zoom_brackets(monkeypatch)
     result = minimax_search(0.5, 0.5)
-    passes = calls[1:]  # after the coarse scan
+    off_path = calls[1:]  # after the path call
+    on_path = _PASSES_ON_PATH.get((theta_star, phi_star), 0)
+    passes = on_path + len(zooms)
 
     assert abs(result.argmax[0] - theta_star) < 1e-7 and abs(result.argmax[1] - phi_star) < 1e-7
     assert _reports_min_over_information(0.5, 0.5, result)
     # each pass leaves at most 1/8 of a side's width, so 10 passes take the
     # widest first bracket, 2 pi / 32, below REFINE_TOL
-    assert len(passes) <= 10
-    assert passes == [((17, 1), (1, 17))] * len(passes)
-    assert result.iterations == 1 + len(passes) * 17 ** 2
+    assert passes <= 10
+    assert calls[0] == (analytics._PATH_GRID.theta.shape,) * 2
+    # one call per pass off the path, on its own zoom grid, from the first
+    # bracket the path does not hold
+    assert off_path == [((17, 1), (1, 17))] * len(zooms)
+    assert zooms[0] != analytics._PATH_BRACKETS[on_path]
+    assert result.iterations == 1 + passes * 17 ** 2
     assert result.tolerance_achieved <= analytics.REFINE_TOL
-    # these brackets miss the zoom cache, which stays within its bound
-    info = analytics._zoom_grid.cache_info()
-    assert info.currsize <= info.maxsize
 
 
 def test_minimax_never_searches_psi(monkeypatch):
     # the worst case over beta cannot depend on psi, so psi stays at 0: the
-    # coarse scan is one (33, 1) x (1, 33) call and each zoom pass one
-    # (17, 1) x (1, 17) call, and the argmin's beta is taken at psi = 0
+    # coarse scan and the zoom passes on the corner path are one call on the
+    # path grid's flat (theta, phi) pairs, each pass off it one (17, 1) x
+    # (1, 17) call, and the argmin's beta is taken at psi = 0
     psis = []
     argmin = analytics._argmin
 
@@ -964,9 +1020,9 @@ def test_minimax_never_searches_psi(monkeypatch):
     monkeypatch.setattr(analytics, "_argmin", argmin_at)
     monkeypatch.setattr(analytics, "min_over_information", unexpected)
     result = minimax_search(0.7, 0.9)
-    assert shapes[0] == ((33, 1), (1, 33))
+    assert shapes[0] == ((33 ** 2 + 7 * 17 ** 2,),) * 2
     assert shapes[1:] == [((17, 1), (1, 17))] * (len(shapes) - 1)
-    assert 1 + 17 ** 2 * (len(shapes) - 1) == result.iterations
+    assert 1 + 17 ** 2 * (len(analytics._PATH_BRACKETS) + len(shapes) - 1) == result.iterations
     assert psis == [0.0]
     assert result.argmax[2] == 0.0
 
