@@ -16,16 +16,17 @@ the optimal correction (``f_av_max``), and the absolute ceiling
 route so they can be cross-validated: ``masfi`` with a grid search over
 Bob's correction refined by a 2-D zoom, whose inner worst case over the
 input is exact (the lowest eigenvalue of a 3x3 form, in closed form).
-Every real search walks the same grids, from its coarse best point, the
-identity, through the same zoom brackets at the identity's corner. At
-import these grids' trig is stacked into one table, the corner path, so a
-search takes its worst cases on all of them in one array call, evaluates a
-grid of its own only for a bracket off that path (none of the real inputs
-tried reaches one), and reads its result from the arrays that found its
-best point. ``f_av_max`` is paired with Gauss-Legendre quadrature in
-cos(alpha) times a periodic rule in beta, summed once per node count over
-the functions F is linear in, so a call is a few float operations on the
-rule's moments.
+Every search grid is flat, theta outer, its first entry the (0, 0) corner.
+In every real search each pass's best point is that corner, the identity,
+so every real search walks the same grids, the corner path, stacked at
+import into one grid that a search evaluates in one array call. A search
+stays on the path while each pass's best point is its segment's first
+entry, which makes the next bracket the path's next one bit for bit; from
+the first pass where that fails (no real input tried reaches one), each
+pass evaluates its bracket's own grid. ``f_av_max`` is paired with
+Gauss-Legendre quadrature in cos(alpha) times a periodic rule in beta,
+summed once per node count over the functions F is linear in, so a call is
+a few float operations on the rule's moments.
 
 The closed forms (``fidelity_closed_form``, ``masfi``, ``f_av_max``,
 ``f_max``, ``fidelity_gap``) take floats or numpy arrays, which broadcast
@@ -51,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .protocol import UnitaryAngles
-from .states import _require_count, _require_range, _require_scalar
+from .states import _require_count, _require_range, _require_record, _require_scalar
 
 __all__ = [
     "REFINE_TOL",
@@ -206,6 +207,7 @@ def average_fidelity_numeric(gamma: float, epsilon: float, angles: UnitaryAngles
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
     nodes = _require_count(nodes, "nodes", 8)
+    angles = _require_record(angles, UnitaryAngles, "angles")
     w_sum, w_cos_sq, w_sin_sq, w_sin_2a, sin_sum, cos_sum, sin2_sum, cos2_sum = _sphere_rule(nodes)
     columns = _angle_factors(angles.theta, angles.phi, math)
     a_cos, a_sin, b, c = _row_factors(gamma, epsilon, columns)
@@ -270,23 +272,21 @@ def _grid(theta: np.ndarray, phi: np.ndarray) -> _Grid:
     return _Grid(theta, phi, _angle_factors(theta, phi))
 
 
-def _read_only(theta: np.ndarray, phi: np.ndarray, columns: tuple[np.ndarray, ...]) -> _Grid:
+def _outer_grid(t_axis: np.ndarray, p_axis: np.ndarray) -> _Grid:
+    # A read-only grid of every (theta, phi) pair of the two axes, flat with
+    # theta outer. The columns are taken on the axes, then copied out flat,
+    # so _worst_cases multiplies arrays of one shape and every array of a
+    # search is read at one flat index.
+    t, p = t_axis[:, None], p_axis[None, :]
+    shape = (t_axis.size, p_axis.size)
+    theta, phi, *columns = (np.broadcast_to(f, shape).flatten()
+                            for f in (t, p, *_angle_factors(t, p)))
     for array in (theta, phi, *columns):
         array.setflags(write=False)
-    return _Grid(theta, phi, columns)
+    return _Grid(theta, phi, tuple(columns))
 
 
-def _shared_grid(theta: np.ndarray, phi: np.ndarray) -> _Grid:
-    # A read-only grid. Its columns are taken on theta and phi as given,
-    # then copied out to the grid's full shape, so _worst_cases multiplies
-    # arrays of one shape and each form array can be read at the index of
-    # the best point.
-    shape = np.broadcast_shapes(theta.shape, phi.shape)
-    return _read_only(theta, phi, tuple(np.broadcast_to(f, shape).copy()
-                                        for f in _angle_factors(theta, phi)))
-
-
-_COARSE_GRID = _shared_grid(_COARSE_AXIS[:, None], _COARSE_AXIS[None, :])
+_COARSE_GRID = _outer_grid(_COARSE_AXIS, _COARSE_AXIS)
 
 
 def _zoom_grid(t_lo: float, t_hi: float, p_lo: float, p_hi: float) -> _Grid:
@@ -294,7 +294,7 @@ def _zoom_grid(t_lo: float, t_hi: float, p_lo: float, p_hi: float) -> _Grid:
     # the bracket's upper ends, which keeps every point inside the bracket
     t_axis, p_axis = t_lo + (t_hi - t_lo) * _FRACTIONS, p_lo + (p_hi - p_lo) * _FRACTIONS
     t_axis[-1], p_axis[-1] = t_hi, p_hi
-    return _shared_grid(t_axis[:, None], p_axis[None, :])
+    return _outer_grid(t_axis, p_axis)
 
 
 def _shrink(bracket: tuple[float, float, float, float], theta: float, phi: float,
@@ -311,40 +311,27 @@ def _width(bracket: tuple[float, float, float, float]) -> float:
     return max(bracket[1] - bracket[0], bracket[3] - bracket[2])
 
 
-# The coarse scan's bracket: the whole range of theta and phi, whose 33 grid
-# points are 32 sub-steps apart.
-_WHOLE = (0.0, math.pi, 0.0, math.pi)
-
-
-def _corner_path() -> tuple[_Grid, tuple[tuple[float, float, float, float], ...]]:
-    # The walk of a search whose best point in every grid is the grid's
-    # (0, 0) corner, the identity correction, as in every real search: the
-    # coarse grid and the zoom grid of each bracket the walk passes, flat and
-    # stacked in walk order into one read-only grid, and those brackets. The
-    # zoom grids are _zoom_grid's, so each entry holds the bits of its own
-    # grid, and _worst_cases, being elementwise, gives it the same bits.
-    grids, brackets = [_COARSE_GRID], []
-    bracket = _shrink(_WHOLE, float(_COARSE_GRID.theta[0, 0]), float(_COARSE_GRID.phi[0, 0]),
-                      _OUTER_GRID - 1)
+def _corner_path() -> _Grid:
+    # The coarse grid, then the zoom grid of each bracket of a walk whose
+    # best point in every grid is its first entry, the identity, stacked in
+    # walk order into one read-only grid. Each segment holds the bits of its
+    # own grid, and _worst_cases, being elementwise, gives it the same bits.
+    grids = [_COARSE_GRID]
+    bracket = _shrink((0.0, math.pi, 0.0, math.pi), float(_COARSE_GRID.theta[0]),
+                      float(_COARSE_GRID.phi[0]), _OUTER_GRID - 1)
     while _width(bracket) > REFINE_TOL:
-        grid = _zoom_grid(*bracket)
-        grids.append(grid)
-        brackets.append(bracket)
-        bracket = _shrink(bracket, float(grid.theta[0, 0]), float(grid.phi[0, 0]))
-    sizes = [g.columns[0].size for g in grids]
-    table, start = np.empty((8, sum(sizes))), 0
-    for g, size in zip(grids, sizes):  # theta, phi and the six columns, a row each
-        block = table[:, start:start + size].reshape(8, *g.columns[0].shape)
-        for row, field in zip(block, (g.theta, g.phi, *g.columns)):
-            row[...] = field
-        start += size
-    theta, phi, *columns = table
-    return _read_only(theta, phi, tuple(columns)), tuple(brackets)
+        grids.append(_zoom_grid(*bracket))
+        bracket = _shrink(bracket, float(grids[-1].theta[0]), float(grids[-1].phi[0]))
+    fields = zip(*((g.theta, g.phi, *g.columns) for g in grids))
+    theta, phi, *columns = (np.concatenate(f) for f in fields)
+    for array in (theta, phi, *columns):
+        array.setflags(write=False)
+    return _Grid(theta, phi, tuple(columns))
 
 
 # The corner path: 33 x 33 coarse points, then 17 x 17 for each of its 7
 # brackets, 3112 corrections that every real search evaluates in one call.
-_PATH_GRID, _PATH_BRACKETS = _corner_path()
+_PATH_GRID = _corner_path()
 
 
 def _worst_cases(gamma: float, epsilon: float,
@@ -409,6 +396,7 @@ def min_over_information(gamma: float, epsilon: float,
     """
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
+    angles = _require_record(angles, UnitaryAngles, "angles")
     grid = _grid(np.array([angles.theta]), np.array([angles.phi]))
     values, form = _worst_cases(gamma, epsilon, grid)
     alpha, beta = _argmin(*(float(f[0]) for f in form), angles.psi)
@@ -424,23 +412,15 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     cannot depend, is reported as 0. The inner level is exact, the closed
     form of :func:`min_over_information`, taken for many corrections in one
     array call. A coarse 33 x 33 scan of it seeds one 2-D zoom over one grid
-    step on each side of its best point: a pass evaluates the 17 x 17 grid
-    of the (theta, phi) bracket in one array call, and each side then
-    shrinks to the pass's best point plus or minus one sub-step, until
-    neither side is wider than ``REFINE_TOL``. The best point seen moves
-    only to a strictly better point, so ties keep the earlier one. The
-    bracket and that point are Python floats: only the worst-case calls run
-    on arrays. A real search stays at the (0, 0) corner of each grid, the
-    identity, so it walks the same 7 brackets: the corner path. Their
-    grids and the coarse grid are tabulated once, at import, as one flat
-    grid of 3112 corrections, and the search makes one worst-case call on
-    it. A pass reads its values from that call while its bracket equals the
-    path's next one (exactly, as floats); from its first bracket off the
-    path it evaluates that bracket's own grid, built for the pass, and so
-    does every later pass. Each entry's arithmetic is elementwise, so it
-    gives the same bits in either array. ``value`` and
-    ``argmin`` are read, with psi = 0, from the arrays of the call that
-    found the best point, at its index: the bits
+    step on each side of its best point: a pass takes the 17 x 17 grid of
+    the (theta, phi) bracket, and each side then shrinks to the pass's best
+    point plus or minus one sub-step, until neither side is wider than
+    ``REFINE_TOL``. The best point seen moves only to a strictly better
+    point, so ties keep the earlier one. A real search follows the corner
+    path (see the module docstring), so it makes one worst-case call, on
+    3112 corrections; a pass off the path makes one more, on its own 289.
+    ``value`` and ``argmin`` are read, with psi = 0, from the arrays of the
+    call that found the best point, at its index: the bits
     :func:`min_over_information` gives there. ``iterations`` counts the zoom
     passes' points and that read, not the coarse scan's 33 x 33. The result
     must agree with :func:`masfi` to much better than 1e-6.
@@ -448,30 +428,23 @@ def minimax_search(gamma: float, epsilon: float) -> MinimaxResult:
     gamma = _require_scalar(gamma, "gamma")
     epsilon = _require_scalar(epsilon, "epsilon")
 
-    path_values, path_form = _worst_cases(gamma, epsilon, _PATH_GRID)
-    at = int(path_values[:_OUTER_GRID ** 2].argmax())
-    theta, phi = float(_PATH_GRID.theta[at]), float(_PATH_GRID.phi[at])
-    best_v = float(path_values[at])
-    best_form, best_at = path_form, at
-    bracket = _shrink(_WHOLE, theta, phi, _OUTER_GRID - 1)
-    passes, on_path, size = 0, True, (_ZOOM_K + 1) ** 2
-    while _width(bracket) > REFINE_TOL:
-        on_path = on_path and passes < len(_PATH_BRACKETS) and bracket == _PATH_BRACKETS[passes]
-        if on_path:
-            start = _OUTER_GRID ** 2 + passes * size
-            values, form = path_values, path_form
-            at = start + int(values[start:start + size].argmax())
-            t, p = float(_PATH_GRID.theta[at]), float(_PATH_GRID.phi[at])
-        else:
-            grid = _zoom_grid(*bracket)
-            values, form = _worst_cases(gamma, epsilon, grid)
-            at = divmod(int(values.argmax()), _ZOOM_K + 1)
-            t, p = float(grid.theta[at[0], 0]), float(grid.phi[0, at[1]])
-        v = float(values[at])
+    grid, (values, form) = _PATH_GRID, _worst_cases(gamma, epsilon, _PATH_GRID)
+    bracket, parts, start, size = (0.0, math.pi, 0.0, math.pi), _OUTER_GRID - 1, 0, _OUTER_GRID ** 2
+    best_v, passes = -math.inf, 0
+    while True:  # pass 0 is the coarse scan, every later pass a zoom pass
+        at = start + int(values[start:start + size].argmax())
+        t, p, v = float(grid.theta[at]), float(grid.phi[at]), float(values[at])
         if v > best_v:
             theta, phi, best_v, best_form, best_at = t, p, v, form, at
-        bracket = _shrink(bracket, t, p)
-        passes += 1
+        bracket = _shrink(bracket, t, p, parts)
+        if _width(bracket) <= REFINE_TOL:
+            break
+        if grid is _PATH_GRID and at == start:  # the corner: the path's next segment
+            start += size
+        else:
+            grid, start = _zoom_grid(*bracket), 0
+            values, form = _worst_cases(gamma, epsilon, grid)
+        parts, size, passes = _ZOOM_K, (_ZOOM_K + 1) ** 2, passes + 1
 
     alpha, beta = _argmin(*(float(f[best_at]) for f in best_form), 0.0)
     return MinimaxResult(

@@ -65,6 +65,7 @@ from .states import (
     _require_count,
     _require_fields,
     _require_range,
+    _require_record,
     _werner_states,
 )
 
@@ -316,9 +317,13 @@ def run_protocol(info: InformationState, resource: WernerResource,
     its fidelity is the trace overlap Tr[rho_T rho_in]. With the shared-U0
     corrections the four fidelities coincide; the report's ``fidelity`` is
     their probability-weighted mean. This is the N = 1 case of the batched
-    kernel; the dataclasses were range-checked when built and no state is
-    validated again.
+    kernel. Each argument must be of its own dataclass (TypeError
+    otherwise); the dataclasses were range-checked when built and no state
+    is validated again.
     """
+    info = _require_record(info, InformationState, "info")
+    resource = _require_record(resource, WernerResource, "resource")
+    angles = _require_record(angles, UnitaryAngles, "angles")
     params = np.array([[info.alpha, info.beta, info.gamma, resource.epsilon,
                         angles.chi, angles.theta, angles.phi, angles.psi]])
     _, probabilities, _, fidelities = _simulate(*params.T)

@@ -120,6 +120,16 @@ def _require_scalar(value, name: str) -> float:
     return _require_range(value, name)
 
 
+def _require_record(value, cls: type, name: str):
+    """``value`` as given when its class is ``cls``, a parameter dataclass
+    whose fields were range-checked when it was built. Any other class, a
+    subclass or a look-alike with the same field names too, raises TypeError
+    naming ``name`` and the class it got."""
+    if type(value) is not cls:
+        raise TypeError(f"{name} must be of class {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _require_fields(self) -> None:
     # The __post_init__ of the parameter dataclasses: each field is the
     # parameter of the same name, and keeps the float its check returns.
@@ -167,6 +177,7 @@ def _information_states(alpha, beta, gamma) -> np.ndarray:
 
 def information_state(state: InformationState) -> np.ndarray:
     """Build the 2x2 density matrix of the input qubit."""
+    state = _require_record(state, InformationState, "state")
     rho = _information_states(state.alpha, state.beta, state.gamma)
     rho.setflags(write=False)
     return rho
@@ -203,6 +214,7 @@ def _werner_states(epsilon) -> np.ndarray:
 
 def werner_state(resource: WernerResource) -> np.ndarray:
     """Build the 4x4 Werner-like resource (1-eps)/4 * I + eps |phi+><phi+|."""
+    resource = _require_record(resource, WernerResource, "resource")
     rho = _werner_states(resource.epsilon)
     rho.setflags(write=False)
     return rho

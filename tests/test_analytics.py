@@ -728,6 +728,10 @@ def test_minimax_pinned_bit_for_bit_on_verify_grid():
 # clipped at 0
 _FIRST_BRACKET = (0.0, math.pi / 32, 0.0, math.pi / 32)
 
+# the 7 zoom brackets of a walk that stays at each grid's (0, 0) corner, the
+# identity: every real search's, the corner path's
+_PATH_BRACKETS = tuple((0.0, w, 0.0, w) for w in (math.pi / 32 / 16 ** n for n in range(7)))
+
 
 @pytest.mark.parametrize("gamma, epsilon", [(0.7, 0.9), (0.6, 0.0), (1.0, 0.8)])
 def test_minimax_result_holds_python_numbers(gamma, epsilon):
@@ -802,10 +806,9 @@ _WORST_CASE_CALLS = 1
 
 @pytest.mark.parametrize("gamma, epsilon", [(0.3, 0.0), (1.0, 0.4), (0.7, 0.9), (0.0, 0.5)])
 def test_minimax_golden_call_budget(monkeypatch, gamma, epsilon):
-    # flat points (epsilon = 0, gamma = 1) once cost 4326 and 2339 scalar
-    # golden-section searches against 134 at a general point; every point
-    # now costs 1 + 7 * 17^2 evaluations in one array call. Every real point
-    # walks the corner path, so a search builds no zoom grid of its own.
+    # every point, flat ones (epsilon = 0, gamma = 1) included, costs
+    # 1 + 7 * 17^2 evaluations in one array call. Every real point walks the
+    # corner path, so a search builds no zoom grid of its own.
     calls = _worst_case_shapes(monkeypatch)
     zooms = _zoom_brackets(monkeypatch)
     result = minimax_search(gamma, epsilon)
@@ -819,29 +822,28 @@ def _path_segments():
     # (start, grid) of each segment of the path grid in walk order: the
     # coarse grid, then a fresh zoom grid of each path bracket
     yield 0, analytics._COARSE_GRID
-    for n, bracket in enumerate(analytics._PATH_BRACKETS):
+    for n, bracket in enumerate(_PATH_BRACKETS):
         yield 33 ** 2 + n * 17 ** 2, analytics._zoom_grid(*bracket)
 
 
 def test_path_grid_holds_each_grids_bits():
-    # The path grid is the coarse grid and the 7 zoom grids of a walk that
-    # stays at each grid's (0, 0) corner, flat and in walk order. Its
-    # corrections and columns, and _worst_cases on it, segment by segment,
-    # must equal byte for byte what each grid alone holds and gives, at
-    # seeded points and on the epsilon = 0 and gamma = 1 rows.
+    # The path grid is the coarse grid and the zoom grids of the 7 corner
+    # brackets, in walk order. Its corrections and columns, and _worst_cases
+    # on it, segment by segment, must equal byte for byte what each grid
+    # alone holds and gives, at seeded points and on the epsilon = 0 and
+    # gamma = 1 rows.
     path = analytics._PATH_GRID
-    widths = [math.pi / 32 / 16 ** n for n in range(7)]
-    assert analytics._PATH_BRACKETS == tuple((0.0, w, 0.0, w) for w in widths)
-    assert analytics._PATH_BRACKETS[0] == _FIRST_BRACKET
+    assert _PATH_BRACKETS[0] == _FIRST_BRACKET
     assert path.theta.shape == path.phi.shape == (33 ** 2 + 7 * 17 ** 2,)
     segments = list(_path_segments())
     for start, grid in segments:
-        shape = grid.columns[0].shape
-        assert all(f.shape == shape for f in grid.columns) and shape in ((33, 33), (17, 17))
-        stop = start + grid.columns[0].size
+        shape = grid.theta.shape
+        assert all(f.shape == shape for f in (grid.phi, *grid.columns))
+        assert shape in ((33 ** 2,), (17 ** 2,))
+        stop = start + grid.theta.size
         for got, want in zip((path.theta, path.phi, *path.columns),
                              (grid.theta, grid.phi, *grid.columns)):
-            assert got[start:stop].tobytes() == np.broadcast_to(want, shape).tobytes(), start
+            assert got[start:stop].tobytes() == want.tobytes(), start
     assert stop == path.theta.size
 
     points = [tuple(p) for p in np.random.default_rng(38).uniform(0, 1, (20, 2)).tolist()]
@@ -995,8 +997,8 @@ def test_minimax_zoom_reaches_off_grid_maxima(monkeypatch, theta_star, phi_star,
     assert calls[0] == (analytics._PATH_GRID.theta.shape,) * 2
     # one call per pass off the path, on its own zoom grid, from the first
     # bracket the path does not hold
-    assert off_path == [((17, 1), (1, 17))] * len(zooms)
-    assert zooms[0] != analytics._PATH_BRACKETS[on_path]
+    assert off_path == [((289,), (289,))] * len(zooms)
+    assert zooms[0] != _PATH_BRACKETS[on_path]
     assert result.iterations == 1 + passes * 17 ** 2
     assert result.tolerance_achieved <= analytics.REFINE_TOL
 
@@ -1004,8 +1006,8 @@ def test_minimax_zoom_reaches_off_grid_maxima(monkeypatch, theta_star, phi_star,
 def test_minimax_never_searches_psi(monkeypatch):
     # the worst case over beta cannot depend on psi, so psi stays at 0: the
     # coarse scan and the zoom passes on the corner path are one call on the
-    # path grid's flat (theta, phi) pairs, each pass off it one (17, 1) x
-    # (1, 17) call, and the argmin's beta is taken at psi = 0
+    # path grid's flat (theta, phi) pairs, each pass off it one call on its
+    # own 289, and the argmin's beta is taken at psi = 0
     psis = []
     argmin = analytics._argmin
 
@@ -1021,8 +1023,8 @@ def test_minimax_never_searches_psi(monkeypatch):
     monkeypatch.setattr(analytics, "min_over_information", unexpected)
     result = minimax_search(0.7, 0.9)
     assert shapes[0] == ((33 ** 2 + 7 * 17 ** 2,),) * 2
-    assert shapes[1:] == [((17, 1), (1, 17))] * (len(shapes) - 1)
-    assert 1 + 17 ** 2 * (len(analytics._PATH_BRACKETS) + len(shapes) - 1) == result.iterations
+    assert shapes[1:] == [((289,), (289,))] * (len(shapes) - 1)
+    assert 1 + 17 ** 2 * (len(_PATH_BRACKETS) + len(shapes) - 1) == result.iterations
     assert psis == [0.0]
     assert result.argmax[2] == 0.0
 

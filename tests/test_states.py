@@ -1,4 +1,5 @@
 import argparse
+import collections
 import inspect
 import math
 import re
@@ -16,10 +17,16 @@ from werner_teleport.analytics import (
     average_fidelity_numeric,
     fidelity_closed_form,
     masfi,
+    min_over_information,
     minimax_search,
 )
 from werner_teleport.density import kron, validate_density
-from werner_teleport.protocol import UnitaryAngles, bsm_project, conditional_state_formula
+from werner_teleport.protocol import (
+    UnitaryAngles,
+    bsm_project,
+    conditional_state_formula,
+    run_protocol,
+)
 from werner_teleport.states import (
     InformationState,
     WernerResource,
@@ -481,6 +488,52 @@ def test_parameter_dataclasses_keep_the_checked_float():
     assert type(angles.theta) is float and type(angles.phi) is float
     assert angles == UnitaryAngles(0.0, 1.0, 1.0, 0.0)
     assert type(WernerResource(np.float32(0.25)).epsilon) is float
+
+
+# Look-alikes of the parameter dataclasses: the same field names, no check.
+_Info = collections.namedtuple("_Info", "alpha beta gamma")
+_Resource = collections.namedtuple("_Resource", "epsilon")
+_Angles = collections.namedtuple("_Angles", "chi theta phi psi")
+_INFO, _RESOURCE, _ANGLES = InformationState(0.3, 0.2, 0.5), WernerResource(0.5), UnitaryAngles()
+
+
+class _SubAngles(UnitaryAngles):
+    pass
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_protocol(_Info(0.3, 0.2, 5.0), _RESOURCE, _ANGLES),
+     "info must be of class InformationState, got _Info"),
+    (lambda: run_protocol((0.3, 0.2, 0.5), _RESOURCE, _ANGLES),
+     "info must be of class InformationState, got tuple"),
+    (lambda: run_protocol(_INFO, _Resource(2.0), _ANGLES),
+     "resource must be of class WernerResource, got _Resource"),
+    (lambda: run_protocol(_INFO, _RESOURCE, _Angles(0.0, 100.0, 0.0, 0.0)),
+     "angles must be of class UnitaryAngles, got _Angles"),
+    (lambda: run_protocol(_INFO, _RESOURCE, _INFO),
+     "angles must be of class UnitaryAngles, got InformationState"),
+    (lambda: information_state(_Info(0.3, 0.2, 5.0)),
+     "state must be of class InformationState, got _Info"),
+    (lambda: werner_state(_Resource(-1.0)),
+     "resource must be of class WernerResource, got _Resource"),
+    (lambda: werner_state(0.5), "resource must be of class WernerResource, got float"),
+    (lambda: min_over_information(0.5, 0.5, _Angles(0.0, 100.0, math.nan, 0.0)),
+     "angles must be of class UnitaryAngles, got _Angles"),
+    (lambda: min_over_information(0.5, 0.5, _SubAngles()),
+     "angles must be of class UnitaryAngles, got _SubAngles"),
+    (lambda: average_fidelity_numeric(0.5, 0.5, _Angles(0.0, 100.0, math.nan, 0.0)),
+     "angles must be of class UnitaryAngles, got _Angles"),
+    (lambda: average_fidelity_numeric(0.5, 0.5, None),
+     "angles must be of class UnitaryAngles, got NoneType"),
+], ids=["run-info", "run-tuple", "run-resource", "run-angles", "run-swapped", "information-state",
+        "werner-state", "werner-float", "min-over-information", "subclass", "average",
+        "average-none"])
+def test_parameter_records_of_another_class_are_refused(call, message):
+    # a record enters only as its own dataclass, whose fields were checked
+    # when it was built: a look-alike with the same field names could carry
+    # values outside their domains into the unchecked kernels
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
 
 
 # ---------------------------------------------------- domain table
