@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -269,4 +270,17 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help, or its usage error
+        code = exc.code
+    # A short output is still in stdout's buffer here, and a failed flush keeps
+    # it, so the interpreter's own flush at exit would fail again (exit 120).
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        # stdout on os.devnull, so the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.exit(code)

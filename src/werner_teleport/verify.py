@@ -12,10 +12,12 @@ The closed forms broadcast over numpy arrays, so each is called once per
 chunk on the chunk's columns (the fidelity, by default its unchecked core,
 and all four conditional states in one call), once per (gamma, epsilon)
 grid in the grid checks, and once per set of closed forms in the ordering
-chain; the simulation never calls them. Memory is the seeded draw, 64 B per
-sample (eight float64 parameters, scaled in place), plus a working set fixed
-by the chunk size, whatever ``samples`` is: 0.62 MB, since each chunk's
-arrays are released before the next chunk's kernel call. ``_draw_tuples``
+chain; the simulation never calls them. The tuple checks make no BLAS
+call: the sigma_r conjugation between branches uses the kernel's exact
+signed gather. Memory is the seeded draw, 64 B per sample (eight float64
+parameters, scaled in place), plus a working set fixed by the chunk size,
+whatever ``samples`` is: 0.62 MB, since each chunk's arrays are released
+before the next chunk's kernel call. ``_draw_tuples``
 draws up front in one call, with the stream and bits of one
 ``uniform(0, hi, samples)`` call per parameter, and keeps each parameter's
 column contiguous; each entry ``hi * u`` (``u`` at most ``1 - 2**-53``) lies
@@ -43,10 +45,11 @@ from .analytics import (
 )
 from .protocol import (
     UnitaryAngles,
+    _PERM,
+    _SIGN,
     _conditional_states,
     _mean_fidelity,
     _simulate,
-    correction_branch_operators,
 )
 from .states import _DOMAINS, _require_count
 
@@ -77,13 +80,6 @@ class CheckResult:
 # Tuples per kernel call. Beyond the draw, tracemalloc reads a peak of 0.62 MB
 # at any sample count (256, 2,000, 20,000 or 10^5): one chunk's arrays at most.
 _CHUNK = 256
-
-# vec(sigma_r X sigma_r^+) = kron(sigma_r, conj(sigma_r)) vec(X) with
-# row-major vec, so this (12, 4) matrix times the columns vec(X) of a
-# tuple-last (4, N) stack gives the r = 1..3 rotations stacked as (12, N).
-_CONJUGATION = np.concatenate(
-    [np.kron(s, s.conj()) for s in correction_branch_operators()[1:]])
-_CONJUGATION.setflags(write=False)
 
 # Each parameter's upper bound, in the domain table's order, as a column.
 _UPPER = np.array([[hi] for hi, _ in _DOMAINS.values()])
@@ -201,7 +197,9 @@ def run_verification(seed: int, samples: int, *,
             formula.update_all(
                 np.abs(bob_checked - expected).reshape(4, 4, checked).max(axis=1).T,
                 lambda k: _at(_DOMAINS, chunk[k // 4]) + f"conditional state r={k % 4}")
-            rotated = (_CONJUGATION @ bob_checked[0].reshape(4, checked)).reshape(3, 2, 2, checked)
+            # sigma_r real, (anti)symmetric: sigma_r X sigma_r^+ = sigma_r^T X sigma_r, gathered
+            rotated = np.take(bob_checked[0].reshape(4, checked), _PERM[1:].swapaxes(1, 2),
+                              axis=0) * _SIGN[1:, ..., None]
             conj.update_all(
                 np.abs(bob_checked[1:] - rotated).reshape(3, 4, checked).max(axis=1).T,
                 lambda k: _at(_DOMAINS, chunk[k // 3]) + f"conjugation relation r={k % 3 + 1}")

@@ -396,6 +396,27 @@ def test_module_entry_point_subprocess():
     assert proc.stdout.splitlines()[-1] == "1,1,1"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["verify", "--samples", "10"],
+    ["sweep", "--quantity", "masfi", "--gamma-grid", "0:1:2", "--epsilon-grid", "0:1:2"],
+    ["--help"],
+], ids=["run", "verify", "sweep", "help"])
+def test_unwritable_stdout_exits_3(argv):
+    # A short output stays in stdout's buffer until the process ends, so only
+    # the flush at exit meets the full device. With PYTHONUNBUFFERED set, each
+    # print fails inside main and the exit code comes out right anyway, which
+    # would hide a process that ends with code 120.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "werner_teleport", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

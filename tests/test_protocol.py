@@ -444,13 +444,17 @@ def test_mean_fidelity_adds_the_branches_in_order(n):
 
 
 def test_signed_gather_equals_sigma_r_sandwich():
-    # the kernel's (4, 2, 2) index and sign tables give (sigma_r^+ M sigma_r)^T
+    # the kernel's (4, 2, 2) index and sign tables give (sigma_r^+ M sigma_r)^T,
+    # and with the index table transposed, as verify's branch check reads them,
+    # sigma_r M sigma_r^+, each bit for bit
     rng = np.random.default_rng(19)
     m = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
     gathered = np.take(m.reshape(-1, 4), protocol._PERM, axis=1) * protocol._SIGN
+    rotated = np.take(m.reshape(-1, 4), protocol._PERM.swapaxes(1, 2), axis=1) * protocol._SIGN
     for r, sigma in enumerate(correction_branch_operators()):
         expected = (sigma.conj().T @ m @ sigma).swapaxes(-1, -2)
         assert np.array_equal(gathered[:, r], expected), r
+        assert np.array_equal(rotated[:, r], sigma @ m @ sigma.conj().T), r
 
 
 def test_kernel_rows_do_not_depend_on_the_stack_size():
@@ -537,17 +541,6 @@ def test_project_bell_subset_equals_its_column_of_the_full_projection(r):
     # byte for byte, so a signed zero that drifts shows
     assert p_r[0].tobytes() == probability[r].tobytes()
     assert bob_r[0].tobytes() == bob[r].tobytes()
-
-
-def test_verify_conjugation_gemm_equals_sigma_r_sandwich():
-    from werner_teleport.verify import _CONJUGATION, _draw_tuples
-    params = np.vstack([_draw_tuples(np.random.default_rng(42), 300), _corner_tuples()])
-    bob0 = protocol._simulate(*params.T)[2][0]
-    rotated = tuple_first((_CONJUGATION @ bob0.reshape(4, -1)).reshape(3, 2, 2, -1))
-    sigma_r = correction_branch_operators()
-    for r in (1, 2, 3):
-        expected = sigma_r[r] @ tuple_first(bob0) @ sigma_r[r].conj().T
-        assert np.array_equal(rotated[:, r - 1], expected)
 
 
 def test_conditional_state_formula_on_stacks_agrees_with_scalar_calls():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -240,6 +241,38 @@ def test_ordering_failure_detail_text(monkeypatch, biased, worst, detail):
     assert ordering.detail == detail
     assert ordering.line().endswith(f"first failure at {detail}")
     assert [r.name for r in results if not r.passed] == [ORDERING]
+
+
+# Two mesh points pushed 1e-3 off: (0.25, 1) comes first with gamma outer
+# (flat indices 9 and 15), (0.75, 0) would with epsilon outer (3 and 21).
+_GRID_FAILURES = {(0.25, 1.0), (0.75, 0.0)}
+
+
+@pytest.mark.parametrize("route, name, detail", [
+    ("minimax_search", "nested min-max search vs assured-fidelity formula",
+     "(gamma=0.25, epsilon=1): search=0.53225 closed=0.53125"),
+    ("average_fidelity_numeric", "sphere-average quadrature vs closed form",
+     "(gamma=0.25, epsilon=1): quadrature=0.6884999999999996 closed=0.6875"),
+], ids=["search", "quadrature"])
+def test_grid_failure_detail_names_the_first_point_in_row_major_order(monkeypatch, route,
+                                                                         name, detail):
+    numeric = getattr(verify, route)
+
+    def biased(gamma, epsilon, *args, **kwargs):
+        result = numeric(gamma, epsilon, *args, **kwargs)
+        if (gamma, epsilon) not in _GRID_FAILURES:
+            return result
+        if route == "minimax_search":
+            return dataclasses.replace(result, value=result.value + 1e-3)
+        return result + 1e-3
+
+    monkeypatch.setattr(verify, route, biased)
+    results = run_verification(3, 5)
+    failed = {r.name: r for r in results if not r.passed}
+    assert list(failed) == [name]
+    assert failed[name].worst == 0.0010000000000000009
+    assert failed[name].detail == detail
+    assert failed[name].line().endswith(f"first failure at {detail}")
 
 
 def _count_calls(monkeypatch, names):
